@@ -50,7 +50,6 @@ from .constraints import (
     Expr,
     Not,
     Or,
-    RestCounter,
     apply_emergency,
     atom,
     boundary_distance,

@@ -24,6 +24,7 @@ from .evolution import (
     RunTrace,
     SolveResult,
     TracePoint,
+    _result,
     _score,
     _Tracker,
 )
@@ -248,7 +249,7 @@ def pso_solve(
             TracePoint(it, tracker.best_penalized, float(np.mean(scores)), tracker.evaluations,
                        (time.perf_counter() - start) * 1e3)
         )
-    return _tracker_result(tracker, RunTrace(tuple(points)), cfg.seed)
+    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,30 +350,4 @@ def sa_solve(
         points.append(TracePoint(level, tracker.best_penalized, mean_e, tracker.evaluations,
                                  (time.perf_counter() - start) * 1e3))
         temperature *= cfg.cooling
-    return _tracker_result(tracker, RunTrace(tuple(points)), cfg.seed)
-
-
-# ---------------------------------------------------------------------------
-# shared result assembly
-
-
-def _tracker_result(tracker: _Tracker, trace: RunTrace, seed: int) -> SolveResult:
-    if tracker.best_feasible is not None:
-        return SolveResult(
-            counts=tracker.best_feasible,
-            value=tracker.best_feasible_obj,
-            feasible=True,
-            violation=0.0,
-            trace=trace,
-            evaluations=tracker.evaluations,
-            seed=seed,
-        )
-    return SolveResult(
-        counts=tracker.least_violator,
-        value=tracker.least_violator_obj,
-        feasible=False,
-        violation=tracker.least_violation,
-        trace=trace,
-        evaluations=tracker.evaluations,
-        seed=seed,
-    )
+    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed)

@@ -224,7 +224,6 @@ def _run_ip(inst: ProblemInstance, bundle: ObjectiveBundle, expr, seed: int) -> 
 
 
 SOLVERS: dict[str, Callable] = {
-    "ea": _run_ea_with("ri"),
     "ea_ri": _run_ea_with("ri"),
     "ea_bg": _run_ea_with("bg"),
     "pso": _run_pso,

@@ -7,34 +7,32 @@ cross-job cooperation.  Atoms compose with ``&`` (and), ``|`` (or), and
 ``!`` (not) into expression trees, either programmatically or through
 :func:`parse_constraint_string`.
 
-Every atom has two faces kept deliberately separate:
+Each atom is implemented once, as a graded measure that returns two
+numbers: the violation (how far the staffing or roster misses the atom,
+0.0 exactly when it holds) and the slack (how far inside the feasible
+region it lies, for interior barrier penalties).  The three public faces
+read that one measure, so the check and the magnitude cannot disagree:
 
-* :func:`eval_atom` — a fast vectorized yes/no check,
-* :func:`violation_atom` — a loop-based magnitude of how badly the atom
-  fails (0.0 exactly when satisfied).
-
-The two are implemented independently so each can serve as a check on
-the other.
+* :func:`violation_atom` — the violation,
+* :func:`eval_atom` — the yes/no check, ``violation == 0.0``,
+* :func:`boundary_distance` — the slack.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .domain import (
-    SLOTS_PER_DAY,
     AttendanceTensor,
     HeadcountVector,
     ProblemInstance,
-    daily_work_hours,
 )
 from .errors import ConfigurationError, InfeasibleError, ParseError
-from .objectives import f2_total_salary, tensor_salary
+from .objectives import f1_job_time, f2_total_salary, tensor_salary
 
 
 class ConstraintKind(str, Enum):
@@ -164,20 +162,19 @@ def is_conjunction(expr: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # shared lookups
 
+_INF = float("inf")
 
-def _subset_indices(c: AtomicConstraint, inst: ProblemInstance) -> list[int]:
-    if c.jobs is None:
+
+def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int]:
+    """Indices of the named jobs; every job when no names are given."""
+    if codes is None:
         return list(range(inst.n_jobs))
-    return [inst.job_index(code) for code in c.jobs]
+    return [inst.job_index(code) for code in codes]
 
 
-def _counts_in_play(hc: HeadcountVector | None, tensor: AttendanceTensor | None, inst: ProblemInstance) -> tuple[int, ...]:
+def _counts_in_play(hc: HeadcountVector | None, tensor: AttendanceTensor | None) -> tuple[int, ...]:
     """Headcounts the predicates judge: tensor rows win over the vector."""
-    if tensor is not None:
-        return tensor.headcounts().counts
-    if hc is None:
-        raise ConfigurationError("need a headcount vector or a tensor")
-    return hc.counts
+    return tensor.headcounts().counts if tensor is not None else hc.counts
 
 
 def _spare_capacity(counts: Sequence[int], jobs: Sequence[int], inst: ProblemInstance) -> int:
@@ -190,131 +187,137 @@ def _spare_capacity(counts: Sequence[int], jobs: Sequence[int], inst: ProblemIns
     return spare
 
 
-def _emergency_spec(inst: ProblemInstance):
-    if inst.emergency is None:
-        raise ConfigurationError("instance has no emergency parameters (y1)")
-    return inst.emergency
+def _job_hours(tensor: AttendanceTensor | None, hc: HeadcountVector | None, inst: ProblemInstance) -> list[float]:
+    """Hours worked per job over the horizon."""
+    if tensor is None:
+        days = inst.horizon_days
+        return [n * sum(job.shift_hours) * days for n, job in zip(hc.counts, inst.jobs)]
+    return [f1_job_time(tensor, j, inst) for j in range(inst.n_jobs)]
+
+
+def _rest_runs(day_att: np.ndarray) -> np.ndarray:
+    """Length of every run of consecutive rest days, over all employee rows."""
+    rest = np.zeros((day_att.shape[0], day_att.shape[1] + 2), dtype=np.int8)
+    rest[:, 1:-1] = day_att == 0
+    edges = np.flatnonzero(np.diff(rest.ravel()))
+    return edges[1::2] - edges[0::2]
 
 
 # ---------------------------------------------------------------------------
-# predicate evaluation (vectorized)
+# the graded measure
 
 
-def eval_atom(
+def _count(offending: int) -> tuple[float, float]:
+    """(violation, slack) of a counting atom: the number of offending
+    cells or days, and +inf slack (no usable geometry) when none offend."""
+    return float(offending), (_INF if offending == 0 else 0.0)
+
+
+def _window(v: float, lo: float, hi: float) -> tuple[float, float]:
+    """(violation, slack) of one value against its window ``[lo, hi]``:
+    its distance outside the window, and its least distance to an end of
+    the window (0.0 outside)."""
+    if v < lo:
+        return float(lo - v), 0.0
+    if v > hi:
+        return float(v - hi), 0.0
+    return 0.0, float(min(v - lo, hi - v))
+
+
+def _windows(
+    values: Sequence[float],
+    bounds: Sequence[tuple[float, float]],
+    subset: Sequence[int],
+) -> tuple[float, float]:
+    """(violation, slack) of the ``subset`` jobs' windows: the summed
+    distance outside each window, and the least slack of :func:`_window`
+    over the jobs.  The arithmetic is inline rather than one
+    :func:`_window` call per job, which is slower on the headcount route
+    that staffing searches evaluate thousands of times."""
+    outside = 0.0
+    slack = _INF
+    for j in subset:
+        v = values[j]
+        lo, hi = bounds[j]
+        if v < lo:
+            outside += lo - v
+        elif v > hi:
+            outside += v - hi
+        elif v - lo < slack or hi - v < slack:  # cheaper than min() on the hot path
+            slack = min(v - lo, hi - v)
+    return outside, (0.0 if outside else float(slack))
+
+
+def _measure(
     c: AtomicConstraint,
     tensor: AttendanceTensor | None,
     hc: HeadcountVector | None,
     inst: ProblemInstance,
-) -> bool:
-    """Yes/no check of one atom against a tensor, or against a headcount
-    vector under the full-attendance assumption when ``tensor`` is None."""
+) -> tuple[float, float]:
+    """(violation, slack) of one atom against a tensor, or against a
+    headcount vector under the full-attendance assumption when ``tensor``
+    is None.  The violation is 0.0 exactly when the atom holds; the slack
+    is the barrier's distance from the feasible boundary."""
+    if tensor is None and hc is None:
+        raise ConfigurationError("need a headcount vector or a tensor")
     kind = c.kind
 
     if kind is ConstraintKind.SINGLE_DUTY:
         if tensor is None:
-            return True
-        return bool(np.all(tensor.entries.sum(axis=2) <= 1))
+            return 0.0, _INF
+        return _count(int((tensor.entries.sum(axis=2) > 1).sum()))
 
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        subset = _subset_indices(c, inst)
+        subset = _job_indices(c.jobs, inst)
         if tensor is None:
-            counts = _counts_in_play(hc, tensor, inst)
-            return all(counts[j] >= 1 for j in subset)
+            return _count(inst.horizon_days * sum(1 for j in subset if hc.counts[j] < 1))
         day_att = tensor.day_attendance()
-        for j in subset:
-            rows = tensor.job_of_employee == j
-            if not rows.any() or not day_att[rows].any(axis=0).all():
-                return False
-        return True
+        staffed = [int(day_att[tensor.job_of_employee == j].any(axis=0).sum()) for j in subset]
+        return _count(tensor.days * len(subset) - sum(staffed))
 
     if kind is ConstraintKind.WORK_TIME_RANGE:
-        subset = _subset_indices(c, inst)
         hours = _job_hours(tensor, hc, inst)
-        return all(
-            inst.work_time_bounds[j][0] <= hours[j] <= inst.work_time_bounds[j][1]
-            for j in subset
-        )
+        return _windows(hours, inst.work_time_bounds, _job_indices(c.jobs, inst))
 
     if kind is ConstraintKind.SALARY_RANGE:
-        if tensor is not None:
-            v = tensor_salary(tensor, inst)
-        else:
-            v = f2_total_salary(hc, inst)
-        lo, hi = inst.salary_bounds
-        return lo <= v <= hi
+        v = tensor_salary(tensor, inst) if tensor is not None else f2_total_salary(hc, inst)
+        return _window(v, *inst.salary_bounds)
 
     if kind is ConstraintKind.STAFF_CAP:
-        return sum(_counts_in_play(hc, tensor, inst)) <= inst.max_total_staff
+        return _window(sum(_counts_in_play(hc, tensor)), -_INF, inst.max_total_staff)
 
     if kind is ConstraintKind.REST_CAP:
         if tensor is None:
-            return True
-        runs = _max_rest_runs(tensor.day_attendance())
-        return bool(np.all(runs <= inst.rest_cap))
+            return 0.0, float(inst.rest_cap)
+        runs = _rest_runs(tensor.day_attendance())
+        longest = int(runs.max()) if runs.size else 0
+        excess = int(np.maximum(runs - inst.rest_cap, 0).sum())
+        return float(excess), max(0.0, float(inst.rest_cap - longest))
 
     if kind is ConstraintKind.EMERGENCY:
-        spec = _emergency_spec(inst)
-        counts = _counts_in_play(hc, tensor, inst)
-        affected = (
-            [inst.job_index(code) for code in spec.jobs]
-            if spec.jobs is not None
-            else list(range(inst.n_jobs))
-        )
-        return _spare_capacity(counts, affected, inst) >= spec.alpha
+        spec = inst.emergency
+        if spec is None:
+            raise ConfigurationError("instance has no emergency parameters (y1)")
+        spare = _spare_capacity(_counts_in_play(hc, tensor), _job_indices(spec.jobs, inst), inst)
+        return _window(spare, spec.alpha, _INF)
 
     if kind is ConstraintKind.HEADCOUNT_RANGE:
-        counts = _counts_in_play(hc, tensor, inst)
-        return all(
-            inst.jobs[j].headcount_min <= counts[j] <= inst.jobs[j].headcount_max
-            for j in _subset_indices(c, inst)
-        )
+        counts = _counts_in_play(hc, tensor)
+        return _windows(counts, inst.headcount_bounds(), _job_indices(c.jobs, inst))
 
     if kind is ConstraintKind.MULTI_SHIFT:
         if not inst.multi_shift:
             raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
         if tensor is None:
-            return True
-        return bool(tensor.day_attendance().all())
+            return _count(0)
+        return _count(int(tensor.rest_counts().sum()))
 
     if kind is ConstraintKind.COOPERATION:
-        counts = _counts_in_play(hc, tensor, inst)
         need = c.count if c.count is not None else 1
-        return _spare_capacity(counts, _subset_indices(c, inst), inst) >= need
+        spare = _spare_capacity(_counts_in_play(hc, tensor), _job_indices(c.jobs, inst), inst)
+        return _window(spare, need, _INF)
 
     raise ConfigurationError(f"unknown constraint kind {kind!r}")
-
-
-def _job_hours(tensor: AttendanceTensor | None, hc: HeadcountVector | None, inst: ProblemInstance) -> np.ndarray:
-    """Hours worked per job over the horizon."""
-    if tensor is None:
-        counts = _counts_in_play(hc, tensor, inst)
-        return np.array(
-            [counts[j] * daily_work_hours(inst.jobs[j]) * inst.horizon_days for j in range(inst.n_jobs)]
-        )
-    hours = np.zeros(inst.n_jobs)
-    day_slots = tensor.day_slots()
-    durations = np.array([j.shift_hours for j in inst.jobs], dtype=float)
-    for j in range(inst.n_jobs):
-        rows = tensor.job_of_employee == j
-        if rows.any():
-            hours[j] = float((day_slots[rows] * durations[j]).sum())
-    return hours
-
-
-def _max_rest_runs(day_att: np.ndarray) -> np.ndarray:
-    """Longest run of consecutive rest days, per employee row."""
-    runs = np.zeros(day_att.shape[0], dtype=np.int64)
-    for i in range(day_att.shape[0]):
-        rest = 1 - day_att[i]
-        if rest.any():
-            padded = np.concatenate(([0], rest, [0]))
-            edges = np.flatnonzero(np.diff(padded))
-            runs[i] = int((edges[1::2] - edges[0::2]).max())
-    return runs
-
-
-# ---------------------------------------------------------------------------
-# violation magnitudes (loop-based, kept independent of eval_atom)
 
 
 def violation_atom(
@@ -325,174 +328,33 @@ def violation_atom(
 ) -> float:
     """How badly the atom fails; 0.0 exactly when it holds.
 
-    Counting atoms report offending cells or days; window atoms report
-    the distance to the nearest bound.
+    Counting atoms (k1, k2, k6, o1) report offending cells or days;
+    window atoms report the summed distance outside each window.
     """
-    kind = c.kind
-
-    if kind is ConstraintKind.SINGLE_DUTY:
-        if tensor is None:
-            return 0.0
-        bad = 0
-        for employee in range(tensor.n_employees):
-            for slot in range(tensor.entries.shape[1]):
-                if int(tensor.entries[employee, slot, :].sum()) > 1:
-                    bad += 1
-        return float(bad)
-
-    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        subset = _subset_indices(c, inst)
-        if tensor is None:
-            counts = _counts_in_play(hc, tensor, inst)
-            empty = sum(1 for j in subset if counts[j] < 1)
-            return float(empty * inst.horizon_days)
-        gaps = 0
-        for day in range(tensor.days):
-            for j in subset:
-                staffed = False
-                for employee in range(tensor.n_employees):
-                    if tensor.job_of_employee[employee] != j:
-                        continue
-                    lo = day * SLOTS_PER_DAY
-                    if any(tensor.entries[employee, lo + s, j] for s in range(SLOTS_PER_DAY)):
-                        staffed = True
-                        break
-                if not staffed:
-                    gaps += 1
-        return float(gaps)
-
-    if kind is ConstraintKind.WORK_TIME_RANGE:
-        total = 0.0
-        for j in _subset_indices(c, inst):
-            worked = _loop_job_hours(tensor, hc, inst, j)
-            lo, hi = inst.work_time_bounds[j]
-            total += _interval_distance(worked, lo, hi)
-        return total
-
-    if kind is ConstraintKind.SALARY_RANGE:
-        v = _loop_salary(tensor, hc, inst)
-        lo, hi = inst.salary_bounds
-        return _interval_distance(v, lo, hi)
-
-    if kind is ConstraintKind.STAFF_CAP:
-        total = sum(_counts_in_play(hc, tensor, inst))
-        return float(max(0, total - inst.max_total_staff))
-
-    if kind is ConstraintKind.REST_CAP:
-        if tensor is None:
-            return 0.0
-        excess = 0
-        for employee in range(tensor.n_employees):
-            worked = [
-                any(
-                    tensor.entries[employee, day * SLOTS_PER_DAY + s, :].any()
-                    for s in range(SLOTS_PER_DAY)
-                )
-                for day in range(tensor.days)
-            ]
-            for is_rest, group in itertools.groupby(worked, key=lambda w: not w):
-                if is_rest:
-                    excess += max(0, len(list(group)) - inst.rest_cap)
-        return float(excess)
-
-    if kind is ConstraintKind.EMERGENCY:
-        spec = _emergency_spec(inst)
-        counts = _counts_in_play(hc, tensor, inst)
-        affected = (
-            [inst.job_index(code) for code in spec.jobs]
-            if spec.jobs is not None
-            else list(range(inst.n_jobs))
-        )
-        spare = 0
-        for j in affected:
-            keep = inst.jobs[j].headcount_min
-            if keep < 1:
-                keep = 1
-            if counts[j] > keep:
-                spare += counts[j] - keep
-        return float(max(0, spec.alpha - spare))
-
-    if kind is ConstraintKind.HEADCOUNT_RANGE:
-        counts = _counts_in_play(hc, tensor, inst)
-        total = 0.0
-        for j in _subset_indices(c, inst):
-            total += _interval_distance(
-                float(counts[j]), inst.jobs[j].headcount_min, inst.jobs[j].headcount_max
-            )
-        return total
-
-    if kind is ConstraintKind.MULTI_SHIFT:
-        if not inst.multi_shift:
-            raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-        if tensor is None:
-            return 0.0
-        idle = 0
-        for employee in range(tensor.n_employees):
-            for day in range(tensor.days):
-                lo = day * SLOTS_PER_DAY
-                if not any(
-                    tensor.entries[employee, lo + s, :].any() for s in range(SLOTS_PER_DAY)
-                ):
-                    idle += 1
-        return float(idle)
-
-    if kind is ConstraintKind.COOPERATION:
-        counts = _counts_in_play(hc, tensor, inst)
-        need = c.count if c.count is not None else 1
-        spare = 0
-        for j in _subset_indices(c, inst):
-            keep = inst.jobs[j].headcount_min
-            if keep < 1:
-                keep = 1
-            if counts[j] > keep:
-                spare += counts[j] - keep
-        return float(max(0, need - spare))
-
-    raise ConfigurationError(f"unknown constraint kind {kind!r}")
+    return _measure(c, tensor, hc, inst)[0]
 
 
-def _interval_distance(v: float, lo: float, hi: float) -> float:
-    if v < lo:
-        return lo - v
-    if v > hi:
-        return v - hi
-    return 0.0
+def eval_atom(
+    c: AtomicConstraint,
+    tensor: AttendanceTensor | None,
+    hc: HeadcountVector | None,
+    inst: ProblemInstance,
+) -> bool:
+    """Yes/no check of one atom: its violation is zero."""
+    return violation_atom(c, tensor, hc, inst) == 0.0
 
 
-def _loop_job_hours(tensor: AttendanceTensor | None, hc: HeadcountVector | None, inst: ProblemInstance, j: int) -> float:
-    job = inst.jobs[j]
-    if tensor is None:
-        counts = _counts_in_play(hc, tensor, inst)
-        return counts[j] * sum(job.shift_hours) * inst.horizon_days
-    worked = 0.0
-    for employee in range(tensor.n_employees):
-        if tensor.job_of_employee[employee] != j:
-            continue
-        for slot in range(tensor.entries.shape[1]):
-            if tensor.entries[employee, slot, j]:
-                worked += job.shift_hours[slot % SLOTS_PER_DAY]
-    return worked
-
-
-def _loop_salary(tensor: AttendanceTensor | None, hc: HeadcountVector | None, inst: ProblemInstance) -> float:
-    if tensor is None:
-        counts = _counts_in_play(hc, tensor, inst)
-        return sum(
-            counts[j] * sum(inst.jobs[j].wage_per_shift) * inst.horizon_days
-            for j in range(inst.n_jobs)
-        )
-    bill = 0.0
-    for employee in range(tensor.n_employees):
-        j = int(tensor.job_of_employee[employee])
-        job = inst.jobs[j]
-        for day in range(tensor.days):
-            lo = day * SLOTS_PER_DAY
-            slots = [int(tensor.entries[employee, lo + s, j]) for s in range(SLOTS_PER_DAY)]
-            if inst.multi_shift:
-                bill += sum(b * w for b, w in zip(slots, job.wage_per_shift))
-            elif any(slots):
-                bill += sum(job.wage_per_shift)
-    return bill
+def boundary_distance(
+    c: AtomicConstraint,
+    tensor: AttendanceTensor | None,
+    hc: HeadcountVector | None,
+    inst: ProblemInstance,
+) -> float:
+    """Distance from the feasible boundary: positive strictly inside,
+    0.0 on the boundary or outside.  Counting atoms report +inf when
+    satisfied; the rest cap reports ``rest_cap`` minus the longest rest
+    run (``rest_cap`` itself on a headcount vector)."""
+    return _measure(c, tensor, hc, inst)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -539,76 +401,6 @@ def violation_expr(
 
 
 # ---------------------------------------------------------------------------
-# barrier geometry (for interior penalty methods)
-
-
-def boundary_distance(
-    c: AtomicConstraint,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> float:
-    """Distance from the feasible boundary: positive strictly inside,
-    0.0 on the boundary or outside.  Structural atoms with no usable
-    geometry report +inf when satisfied."""
-    kind = c.kind
-
-    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.EVERY_JOB_OCCUPIED, ConstraintKind.MULTI_SHIFT):
-        return float("inf") if eval_atom(c, tensor, hc, inst) else 0.0
-
-    if kind is ConstraintKind.WORK_TIME_RANGE:
-        hours = _job_hours(tensor, hc, inst)
-        d = min(
-            min(hours[j] - inst.work_time_bounds[j][0], inst.work_time_bounds[j][1] - hours[j])
-            for j in _subset_indices(c, inst)
-        )
-        return max(0.0, float(d))
-
-    if kind is ConstraintKind.SALARY_RANGE:
-        v = tensor_salary(tensor, inst) if tensor is not None else f2_total_salary(hc, inst)
-        lo, hi = inst.salary_bounds
-        return max(0.0, float(min(v - lo, hi - v)))
-
-    if kind is ConstraintKind.STAFF_CAP:
-        return max(0.0, float(inst.max_total_staff - sum(_counts_in_play(hc, tensor, inst))))
-
-    if kind is ConstraintKind.REST_CAP:
-        if tensor is None:
-            return float(inst.rest_cap)
-        runs = _max_rest_runs(tensor.day_attendance())
-        slack = inst.rest_cap - (int(runs.max()) if runs.size else 0)
-        return max(0.0, float(slack))
-
-    if kind is ConstraintKind.EMERGENCY:
-        spec = _emergency_spec(inst)
-        counts = _counts_in_play(hc, tensor, inst)
-        affected = (
-            [inst.job_index(code) for code in spec.jobs]
-            if spec.jobs is not None
-            else list(range(inst.n_jobs))
-        )
-        return max(0.0, float(_spare_capacity(counts, affected, inst) - spec.alpha))
-
-    if kind is ConstraintKind.HEADCOUNT_RANGE:
-        counts = _counts_in_play(hc, tensor, inst)
-        d = min(
-            min(
-                counts[j] - inst.jobs[j].headcount_min,
-                inst.jobs[j].headcount_max - counts[j],
-            )
-            for j in _subset_indices(c, inst)
-        )
-        return max(0.0, float(d))
-
-    if kind is ConstraintKind.COOPERATION:
-        counts = _counts_in_play(hc, tensor, inst)
-        need = c.count if c.count is not None else 1
-        return max(0.0, float(_spare_capacity(counts, _subset_indices(c, inst), inst) - need))
-
-    raise ConfigurationError(f"unknown constraint kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # urgent-task arithmetic
 
 
@@ -626,11 +418,7 @@ def apply_emergency(
     earlier job).  Time drops by the task's time cost; the wage bill
     loses the bonus and gains the punishment charge.
     """
-    affected = (
-        [inst.job_index(code) for code in spec.jobs]
-        if spec.jobs is not None
-        else list(range(inst.n_jobs))
-    )
+    affected = _job_indices(spec.jobs, inst)
     counts = list(hc.counts)
     available = sum(counts[j] for j in affected)
     if available < spec.alpha:
@@ -643,27 +431,6 @@ def apply_emergency(
     adjusted_time = float(t_total) - float(spec.time_cost)
     adjusted_cost = float(cost) - float(spec.bonus) + float(spec.punishment)
     return HeadcountVector(tuple(counts)), adjusted_time, adjusted_cost
-
-
-@dataclass
-class RestCounter:
-    """Incremental tracker of consecutive rest days for one employee."""
-
-    cap: int
-    current: int = 0
-    longest: int = 0
-
-    def update(self, worked: bool) -> None:
-        if worked:
-            self.current = 0
-        else:
-            self.current += 1
-            if self.current > self.longest:
-                self.longest = self.current
-
-    @property
-    def exceeded(self) -> bool:
-        return self.longest > self.cap
 
 
 # ---------------------------------------------------------------------------

@@ -196,41 +196,73 @@ def employee_jobs(counts: HeadcountVector | Sequence[int]) -> np.ndarray:
     return np.repeat(np.arange(len(c), dtype=np.int64), c)
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_jobs(job_of_employee: Sequence[int], n_emp: int, n_jobs: int) -> np.ndarray:
+    """The employee-to-job map as int64, checked against the tensor's shape."""
+    jobs = np.ascontiguousarray(job_of_employee, dtype=np.int64)
+    if jobs.shape != (n_emp,):
+        raise StructuralError("job_of_employee must have one entry per employee")
+    if n_emp and (jobs.min() < 0 or jobs.max() >= n_jobs):
+        raise StructuralError("job_of_employee indices out of range")
+    return jobs
+
+
+def _by_day(slot_bits: np.ndarray) -> np.ndarray:
+    """Per-slot bits (employees x slots) viewed as (employees, days, 4)."""
+    if slot_bits.shape[1] % SLOTS_PER_DAY != 0:
+        raise StructuralError(f"slot axis length {slot_bits.shape[1]} is not a multiple of {SLOTS_PER_DAY}")
+    n_emp, slots = slot_bits.shape
+    return slot_bits.reshape(n_emp, slots // SLOTS_PER_DAY, SLOTS_PER_DAY)
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class AttendanceTensor:
     """Binary solution-space tensor, shape (employees, slots, jobs).
 
     ``job_of_employee`` maps each employee row to its single job channel;
-    entries outside that channel must be zero (one job per employee).
-    Immutable: the backing arrays are marked read-only.
+    entries outside that channel must be zero (one job per employee), so
+    only each employee's own-channel bits are stored, by day, and
+    :attr:`entries` is rebuilt from them on access.  Immutable: the
+    stored arrays are read-only.
     """
 
-    entries: np.ndarray
+    _day_slots: np.ndarray
     job_of_employee: np.ndarray
+    n_jobs: int
 
-    def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.uint8)
-        jobs = np.ascontiguousarray(self.job_of_employee, dtype=np.int64)
+    def __init__(self, entries: np.ndarray, job_of_employee: np.ndarray):
+        entries = np.ascontiguousarray(entries, dtype=np.uint8)
         if entries.ndim != 3:
             raise StructuralError(f"entries must be 3-D, got shape {entries.shape}")
-        n_emp, slots, n_jobs = entries.shape
-        if slots % SLOTS_PER_DAY != 0:
-            raise StructuralError(f"slot axis length {slots} is not a multiple of {SLOTS_PER_DAY}")
-        if jobs.shape != (n_emp,):
-            raise StructuralError("job_of_employee must have one entry per employee")
-        if n_emp and (jobs.min() < 0 or (n_jobs and jobs.max() >= n_jobs)):
-            raise StructuralError("job_of_employee indices out of range")
-        if entries.size and entries.max() > 1:
+        n_emp, _, n_jobs = entries.shape
+        jobs = _checked_jobs(job_of_employee, n_emp, n_jobs)
+        own = entries[np.arange(n_emp), :, jobs]
+        if int(own.sum()) != int(entries.sum()):
+            raise StructuralError("attendance outside an employee's own job channel")
+        self._store(_by_day(own), jobs, n_jobs)
+
+    @classmethod
+    def _from_day_slots(cls, day_slots: np.ndarray, job_of_employee: Sequence[int], n_jobs: int) -> "AttendanceTensor":
+        """Tensor over own-channel bits (employees, days, 4) that no one else holds."""
+        tensor = cls.__new__(cls)
+        tensor._store(day_slots, _checked_jobs(job_of_employee, day_slots.shape[0], n_jobs), n_jobs)
+        return tensor
+
+    def _store(self, day_slots: np.ndarray, jobs: np.ndarray, n_jobs: int) -> None:
+        if day_slots.size and day_slots.max() > 1:
             raise StructuralError("entries must be binary")
-        if n_emp:
-            off = entries.copy()
-            off[np.arange(n_emp), :, jobs] = 0
-            if off.any():
-                raise StructuralError("attendance outside an employee's own job channel")
-        entries.flags.writeable = False
+        day_slots.flags.writeable = False
         jobs.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_day_slots", day_slots)
         object.__setattr__(self, "job_of_employee", jobs)
+        object.__setattr__(self, "n_jobs", n_jobs)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The full read-only bit array, shape (employees, slots, jobs)."""
+        entries = np.zeros((self.n_employees, SLOTS_PER_DAY * self.days, self.n_jobs), dtype=np.uint8)
+        entries[np.arange(self.n_employees), :, self.job_of_employee] = self.slot_attendance()
+        entries.flags.writeable = False
+        return entries
 
     # -- construction -------------------------------------------------
 
@@ -238,59 +270,44 @@ class AttendanceTensor:
     def zeros(cls, counts: HeadcountVector | Sequence[int], days: int, n_jobs: int | None = None) -> "AttendanceTensor":
         jobs = employee_jobs(counts)
         k = n_jobs if n_jobs is not None else (len(counts.counts) if isinstance(counts, HeadcountVector) else len(counts))
-        return cls(np.zeros((len(jobs), SLOTS_PER_DAY * days, k), dtype=np.uint8), jobs)
+        return cls._from_day_slots(np.zeros((len(jobs), days, SLOTS_PER_DAY), dtype=np.uint8), jobs, k)
 
     @classmethod
     def from_day_attendance(cls, day_attendance: np.ndarray, job_of_employee: Sequence[int], n_jobs: int) -> "AttendanceTensor":
         """Build a single-shift tensor from a per-day bit matrix
         (employees x days); each day bit is copied into all four slots."""
-        day = np.asarray(day_attendance, dtype=np.uint8)
+        day = np.array(day_attendance, dtype=np.uint8)
         if day.ndim != 2:
             raise StructuralError("day_attendance must be 2-D (employees x days)")
-        jobs = np.asarray(job_of_employee, dtype=np.int64)
-        n_emp, days = day.shape
-        slot = np.repeat(day, SLOTS_PER_DAY, axis=1)
-        entries = np.zeros((n_emp, SLOTS_PER_DAY * days, n_jobs), dtype=np.uint8)
-        if n_emp:
-            entries[np.arange(n_emp), :, jobs] = slot
-        return cls(entries, jobs)
+        # the four slots of a day share the day's bit, so store it once
+        slots = np.broadcast_to(day[:, :, None], day.shape + (SLOTS_PER_DAY,))
+        return cls._from_day_slots(slots, job_of_employee, n_jobs)
 
     @classmethod
     def from_slot_attendance(cls, slot_attendance: np.ndarray, job_of_employee: Sequence[int], n_jobs: int) -> "AttendanceTensor":
         """Build a tensor from a per-slot bit matrix (employees x slots)."""
-        slot = np.asarray(slot_attendance, dtype=np.uint8)
+        slot = np.array(slot_attendance, dtype=np.uint8)
         if slot.ndim != 2:
             raise StructuralError("slot_attendance must be 2-D (employees x slots)")
-        jobs = np.asarray(job_of_employee, dtype=np.int64)
-        n_emp = slot.shape[0]
-        entries = np.zeros((n_emp, slot.shape[1], n_jobs), dtype=np.uint8)
-        if n_emp:
-            entries[np.arange(n_emp), :, jobs] = slot
-        return cls(entries, jobs)
+        return cls._from_day_slots(_by_day(slot), job_of_employee, n_jobs)
 
     # -- views ---------------------------------------------------------
 
     @property
     def n_employees(self) -> int:
-        return self.entries.shape[0]
+        return self._day_slots.shape[0]
 
     @property
     def days(self) -> int:
-        return self.entries.shape[1] // SLOTS_PER_DAY
-
-    @property
-    def n_jobs(self) -> int:
-        return self.entries.shape[2]
+        return self._day_slots.shape[1]
 
     def slot_attendance(self) -> np.ndarray:
         """Each employee's own-channel bits, shape (employees, slots)."""
-        if not self.n_employees:
-            return np.zeros((0, self.entries.shape[1]), dtype=np.uint8)
-        return self.entries[np.arange(self.n_employees), :, self.job_of_employee]
+        return self._day_slots.reshape(self.n_employees, SLOTS_PER_DAY * self.days)
 
     def day_slots(self) -> np.ndarray:
-        """Own-channel bits reshaped to (employees, days, 4)."""
-        return self.slot_attendance().reshape(self.n_employees, self.days, SLOTS_PER_DAY)
+        """Own-channel bits as (employees, days, 4); read-only."""
+        return self._day_slots
 
     def day_attendance(self) -> np.ndarray:
         """1 where the employee attends at least one slot of the day."""
@@ -320,8 +337,10 @@ class AttendanceTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttendanceTensor):
             return NotImplemented
-        return np.array_equal(self.entries, other.entries) and np.array_equal(
-            self.job_of_employee, other.job_of_employee
+        return (
+            self.n_jobs == other.n_jobs
+            and np.array_equal(self._day_slots, other._day_slots)
+            and np.array_equal(self.job_of_employee, other.job_of_employee)
         )
 
 

@@ -245,7 +245,7 @@ def _check_internal_applicable(expr: Expr, penalty: PenaltyConfig) -> None:
 # traces and results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracePoint:
     generation: int
     best: float
@@ -254,7 +254,7 @@ class TracePoint:
     millis: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunTrace:
     points: tuple[TracePoint, ...]
 
@@ -262,7 +262,7 @@ class RunTrace:
         return [p.best for p in self.points]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     counts: HeadcountVector
     value: float
@@ -273,7 +273,7 @@ class SolveResult:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignmentResult:
     tensor: AttendanceTensor
     value: float
@@ -405,7 +405,7 @@ def run_ea(
 
     population = _initial_population(rng, bounds, cfg, score)
     tracker, trace = _evolve(rng, population, score, cfg)
-    return _result_from(tracker, trace, cfg, score)
+    return _result(SolveResult, tracker, trace, cfg.seed, decode)
 
 
 def _initial_population(
@@ -433,32 +433,24 @@ def _initial_population(
     return population
 
 
-def _result_from(
-    tracker: _Tracker,
-    trace: RunTrace,
-    cfg: EAConfig,
-    score_fn: Callable[[Genome], tuple[float, float, float]],
-) -> SolveResult:
-    if tracker.best_feasible is not None:
-        counts = decode(tracker.best_feasible)
-        return SolveResult(
-            counts=counts,
-            value=tracker.best_feasible_obj,
-            feasible=True,
-            violation=0.0,
-            trace=trace,
-            evaluations=tracker.evaluations,
-            seed=cfg.seed,
-        )
-    counts = decode(tracker.least_violator)
-    return SolveResult(
-        counts=counts,
-        value=tracker.least_violator_obj,
-        feasible=False,
-        violation=tracker.least_violation,
+def _result(cls, tracker: _Tracker, trace: RunTrace, seed: int, solution: Callable = lambda x: x):
+    """A ``cls`` result (:class:`SolveResult` or :class:`AssignmentResult`)
+    for the best feasible individual seen, else the least violating one;
+    ``solution`` maps the tracked individual to the result's first field."""
+    feasible = tracker.best_feasible is not None
+    if feasible:
+        chosen, value, violation = tracker.best_feasible, tracker.best_feasible_obj, 0.0
+    else:
+        chosen, value, violation = (
+            tracker.least_violator, tracker.least_violator_obj, tracker.least_violation)
+    return cls(
+        solution(chosen),
+        value=value,
+        feasible=feasible,
+        violation=violation,
         trace=trace,
         evaluations=tracker.evaluations,
-        seed=cfg.seed,
+        seed=seed,
     )
 
 
@@ -510,15 +502,4 @@ def solve_assignment(
     ]
     tracker, trace = _evolve(rng, population, score, cfg)
 
-    chosen = tracker.best_feasible if tracker.best_feasible is not None else tracker.least_violator
-    tensor = build(chosen.data)
-    feasible = tracker.best_feasible is not None
-    return AssignmentResult(
-        tensor=tensor,
-        value=tracker.best_feasible_obj if feasible else tracker.least_violator_obj,
-        feasible=feasible,
-        violation=0.0 if feasible else tracker.least_violation,
-        trace=trace,
-        evaluations=tracker.evaluations,
-        seed=cfg.seed,
-    )
+    return _result(AssignmentResult, tracker, trace, cfg.seed, lambda g: build(g.data))

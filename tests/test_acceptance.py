@@ -52,6 +52,7 @@ from manpower import (
 from manpower.cli import EXIT_OK, main
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 from manpower.moea import dominates
+from oracle import violation_atom as oracle_violation
 
 BASIC = parse_constraint_string("k1&k2&k3&k4&k5&k6")
 SALARY_MIN = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
@@ -297,8 +298,9 @@ def test_same_seed_reproduces_identical_output_files(tmp_path):
 
 def test_violation_is_zero_exactly_when_constraint_holds():
     """Across 10,000 random (instance, staffing, roster, rule) cases the
-    graded violation is zero precisely when the boolean check passes —
-    on both the staffing-only and the full-roster routes."""
+    graded violation equals the cell-by-cell oracle exactly and the
+    boolean check passes precisely when it is zero — on both the
+    staffing-only and the full-roster routes."""
     cases = 0
     i = 0
     while cases < 10_000:
@@ -319,12 +321,14 @@ def test_violation_is_zero_exactly_when_constraint_holds():
                 continue
             c = atom(code).constraint
             for t in (None, tensor):
+                ref = oracle_violation(c, t, hc, inst)
                 v = violation_atom(c, t, hc, inst)
                 e = eval_atom(c, t, hc, inst)
-                assert (v == 0.0) == e, (code, t is None, v, e)
+                assert v == ref, (code, t is None, v, ref)
+                assert e == (ref == 0.0), (code, t is None, ref, e)
                 cases += 1
         i += 1
-    _verdict(cases >= 10_000, "violation is zero exactly when the check passes",
+    _verdict(cases >= 10_000, "violation matches the oracle and is zero exactly when the check passes",
              f"{cases} paired cases")
 
 

@@ -2,16 +2,22 @@
 
 Every atom is exercised three ways: hand-built scenarios with known
 outcomes, the dual route (headcount-only evaluation must agree with a
-full-attendance tensor), and the eval/violation pairing (the magnitude
-is zero exactly when the check passes).
+full-attendance tensor), and the cell-by-cell oracle in ``oracle.py``
+(the magnitude must equal the oracle's exactly, and the check must pass
+exactly when it is zero).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manpower import (
     And,
     Atom,
+    AtomicConstraint,
     AttendanceTensor,
     ConfigurationError,
     ConstraintKind,
@@ -22,7 +28,6 @@ from manpower import (
     Not,
     Or,
     ProblemInstance,
-    RestCounter,
     apply_emergency,
     atom,
     boundary_distance,
@@ -37,6 +42,7 @@ from manpower import (
     violation_expr,
 )
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
+from oracle import violation_atom as oracle_violation
 
 ALL_KINDS = list(ConstraintKind)
 
@@ -157,12 +163,17 @@ class TestRestCap:
         c = atom("k6").constraint
         assert violation_atom(c, t, None, inst) == pytest.approx(1 + 2)
 
-    def test_rest_counter_matches(self):
-        rc = RestCounter(cap=2)
-        for worked in [True, False, False, False, True]:
-            rc.update(worked)
-        assert rc.longest == 3
-        assert rc.exceeded
+    def test_rest_run_matches_oracle(self):
+        jobs = (Job("a", "x", (1, 1, 1, 1), 1, 3),)
+        inst = ProblemInstance(
+            jobs=jobs, horizon_days=5, max_total_staff=3,
+            work_time_bounds=((0, 1000),), salary_bounds=(0, 1000), rest_cap=2,
+        )
+        t = build(inst, [[1, 0, 0, 0, 1]], np.array([0]))  # one rest run of 3
+        c = atom("k6").constraint
+        assert violation_atom(c, t, None, inst) == oracle_violation(c, t, None, inst) == 1.0
+        assert not eval_atom(c, t, None, inst)
+        assert boundary_distance(c, t, None, inst) == 0.0
 
 
 class TestEmergencyReserve:
@@ -246,12 +257,15 @@ class TestDualRoute:
                 if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
                     continue
                 c = atom(kind).constraint
-                assert eval_atom(c, None, counts, inst) == eval_atom(c, t, counts, inst), (
-                    f"{kind} disagrees on trial {trial} with counts {counts.counts}"
+                for route in (None, t):
+                    ref = oracle_violation(c, route, counts, inst)
+                    assert violation_atom(c, route, counts, inst) == ref, (
+                        f"{kind} differs from the oracle on trial {trial}"
+                    )
+                    assert eval_atom(c, route, counts, inst) == (ref == 0.0)
+                assert violation_atom(c, None, counts, inst) == violation_atom(c, t, counts, inst), (
+                    f"{kind} violation differs between routes on trial {trial}"
                 )
-                assert violation_atom(c, None, counts, inst) == pytest.approx(
-                    violation_atom(c, t, counts, inst)
-                ), f"{kind} violation differs on trial {trial}"
 
 
 class TestExpressionAlgebra:
@@ -305,7 +319,8 @@ class TestExpressionAlgebra:
 
 
 class TestPairedOracle:
-    """violation == 0 exactly when eval passes, over random tensors."""
+    """The graded violation equals the cell-by-cell oracle, and the check
+    passes exactly when it is zero."""
 
     def test_random_tensors(self):
         rng = np.random.Generator(np.random.PCG64(123))
@@ -328,10 +343,52 @@ class TestPairedOracle:
                 if kind is ConstraintKind.MULTI_SHIFT and not multi:
                     continue
                 c = atom(kind).constraint
+                ref = oracle_violation(c, t, counts, inst)
                 v = violation_atom(c, t, counts, inst)
-                ok = eval_atom(c, t, counts, inst)
-                assert (v == 0.0) == ok, f"{kind}: violation {v} vs eval {ok}"
+                assert v == ref, f"{kind}: violation {v} vs oracle {ref}"
+                assert eval_atom(c, t, counts, inst) == (ref == 0.0)
                 assert v >= 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_cases(self, data):
+        """Random micro instances, staffings (inside and just outside the
+        box), rosters and job subsets, on both routes."""
+        seed = data.draw(st.integers(0, 2**32 - 1), label="instance seed")
+        multi = data.draw(st.booleans(), label="multi_shift")
+        inst = random_micro_instance(
+            np.random.Generator(np.random.PCG64(seed)), with_emergency=True, multi_shift=multi
+        )
+        # a zero headcount floor still keeps one employee per job in reserve (y1, o2)
+        no_floor = data.draw(st.lists(st.booleans(), min_size=inst.n_jobs, max_size=inst.n_jobs),
+                             label="zero headcount_min")
+        inst = replace(inst, jobs=tuple(replace(job, headcount_min=0) if zero else job
+                                        for job, zero in zip(inst.jobs, no_floor)))
+        counts = HeadcountVector(tuple(
+            data.draw(st.integers(0, job.headcount_max + 1), label=f"count {job.code}")
+            for job in inst.jobs
+        ))
+        jobs_map = employee_jobs(counts)
+        width = inst.slots if multi else inst.horizon_days
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(jobs_map) * width,
+                                  max_size=len(jobs_map) * width), label="roster")
+        grid = np.array(bits, dtype=np.uint8).reshape(len(jobs_map), width)
+        build_tensor = (AttendanceTensor.from_slot_attendance if multi
+                        else AttendanceTensor.from_day_attendance)
+        tensor = build_tensor(grid, jobs_map, inst.n_jobs)
+        codes = [job.code for job in inst.jobs]
+        subset = data.draw(st.none() | st.lists(st.sampled_from(codes), unique=True), label="jobs")
+        need = data.draw(st.integers(1, 3), label="o2 count")
+        for kind in ALL_KINDS:
+            if kind is ConstraintKind.MULTI_SHIFT and not multi:
+                continue
+            c = AtomicConstraint(kind, subset, need)
+            for route in (None, tensor):
+                ref = oracle_violation(c, route, counts, inst)
+                assert violation_atom(c, route, counts, inst) == ref, (kind, route is None)
+                assert eval_atom(c, route, counts, inst) == (ref == 0.0)
+                if ref > 0.0:
+                    assert boundary_distance(c, route, counts, inst) == 0.0
 
 
 class TestEmergencyArithmetic:
