@@ -39,7 +39,6 @@ from .bench import (
     stability,
     write_report,
 )
-from .cli import CliInvocation
 from .constraints import (
     ATOM_CODES,
     And,
@@ -160,3 +159,14 @@ from .tablegen import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``cli`` is imported on first use: importing it here would put
+    # ``manpower.cli`` in ``sys.modules`` before ``python -m manpower.cli``
+    # runs it, which makes runpy warn.
+    if name == "CliInvocation":
+        from .cli import CliInvocation
+
+        return CliInvocation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

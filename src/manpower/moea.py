@@ -1,10 +1,15 @@
 """Elite multi-objective search (non-dominated sorting + crowding).
 
-Individuals are ranked by constraint-domination: feasible beats
-infeasible, less violation beats more, and among feasible candidates
-ordinary Pareto dominance on the (min-oriented) objective vector
-decides.  An external archive accumulates every feasible non-dominated
-headcount vector ever seen, so its hypervolume can only grow.
+Individuals are ranked by constraint-domination (Deb 2000): feasible
+beats infeasible, less violation beats more, and among feasible
+candidates ordinary Pareto dominance on the (min-oriented) objective
+vector decides.  A population is an (N, M) objective array with a
+violation vector; :func:`non_dominated_sort` compares every pair at once
+in one N x N domination matrix and peels the NSGA-II fronts (Deb et al.
+2002) from it.  An external archive, also an objective array,
+accumulates every feasible non-dominated headcount vector ever seen, so
+its hypervolume can only grow; two-objective hypervolume is one sweep.
+The pairwise-loop versions are the reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,23 @@ class ScoredIndividual:
     violation: float = 0.0
 
 
+def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
+    """``D[i, j]`` is True when member ``i`` constraint-dominates member ``j``."""
+    v = violations
+    feasible, infeasible = v == 0.0, v > 0.0
+    wins_on_feasibility = feasible[:, None] & infeasible[None, :]
+    loses_on_feasibility = infeasible[:, None] & feasible[None, :]
+    both_infeasible = infeasible[:, None] & infeasible[None, :]
+    pareto_decides = ~(wins_on_feasibility | loses_on_feasibility | both_infeasible)
+    a, b = objectives[:, None, :], objectives[None, :, :]
+    # "never worse, somewhere better" rather than "<= everywhere", so a
+    # coordinate that compares neither way is ignored, as in the loop
+    pareto = ~(a > b).any(axis=2) & (a < b).any(axis=2)
+    return (wins_on_feasibility
+            | (both_infeasible & (v[:, None] < v[None, :]))
+            | (pareto_decides & pareto))
+
+
 def _unpack(x) -> tuple[float, tuple[float, ...]]:
     if isinstance(x, ScoredIndividual):
         return x.violation, x.objectives
@@ -47,54 +69,45 @@ def _unpack(x) -> tuple[float, tuple[float, ...]]:
 
 
 def dominates(a, b) -> bool:
-    """Constraint-domination.  Accepts :class:`ScoredIndividual` or bare
-    objective vectors (treated as feasible)."""
+    """Constraint-domination, the two-member case of the ranking's
+    matrix.  Accepts :class:`ScoredIndividual` or bare objective vectors
+    (treated as feasible)."""
     va, fa = _unpack(a)
     vb, fb = _unpack(b)
     if len(fa) != len(fb):
         raise StructuralError(f"objective arity mismatch: {len(fa)} vs {len(fb)}")
-    if va == 0.0 and vb > 0.0:
-        return True
-    if va > 0.0 and vb == 0.0:
-        return False
-    if va > 0.0 and vb > 0.0:
-        return va < vb
-    better_somewhere = False
-    for x, y in zip(fa, fb):
-        if x > y:
-            return False
-        if x < y:
-            better_somewhere = True
-    return better_somewhere
+    return bool(_domination_matrix(np.array([fa, fb], dtype=float), np.array([va, vb], dtype=float))[0, 1])
 
 
-def non_dominated_sort(pop: Sequence) -> list[list[int]]:
-    """Indices of ``pop`` split into fronts; front 0 is non-dominated."""
-    n = len(pop)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if dominates(pop[i], pop[j]):
-                dominated_by[i].append(j)
-            elif dominates(pop[j], pop[i]):
-                count[i] += 1
-        if count[i] == 0:
-            fronts[0].append(i)
-    k = 0
-    while fronts[k]:
-        nxt: list[int] = []
-        for i in fronts[k]:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    nxt.append(j)
-        fronts.append(nxt)
-        k += 1
-    fronts.pop()
+def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
+    """Row indices of the (N, M) ``objectives`` split into fronts; front 0
+    is non-dominated.  ``violations`` holds each row's total violation
+    (default: every row feasible).
+
+    Front 0 lists its members by index.  A later member is listed by the
+    position of its last dominator in the previous front, then by index:
+    the order of the pairwise peeling loop, which crowding tie-breaks
+    and so every seeded run depend on.
+    """
+    objs = np.asarray(objectives, dtype=float)
+    if len(objs) == 0:
+        return []
+    if objs.ndim != 2:
+        raise StructuralError(f"objectives must be one row per member, got shape {objs.shape}")
+    viol = np.zeros(len(objs)) if violations is None else np.asarray(violations, dtype=float)
+    if viol.shape != (len(objs),):
+        raise StructuralError(f"{len(objs)} members but violations of shape {viol.shape}")
+    dom = _domination_matrix(objs, viol)
+    count = dom.sum(axis=0)  # dominators not yet placed in a front
+    fronts: list[list[int]] = []
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append(front.tolist())
+        hits = dom[front]
+        count -= hits.sum(axis=0)
+        freed = np.flatnonzero((count == 0) & hits.any(axis=0))
+        last = len(front) - 1 - np.argmax(hits[::-1, freed], axis=0)
+        front = freed[np.argsort(last, kind="stable")]
     return fronts
 
 
@@ -138,11 +151,15 @@ class ParetoArchive:
 
     Deduplicates by counts (objectives are a function of counts here),
     so re-encountered points are free.  Dominated entries are evicted;
-    the archive's hypervolume never decreases.
+    the archive's hypervolume never decreases.  The entries' objectives
+    are also held as one (n, M) array, so an offer is compared with all
+    of them at once; objectives must be finite, which
+    :func:`~manpower.objectives.evaluate_bundle` ensures.
     """
 
     def __init__(self):
         self._entries: list[ArchiveEntry] = []
+        self._objectives: np.ndarray | None = None
         self._seen: set[tuple[int, ...]] = set()
 
     def offer(self, counts: HeadcountVector, objectives: tuple[float, ...], violation: float) -> bool:
@@ -152,11 +169,19 @@ class ParetoArchive:
         if key in self._seen:
             return False
         self._seen.add(key)
-        for e in self._entries:
-            if dominates(e.objectives, objectives) or e.objectives == objectives:
-                return False
-        self._entries = [e for e in self._entries if not dominates(objectives, e.objectives)]
+        new = np.array(objectives, dtype=float)
+        held = np.empty((0, len(new))) if self._objectives is None else self._objectives
+        if held.shape[1] != len(new):
+            raise StructuralError(f"objective arity mismatch: {held.shape[1]} vs {len(new)}")
+        if (held <= new).all(axis=1).any():  # dominated by or equal to an entry
+            return False
+        # no entry equals ``new``, so "nowhere worse" is domination here
+        evicted = (new <= held).all(axis=1)
+        if evicted.any():
+            self._entries = [e for e, out in zip(self._entries, evicted.tolist()) if not out]
+            held = held[~evicted]
         self._entries.append(ArchiveEntry(counts, objectives))
+        self._objectives = np.vstack([held, new])
         return True
 
     def entries(self) -> tuple[ArchiveEntry, ...]:
@@ -169,7 +194,13 @@ class ParetoArchive:
 def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
     """Volume dominated by min-oriented ``points`` up to ``ref`` (the
     union of boxes [p, ref]); points not strictly below ``ref`` in every
-    coordinate are ignored."""
+    coordinate are ignored.
+
+    Slices along the leading coordinate.  With two objectives a slice is
+    a box up to the running minimum of the second coordinate, so the
+    recursion becomes one sweep that adds the same terms in the same
+    order.
+    """
     ref = tuple(float(r) for r in ref)
     pts = sorted(
         {
@@ -186,10 +217,14 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
             return ref[0] - min(p[0] for p in pts)
         pts = sorted(set(pts))  # ascending in the leading coordinate
         total = 0.0
+        lowest = np.inf  # of the second coordinate over pts[: i + 1]
         for i, p in enumerate(pts):
             upper = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
             width = upper - p[0]
-            if width > 0.0:
+            lowest = min(lowest, p[1])
+            if width > 0.0 and len(ref) == 2:
+                total += width * (ref[1] - lowest)
+            elif width > 0.0:
                 total += width * volume([q[1:] for q in pts[: i + 1]], ref[1:])
         return total
 
@@ -200,9 +235,31 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
 # search
 
 
+class _PackedArchive:
+    """Field descriptor that stores a tuple of :class:`ArchiveEntry` as
+    an int counts array and a float objectives array, and rebuilds the
+    tuple on every read.  A kept result then costs a few KB instead of
+    hundreds of small objects."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._attr = f"_{name}_arrays"
+
+    def __get__(self, result, owner=None) -> tuple[ArchiveEntry, ...]:
+        if result is None:
+            raise AttributeError("no default")  # a required dataclass field
+        counts, objectives = getattr(result, self._attr)
+        return tuple(ArchiveEntry(HeadcountVector(c), tuple(o))
+                     for c, o in zip(counts.tolist(), objectives.tolist()))
+
+    def __set__(self, result, entries: Sequence[ArchiveEntry]) -> None:
+        counts = np.array([e.counts.counts for e in entries], dtype=np.int32)
+        objectives = np.array([e.objectives for e in entries], dtype=float)
+        object.__setattr__(result, self._attr, (counts, objectives))
+
+
 @dataclass(frozen=True)
 class MOEAResult:
-    archive: tuple[ArchiveEntry, ...]
+    archive: tuple[ArchiveEntry, ...] = _PackedArchive()
     trace: RunTrace
     evaluations: int
     seed: int
@@ -223,21 +280,25 @@ def run_moea(
     archive = ParetoArchive()
     evaluations = 0
 
-    def assess(genome: Genome) -> ScoredIndividual:
+    def assess(genomes: list[Genome]) -> tuple[np.ndarray, np.ndarray]:
+        """Objective rows and violations of ``genomes``, each offered to the archive."""
         nonlocal evaluations
-        evaluations += 1
-        hc = decode(genome)
-        objs = evaluate_bundle(bundle, hc, None, inst)
-        violation = violation_expr(expr, None, hc, inst)
-        archive.offer(hc, objs, violation)
-        return ScoredIndividual(hc, objs, violation)
+        rows, violations = [], []
+        for genome in genomes:
+            evaluations += 1
+            hc = decode(genome)
+            objs = evaluate_bundle(bundle, hc, None, inst)
+            violation = violation_expr(expr, None, hc, inst)
+            archive.offer(hc, objs, violation)
+            rows.append(objs)
+            violations.append(violation)
+        return np.array(rows, dtype=float), np.array(violations, dtype=float)
 
     population = [random_genome(rng, bounds, cfg.encoding) for _ in range(cfg.population_size)]
-    scored = [assess(g) for g in population]
+    objectives, violations = assess(population)
 
     # freeze the hypervolume reference after the first evaluation sweep
-    worst = np.max([s.objectives for s in scored], axis=0)
-    ref = tuple(float(w) + 1.0 for w in worst)
+    ref = tuple(float(w) + 1.0 for w in objectives.max(axis=0))
 
     def trace_point(gen: int) -> TracePoint:
         hv = hypervolume([e.objectives for e in archive.entries()], ref)
@@ -247,7 +308,7 @@ def run_moea(
     points = [trace_point(0)]
 
     for gen in range(1, cfg.generations + 1):
-        ranks, crowd = _rank_and_crowd(scored)
+        ranks, crowd = _rank_and_crowd(objectives, violations)
 
         def pick() -> Genome:
             i, j = int(rng.integers(len(population))), int(rng.integers(len(population)))
@@ -263,11 +324,14 @@ def run_moea(
             offspring.append(_mutate(rng, pa, cfg.mutation_rate))
             if len(offspring) < cfg.population_size:
                 offspring.append(_mutate(rng, pb, cfg.mutation_rate))
-        scored_offspring = [assess(g) for g in offspring]
+        child_objectives, child_violations = assess(offspring)
 
         pool = population + offspring
-        pool_scored = scored + scored_offspring
-        population, scored = _environmental_selection(pool, pool_scored, cfg.population_size)
+        pool_objectives = np.vstack([objectives, child_objectives])
+        pool_violations = np.concatenate([violations, child_violations])
+        keep = _environmental_selection(pool_objectives, pool_violations, cfg.population_size)
+        population = [pool[i] for i in keep]
+        objectives, violations = pool_objectives[keep], pool_violations[keep]
         points.append(trace_point(gen))
 
     return MOEAResult(
@@ -279,34 +343,27 @@ def run_moea(
     )
 
 
-def _rank_and_crowd(scored: Sequence[ScoredIndividual]) -> tuple[np.ndarray, np.ndarray]:
-    fronts = non_dominated_sort(scored)
-    ranks = np.zeros(len(scored), dtype=np.int64)
-    crowd = np.zeros(len(scored))
+def _rank_and_crowd(objectives: np.ndarray, violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    fronts = non_dominated_sort(objectives, violations)
+    ranks = np.zeros(len(objectives), dtype=np.int64)
+    crowd = np.zeros(len(objectives))
     for r, front in enumerate(fronts):
-        dists = crowding([scored[i].objectives for i in front])
-        for i, d in zip(front, dists):
-            ranks[i] = r
-            crowd[i] = d
+        ranks[front] = r
+        crowd[front] = crowding(objectives[front])
     return ranks, crowd
 
 
-def _environmental_selection(
-    pool: list[Genome],
-    pool_scored: list[ScoredIndividual],
-    size: int,
-) -> tuple[list[Genome], list[ScoredIndividual]]:
-    """Keep the best ``size`` of parents+offspring: whole fronts while
-    they fit, then the most isolated members of the first overflowing
-    front."""
-    fronts = non_dominated_sort(pool_scored)
+def _environmental_selection(objectives: np.ndarray, violations: np.ndarray, size: int) -> list[int]:
+    """Indices of the best ``size`` members: whole fronts while they fit,
+    then the most isolated members of the first overflowing front."""
+    fronts = non_dominated_sort(objectives, violations)
     keep: list[int] = []
     for front in fronts:
         if len(keep) + len(front) <= size:
             keep.extend(front)
             continue
-        dists = crowding([pool_scored[i].objectives for i in front])
+        dists = crowding(objectives[front])
         order = sorted(range(len(front)), key=lambda k: -dists[k])
         keep.extend(front[k] for k in order[: size - len(keep)])
         break
-    return [pool[i] for i in keep], [pool_scored[i] for i in keep]
+    return keep

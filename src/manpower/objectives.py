@@ -181,7 +181,14 @@ def evaluate_bundle(
     tensor: AttendanceTensor | None,
     inst: ProblemInstance,
 ) -> tuple[float, ...]:
-    return tuple(signed_value(o, hc, tensor, inst) for o in bundle)
+    """Signed values of every objective in ``bundle``.  A NaN or infinite
+    value raises :class:`ConfigurationError` naming the objective: no
+    solver can rank it, and it would read as a mere infeasible result."""
+    values = tuple(signed_value(o, hc, tensor, inst) for o in bundle)
+    if not all(map(math.isfinite, values)):
+        o, v = next((o, v) for o, v in zip(bundle, values) if not math.isfinite(v))
+        raise ConfigurationError(f"objective {o.label!r} is {v} at headcounts {hc.counts}")
+    return values
 
 
 def parse_objective_token(token: str, inst: ProblemInstance) -> Objective:

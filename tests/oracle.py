@@ -1,10 +1,15 @@
-"""Reference violation magnitudes, computed cell by cell.
+"""Reference loop versions of the package's vectorized routines.
 
-An independent loop version of :func:`manpower.constraints.violation_atom`:
-every count is taken by walking employees, slots and days one at a time,
-and every window distance from plain Python sums.  The tests compare the
-package's vectorized measure against it; on instances with integer wages
-and hours the two must agree exactly.
+* :func:`violation_atom` — violation magnitudes computed cell by cell: an
+  independent loop version of :func:`manpower.constraints.violation_atom`.
+  Every count is taken by walking employees, slots and days one at a time,
+  and every window distance from plain Python sums.  On instances with
+  integer wages and hours the two must agree exactly.
+* :func:`dominates`, :func:`non_dominated_sort`, :class:`ParetoArchive`
+  and :func:`hypervolume` — the pairwise-loop NSGA-II ranking, archive
+  and recursive hypervolume that :mod:`manpower.moea` replaced with array
+  code.  Fronts (member order included), archive contents and volumes
+  must agree exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from typing import Sequence
 
 from manpower.constraints import AtomicConstraint, ConstraintKind
 from manpower.domain import SLOTS_PER_DAY, AttendanceTensor, HeadcountVector, ProblemInstance
-from manpower.errors import ConfigurationError
+from manpower.errors import ConfigurationError, StructuralError
+from manpower.moea import ArchiveEntry, ScoredIndividual
 
 
 def _subset_indices(c: AtomicConstraint, inst: ProblemInstance) -> list[int]:
@@ -213,3 +219,128 @@ def _loop_salary(tensor: AttendanceTensor | None, hc: HeadcountVector | None, in
             elif any(slots):
                 bill += sum(job.wage_per_shift)
     return bill
+
+
+# ---------------------------------------------------------------------------
+# multi-objective ranking, archive and hypervolume
+
+
+def _unpack(x) -> tuple[float, tuple[float, ...]]:
+    if isinstance(x, ScoredIndividual):
+        return x.violation, x.objectives
+    return 0.0, tuple(float(v) for v in x)
+
+
+def dominates(a, b) -> bool:
+    """Constraint-domination.  Accepts :class:`ScoredIndividual` or bare
+    objective vectors (treated as feasible)."""
+    va, fa = _unpack(a)
+    vb, fb = _unpack(b)
+    if len(fa) != len(fb):
+        raise StructuralError(f"objective arity mismatch: {len(fa)} vs {len(fb)}")
+    if va == 0.0 and vb > 0.0:
+        return True
+    if va > 0.0 and vb == 0.0:
+        return False
+    if va > 0.0 and vb > 0.0:
+        return va < vb
+    better_somewhere = False
+    for x, y in zip(fa, fb):
+        if x > y:
+            return False
+        if x < y:
+            better_somewhere = True
+    return better_somewhere
+
+
+def non_dominated_sort(pop: Sequence) -> list[list[int]]:
+    """Indices of ``pop`` split into fronts; front 0 is non-dominated."""
+    n = len(pop)
+    dominated_by: list[list[int]] = [[] for _ in range(n)]
+    count = [0] * n
+    fronts: list[list[int]] = [[]]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if dominates(pop[i], pop[j]):
+                dominated_by[i].append(j)
+            elif dominates(pop[j], pop[i]):
+                count[i] += 1
+        if count[i] == 0:
+            fronts[0].append(i)
+    k = 0
+    while fronts[k]:
+        nxt: list[int] = []
+        for i in fronts[k]:
+            for j in dominated_by[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    nxt.append(j)
+        fronts.append(nxt)
+        k += 1
+    fronts.pop()
+    return fronts
+
+
+class ParetoArchive:
+    """Cumulative store of feasible non-dominated headcount vectors.
+
+    Deduplicates by counts (objectives are a function of counts here),
+    so re-encountered points are free.  Dominated entries are evicted;
+    the archive's hypervolume never decreases.
+    """
+
+    def __init__(self):
+        self._entries: list[ArchiveEntry] = []
+        self._seen: set[tuple[int, ...]] = set()
+
+    def offer(self, counts: HeadcountVector, objectives: tuple[float, ...], violation: float) -> bool:
+        if violation > 0.0:
+            return False
+        key = counts.counts
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        for e in self._entries:
+            if dominates(e.objectives, objectives) or e.objectives == objectives:
+                return False
+        self._entries = [e for e in self._entries if not dominates(objectives, e.objectives)]
+        self._entries.append(ArchiveEntry(counts, objectives))
+        return True
+
+    def entries(self) -> tuple[ArchiveEntry, ...]:
+        return tuple(sorted(self._entries, key=lambda e: e.objectives))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
+    """Volume dominated by min-oriented ``points`` up to ``ref`` (the
+    union of boxes [p, ref]); points not strictly below ``ref`` in every
+    coordinate are ignored."""
+    ref = tuple(float(r) for r in ref)
+    pts = sorted(
+        {
+            tuple(float(v) for v in p)
+            for p in points
+            if len(p) == len(ref) and all(v < r for v, r in zip(p, ref))
+        }
+    )
+    if not pts:
+        return 0.0
+
+    def volume(pts: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+        if len(ref) == 1:
+            return ref[0] - min(p[0] for p in pts)
+        pts = sorted(set(pts))  # ascending in the leading coordinate
+        total = 0.0
+        for i, p in enumerate(pts):
+            upper = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
+            width = upper - p[0]
+            if width > 0.0:
+                total += width * volume([q[1:] for q in pts[: i + 1]], ref[1:])
+        return total
+
+    return volume(pts, ref)

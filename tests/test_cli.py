@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +191,13 @@ class TestInvocation:
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown subcommand"):
             CliInvocation(subcommand="optimize")
+
+    def test_module_entry_point_starts_without_warnings(self):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "manpower.cli", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_objectives_normalized_to_tuple(self):
         inv = CliInvocation(subcommand="pareto", objectives=["salary", "-total_time"])

@@ -87,6 +87,9 @@ def snapshot() -> dict:
     cases["roster/multi"] = solve_assignment(
         NINE, multi, ROSTER & parse_constraint_string("o1"), roster_cfg)
     cases["moea"] = run_moea(week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15))
+    for seed in range(1, 10):
+        cases[f"moea/{seed}"] = run_moea(
+            week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=seed))
     return {name: _plain(result) for name, result in cases.items()}
 
 

@@ -1,11 +1,17 @@
 """Multi-objective machinery against brute-force oracles."""
 
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from manpower import (
+    ArchiveEntry,
     Direction,
     EAConfig,
     HeadcountVector,
@@ -25,6 +31,10 @@ from manpower import (
     violation_expr,
 )
 from manpower.instances import micro_instance, random_micro_instance
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+GRID = st.integers(0, 4).map(float)  # a coarse grid, so ties and duplicates are common
+VIOLATION = st.one_of(st.just(0.0), st.integers(1, 3).map(float))  # equal violations too
 
 
 def brute_force_fronts(pop):
@@ -88,6 +98,48 @@ class TestSorting:
         fronts = non_dominated_sort(pts)
         flat = sorted(i for f in fronts for i in f)
         assert flat == list(range(30))
+
+
+class TestAgainstLoopOracle:
+    """The array ranking, archive and hypervolume against the pairwise
+    loops they replaced (``tests/oracle.py``), compared with ``==``."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_fronts_and_member_order(self, data):
+        m = data.draw(st.integers(1, 3), label="objectives")
+        rows = data.draw(st.lists(st.tuples(*[GRID] * m), max_size=40), label="rows")
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=5), label="duplicates") if rows else []
+        violations = data.draw(st.lists(VIOLATION, min_size=len(rows), max_size=len(rows)), label="violations")
+        pop = [ScoredIndividual(HeadcountVector((i,)), r, v) for i, (r, v) in enumerate(zip(rows, violations))]
+
+        assert non_dominated_sort(rows) == oracle.non_dominated_sort(rows)
+        objectives = np.array(rows, dtype=float).reshape(len(rows), m)
+        assert non_dominated_sort(objectives, np.array(violations)) == oracle.non_dominated_sort(pop)
+        for a, b in itertools.product(pop[:12], repeat=2):
+            assert dominates(a, b) == oracle.dominates(a, b)
+
+    @PROPERTY
+    @given(st.data())
+    def test_archive_offer_stream(self, data):
+        m = data.draw(st.integers(1, 3), label="objectives")
+        offers = data.draw(st.lists(st.tuples(st.integers(0, 30), st.tuples(*[GRID] * m), VIOLATION),
+                                    max_size=60), label="offers")
+        got, want = ParetoArchive(), oracle.ParetoArchive()
+        for key, objs, violation in offers:
+            counts = HeadcountVector((key,))
+            assert got.offer(counts, objs, violation) == want.offer(counts, objs, violation)
+        assert got.entries() == want.entries()
+        assert len(got) == len(want)
+
+    @PROPERTY
+    @given(st.data())
+    def test_hypervolume(self, data):
+        m = data.draw(st.integers(1, 3), label="objectives")
+        coord = st.one_of(GRID, st.floats(-3.0, 6.0, allow_nan=False, allow_infinity=False))
+        points = data.draw(st.lists(st.tuples(*[coord] * m), max_size=30 if m < 3 else 10), label="points")
+        ref = data.draw(st.tuples(*[st.floats(0.0, 6.0, allow_nan=False)] * m), label="reference")
+        assert hypervolume(points, ref) == oracle.hypervolume(points, ref)
 
 
 class TestCrowding:
@@ -225,6 +277,17 @@ class TestRunMOEA:
         b = run_moea(inst, self.BUNDLE, self.BASIC, cfg)
         assert [e.counts.counts for e in a.archive] == [e.counts.counts for e in b.archive]
         assert [p.best for p in a.trace.points] == [p.best for p in b.trace.points]
+
+    def test_result_archive_reads_as_entries(self):
+        res = run_moea(micro_instance(), self.BUNDLE, self.BASIC, EAConfig(population_size=20, generations=5, seed=1))
+        archive = res.archive
+        assert len(archive) >= 2 and all(isinstance(e, ArchiveEntry) for e in archive)
+        assert "archive" in [f.name for f in dataclasses.fields(res)]
+        assert dataclasses.replace(res) == res
+        assert pickle.loads(pickle.dumps(res)) == res
+        trimmed = dataclasses.replace(res, archive=archive[1:])
+        assert trimmed.archive == archive[1:] and trimmed != res
+        assert dataclasses.replace(res, archive=()).archive == ()
 
     def test_hypervolume_trace_monotone(self):
         inst = micro_instance()

@@ -7,6 +7,7 @@ from manpower import (
     AttendanceTensor,
     ConfigurationError,
     Direction,
+    EAConfig,
     HeadcountVector,
     Objective,
     ObjectiveBundle,
@@ -25,11 +26,14 @@ from manpower import (
     parse_objective_token,
     ProblemInstance,
     reference_instance,
+    run_ea,
+    run_moea,
     signed_value,
     tensor_salary,
     total_time_headcount,
     total_work_time,
 )
+from manpower.constraints import conjunction
 
 
 class TestSalary:
@@ -210,6 +214,36 @@ class TestDirectionsAndBundles:
     def test_empty_bundle_rejected(self):
         with pytest.raises(ConfigurationError):
             ObjectiveBundle(())
+
+
+class TestNonFiniteObjective:
+    """A NaN or infinite objective is a typed error naming the objective,
+    not a quietly infeasible result."""
+
+    @staticmethod
+    def broken(value, direction=Direction.MINIMIZE):
+        return Objective(ObjectiveKind.CUSTOM, direction, func=lambda hc, t, inst: value, label="broken")
+
+    @pytest.mark.parametrize("value,direction", [
+        (float("nan"), Direction.MINIMIZE),
+        (float("inf"), Direction.MINIMIZE),
+        (float("inf"), Direction.MAXIMIZE),
+    ])
+    def test_evaluate_bundle_names_the_objective(self, value, direction):
+        bundle = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY), self.broken(value, direction)))
+        with pytest.raises(ConfigurationError, match="'broken'"):
+            evaluate_bundle(bundle, HeadcountVector((1, 1)), None, micro_instance())
+
+    def test_run_ea(self):
+        cfg = EAConfig(population_size=6, generations=2, seed=0)
+        with pytest.raises(ConfigurationError, match="'broken'"):
+            run_ea(micro_instance(), ObjectiveBundle((self.broken(float("nan")),)), conjunction("k1"), cfg)
+
+    def test_run_moea(self):
+        bundle = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY), self.broken(float("nan"))))
+        cfg = EAConfig(population_size=6, generations=2, seed=0)
+        with pytest.raises(ConfigurationError, match="'broken'"):
+            run_moea(micro_instance(), bundle, conjunction("k1"), cfg)
 
 
 class TestObjectiveTokens:
