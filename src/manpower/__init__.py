@@ -98,7 +98,6 @@ from .evolution import (
     TracePoint,
     decode,
     encode,
-    fitness,
     random_genome,
     run_ea,
     solve_assignment,

@@ -25,7 +25,7 @@ from .evolution import (
     SolveResult,
     TracePoint,
     _result,
-    _score,
+    _scorer,
     _Tracker,
 )
 from .objectives import Direction, ObjectiveBundle, ObjectiveKind
@@ -206,20 +206,22 @@ def pso_solve(
 
     start = time.perf_counter()
     tracker = _Tracker()
+    score = _scorer(bundle, expr, inst, cfg.penalty)
 
-    def representative(x: np.ndarray) -> HeadcountVector:
-        z = np.clip(np.rint(x), lo, hi).astype(int)
-        return HeadcountVector(tuple(int(c) for c in z))
-
-    def assess(x: np.ndarray) -> float:
-        hc = representative(x)
-        scored = _score(hc, None, bundle, expr, inst, cfg.penalty)
-        tracker.observe(hc, scored)
-        return scored[0]
+    def assess(x: np.ndarray) -> np.ndarray:
+        """Penalized scores of the swarm's positions, each rounded and
+        clamped into the box."""
+        rounded = np.minimum(np.maximum(np.rint(x), lo), hi).astype(np.int64)
+        scores = []
+        for counts in map(tuple, rounded.tolist()):
+            scored = score(counts)
+            tracker.observe(counts, scored)
+            scores.append(scored[0])
+        return np.array(scores)
 
     positions = rng.uniform(lo, hi, size=(cfg.swarm_size, len(bounds)))
     velocities = np.zeros_like(positions)
-    scores = np.array([assess(x) for x in positions])
+    scores = assess(positions)
     pbest = positions.copy()
     pbest_scores = scores.copy()
     g = int(np.argmin(pbest_scores))
@@ -237,7 +239,7 @@ def pso_solve(
         positions, velocities = pso_step(
             (positions, velocities), pbest, gbest, step_cfg, rng, inertia=w
         )
-        scores = np.array([assess(x) for x in positions])
+        scores = assess(positions)
         improved = scores < pbest_scores
         pbest[improved] = positions[improved]
         pbest_scores[improved] = scores[improved]
@@ -249,7 +251,7 @@ def pso_solve(
             TracePoint(it, tracker.best_penalized, float(np.mean(scores)), tracker.evaluations,
                        (time.perf_counter() - start) * 1e3)
         )
-    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed)
+    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed, HeadcountVector)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +318,11 @@ def sa_solve(
     bounds = inst.headcount_bounds()
     start = time.perf_counter()
     tracker = _Tracker()
+    score = _scorer(bundle, expr, inst, cfg.penalty)
 
     def assess(counts: tuple[int, ...]) -> float:
-        hc = HeadcountVector(counts)
-        scored = _score(hc, None, bundle, expr, inst, cfg.penalty)
-        tracker.observe(hc, scored)
+        scored = score(counts)
+        tracker.observe(counts, scored)
         return scored[0]
 
     counts = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in bounds)
@@ -350,4 +352,4 @@ def sa_solve(
         points.append(TracePoint(level, tracker.best_penalized, mean_e, tracker.evaluations,
                                  (time.perf_counter() - start) * 1e3))
         temperature *= cfg.cooling
-    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed)
+    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed, HeadcountVector)

@@ -30,6 +30,7 @@ from .evolution import (
     TracePoint,
     _crossover,
     _mutate,
+    _Packed,
     decode,
     random_genome,
 )
@@ -235,31 +236,21 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
 # search
 
 
-class _PackedArchive:
-    """Field descriptor that stores a tuple of :class:`ArchiveEntry` as
-    an int counts array and a float objectives array, and rebuilds the
-    tuple on every read.  A kept result then costs a few KB instead of
-    hundreds of small objects."""
+def _pack_archive(entries: Sequence[ArchiveEntry]) -> tuple[np.ndarray, np.ndarray]:
+    counts = np.array([e.counts.counts for e in entries], dtype=np.int32)
+    objectives = np.array([e.objectives for e in entries], dtype=float)
+    return counts, objectives
 
-    def __set_name__(self, owner, name: str) -> None:
-        self._attr = f"_{name}_arrays"
 
-    def __get__(self, result, owner=None) -> tuple[ArchiveEntry, ...]:
-        if result is None:
-            raise AttributeError("no default")  # a required dataclass field
-        counts, objectives = getattr(result, self._attr)
-        return tuple(ArchiveEntry(HeadcountVector(c), tuple(o))
-                     for c, o in zip(counts.tolist(), objectives.tolist()))
-
-    def __set__(self, result, entries: Sequence[ArchiveEntry]) -> None:
-        counts = np.array([e.counts.counts for e in entries], dtype=np.int32)
-        objectives = np.array([e.objectives for e in entries], dtype=float)
-        object.__setattr__(result, self._attr, (counts, objectives))
+def _unpack_archive(arrays: tuple[np.ndarray, np.ndarray]) -> tuple[ArchiveEntry, ...]:
+    counts, objectives = arrays
+    return tuple(ArchiveEntry(HeadcountVector(c), tuple(o))
+                 for c, o in zip(counts.tolist(), objectives.tolist()))
 
 
 @dataclass(frozen=True)
 class MOEAResult:
-    archive: tuple[ArchiveEntry, ...] = _PackedArchive()
+    archive: tuple[ArchiveEntry, ...] = _Packed(_pack_archive, _unpack_archive)
     trace: RunTrace
     evaluations: int
     seed: int

@@ -10,6 +10,9 @@
   and recursive hypervolume that :mod:`manpower.moea` replaced with array
   code.  Fronts (member order included), archive contents and volumes
   must agree exactly.
+* :func:`decode` — the gene-by-gene genome decoder that
+  :func:`manpower.evolution.decode` replaced with array code.  Counts
+  must agree exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Sequence
 from manpower.constraints import AtomicConstraint, ConstraintKind
 from manpower.domain import SLOTS_PER_DAY, AttendanceTensor, HeadcountVector, ProblemInstance
 from manpower.errors import ConfigurationError, StructuralError
+from manpower.evolution import Genome
 from manpower.moea import ArchiveEntry, ScoredIndividual
 
 
@@ -344,3 +348,28 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
         return total
 
     return volume(pts, ref)
+
+
+def _bit_widths(bounds: Sequence[tuple[int, int]]) -> list[int]:
+    return [(hi - lo).bit_length() for lo, hi in bounds]
+
+
+def decode(genome: Genome) -> HeadcountVector:
+    """Unpack a genome into integer counts, clamping into the box."""
+    if genome.encoding == "ri":
+        values = []
+        for x, (lo, hi) in zip(genome.data, genome.bounds):
+            v = int(round(float(x)))
+            values.append(min(hi, max(lo, v)))
+        return HeadcountVector(tuple(values))
+    if genome.encoding == "bg":
+        values = []
+        pos = 0
+        for (lo, hi), width in zip(genome.bounds, _bit_widths(genome.bounds)):
+            v = 0
+            for b in range(width):
+                v = (v << 1) | int(genome.data[pos + b])
+            pos += width
+            values.append(min(hi, lo + v))
+        return HeadcountVector(tuple(values))
+    raise ConfigurationError(f"unknown encoding {genome.encoding!r}")

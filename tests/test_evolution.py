@@ -1,26 +1,34 @@
 """Evolutionary-solver tests: genome codecs, penalty semantics,
 determinism, and roster search on enumerable cases."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from manpower import (
     ConfigurationError,
     Direction,
     EAConfig,
     Genome,
     HeadcountVector,
+    InfeasibleError,
     Not,
     Objective,
     ObjectiveBundle,
     ObjectiveKind,
     PenaltyConfig,
+    RunTrace,
+    TracePoint,
     atom,
     conjunction,
     decode,
     encode,
     f2_total_salary,
-    fitness,
     parse_constraint_string,
     random_genome,
     run_ea,
@@ -28,10 +36,23 @@ from manpower import (
     tensor_salary,
     violation_expr,
 )
+from manpower import evolution
+from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
 BASIC = conjunction("k1", "k2", "k3", "k4", "k5", "k6")
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def boxes(draw):
+    """Headcount bounds: 1-8 jobs, each box 0-70 wide."""
+    bounds = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo = draw(st.integers(0, 50))
+        bounds.append((lo, lo + draw(st.integers(0, 70))))
+    return tuple(bounds)
 
 
 class TestGenomeCodec:
@@ -80,6 +101,68 @@ class TestGenomeCodec:
                 hc = decode(random_genome(rng, self.BOUNDS, encoding))
                 for v, (lo, hi) in zip(hc.counts, self.BOUNDS):
                     assert lo <= v <= hi
+
+
+def fitness(genome, bundle, expr, inst, cfg):
+    """Penalized fitness of one genome, scored the way the solvers score it."""
+    return _scorer(bundle, expr, inst, cfg.penalty)(decode(genome).counts)[0]
+
+
+class TestDecodeAgainstLoopOracle:
+    @PROPERTY
+    @given(st.data())
+    def test_ri(self, data):
+        bounds = data.draw(boxes())
+        genes = [
+            data.draw(st.one_of(
+                st.integers(lo - 3, hi + 3).map(float),
+                st.integers(lo - 3, hi + 3).map(lambda k: k + 0.5),      # ties round to even
+                st.integers(lo - 3, hi + 3).map(lambda k: k - 0.5),
+                st.floats(lo - 1e6, hi + 1e6, allow_nan=False),          # far outside the box
+            ))
+            for lo, hi in bounds
+        ]
+        g = Genome("ri", np.array(genes), bounds)
+        assert decode(g).counts == oracle.decode(g).counts
+
+    @PROPERTY
+    @given(st.data())
+    def test_bg(self, data):
+        bounds = data.draw(boxes())
+        bits = ""
+        for lo, hi in bounds:
+            width = (hi - lo).bit_length()
+            # offsets past hi - lo overflow the box and must clamp to hi
+            offset = data.draw(st.integers(0, 2**width - 1))
+            bits += format(offset, f"0{width}b") if width else ""
+        g = Genome("bg", np.array([int(b) for b in bits], dtype=np.uint8), bounds)
+        assert decode(g).counts == oracle.decode(g).counts
+
+    @PROPERTY
+    @given(st.data())
+    def test_encode_decode_round_trip(self, data):
+        bounds = data.draw(boxes())
+        counts = tuple(data.draw(st.integers(lo, hi)) for lo, hi in bounds)
+        for encoding in ("ri", "bg"):
+            assert decode(encode(counts, bounds, encoding)).counts == counts
+
+
+def test_box_draw_is_rng_uniform_bit_for_bit():
+    meta = np.random.Generator(np.random.PCG64(99))
+    for seed in range(40):
+        lo = meta.integers(0, 40, size=meta.integers(1, 9))
+        bounds = tuple((int(a), int(a + w)) for a, w in zip(lo, meta.integers(0, 60, size=lo.size)))
+        box = _box(bounds)
+        ours = np.random.Generator(np.random.PCG64(seed))
+        numpys = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(25):
+            drawn = box.low + box.span * ours.random(len(bounds))
+            uniform = numpys.uniform(box.low, box.high)
+            assert drawn.tobytes() == uniform.tobytes(), (
+                "low + span * rng.random(n) no longer equals rng.uniform(low, high) bit for bit; "
+                "random_genome and _mutate rely on it, so every seeded ri result would change")
+        assert ours.bit_generator.state == numpys.bit_generator.state, (
+            "rng.uniform(low, high) no longer consumes one rng.random() double per value")
 
 
 class TestPenalties:
@@ -139,6 +222,21 @@ class TestPenalties:
             range(20), key=expected.__getitem__
         )
 
+    def test_barrier_with_no_interior_fails_fast_and_names_the_atom(self, monkeypatch):
+        # rest_cap=0 leaves k6 no slack on any staffing, so no start is strictly inside
+        inst = dataclasses.replace(micro_instance(), rest_cap=0)
+        samples = []
+
+        def counted(*args):
+            samples.append(1)
+            return random_genome(*args)
+
+        monkeypatch.setattr(evolution, "random_genome", counted)
+        cfg = EAConfig(population_size=10, penalty=PenaltyConfig(method="internal"))
+        with pytest.raises(InfeasibleError, match=r"atoms at or past their boundary .*: .*k6 in 10"):
+            run_ea(inst, SALARY, conjunction("k5", "k6"), cfg)
+        assert len(samples) == INITIAL_SAMPLES_PER_MEMBER * 10
+
     def test_internal_solve_stays_feasible(self):
         inst = micro_instance()
         cfg = EAConfig(
@@ -151,6 +249,19 @@ class TestPenalties:
 
 
 class TestRunEA:
+    def test_scorer_memoizes_staffings(self):
+        calls = []
+
+        def wage(hc, tensor, inst):
+            calls.append(hc.counts)
+            return f2_total_salary(hc, inst)
+
+        bundle = ObjectiveBundle((Objective(ObjectiveKind.CUSTOM, func=wage),))
+        res = run_ea(micro_instance(), bundle, BASIC, EAConfig(population_size=20, generations=10))
+        # the 4 x 6 micro box fits in the cache, so no staffing is scored twice
+        assert res.evaluations == 20 * 11
+        assert len(calls) == len(set(calls)) < res.evaluations
+
     def test_same_seed_same_everything(self):
         inst = micro_instance()
         cfg = EAConfig(population_size=20, generations=15, seed=7)
@@ -175,6 +286,17 @@ class TestRunEA:
         res = run_ea(inst, SALARY, BASIC, EAConfig(seed=3))
         curve = res.trace.best_curve()
         assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
+
+    def test_trace_reads_back_its_points(self):
+        res = run_ea(micro_instance(), SALARY, BASIC, EAConfig(population_size=10, generations=3, seed=2))
+        trace = res.trace
+        points = trace.points + (TracePoint(4, float("inf"), float("inf"), 2**40, 0.1),)
+        packed = RunTrace(points)
+        assert packed.points == points
+        assert all(type(p.generation) is int and type(p.evaluations) is int for p in packed.points)
+        assert "points" in [f.name for f in dataclasses.fields(trace)]
+        assert pickle.loads(pickle.dumps(res)) == res
+        assert dataclasses.replace(trace, points=()).points == ()
 
     def test_trace_counts_evaluations(self):
         inst = micro_instance()
