@@ -44,7 +44,6 @@ from .constraints import (
     And,
     Atom,
     AtomicConstraint,
-    ConstraintExpr,
     ConstraintKind,
     Expr,
     Not,
@@ -67,16 +66,13 @@ from .domain import (
     SHIFT_NAMES,
     SLOTS_PER_DAY,
     AttendanceTensor,
-    ChannelMatrix,
     EmergencySpec,
     HeadcountVector,
     Job,
     ProblemInstance,
-    combine_channels,
     daily_work_hours,
     employee_jobs,
     full_attendance,
-    separate_channels,
     total_work_time,
 )
 from .errors import (
@@ -137,8 +133,6 @@ from .objectives import (
     f2_total_salary,
     f3_multishift_salary,
     headcount_subset,
-    headcount_upper_bound,
-    headcount_upper_bounds,
     parse_objective_token,
     signed_value,
     tensor_salary,

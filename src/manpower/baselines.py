@@ -1,18 +1,19 @@
 """Reference solvers: exact branch-and-bound, particle swarm, and
 simulated annealing.
 
-All three optimize the same penalized scalar the evolutionary solver
-uses, over the same per-job headcount box, so their results are directly
-comparable.  The exact solver is the ground truth on instances small
-enough to enumerate.
+All three score staffings through the evolutionary solver's memoized
+scorer (:func:`~manpower.evolution._scorer`) and record them with its
+tracker, over the same per-job headcount box, so their results are
+directly comparable.  The exact solver is the ground truth on instances
+small enough to enumerate; its pruning bound prices a completion with
+the same objective function, without the constraint check.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .domain import HeadcountVector, ProblemInstance
 from .errors import ConfigurationError, InfeasibleError, SearchSpaceError
 from .evolution import (
     PenaltyConfig,
-    RunTrace,
     SolveResult,
-    TracePoint,
+    _box,
+    _objective,
     _result,
     _scorer,
     _Tracker,
@@ -50,12 +51,7 @@ def _bundle_monotone(bundle: ObjectiveBundle) -> bool:
     )
 
 
-def ip_solve(
-    inst: ProblemInstance,
-    bundle: ObjectiveBundle,
-    expr: Expr,
-    penalty: Optional[PenaltyConfig] = None,
-) -> SolveResult:
+def ip_solve(inst: ProblemInstance, bundle: ObjectiveBundle, expr: Expr) -> SolveResult:
     """Depth-first exact search over the headcount box.
 
     Counts are explored in ascending order per job, so the first optimum
@@ -64,8 +60,7 @@ def ip_solve(
     bounds) already matches the incumbent are pruned; a staffing-cap
     atom inside a pure AND-composition prunes overfull prefixes too.
     """
-    del penalty  # exact search needs no penalty; kept for registry parity
-    start = time.perf_counter()
+    tracker = _Tracker(_scorer(bundle, expr, inst, PenaltyConfig()))
     bounds = inst.headcount_bounds()
     estimate = 1
     for lo, hi in bounds:
@@ -76,9 +71,6 @@ def ip_solve(
             estimate=estimate,
         )
 
-    from .constraints import violation_expr
-    from .objectives import evaluate_bundle
-
     monotone = _bundle_monotone(bundle)
     cap_prune = is_conjunction(expr) and any(
         c.kind is ConstraintKind.STAFF_CAP for c in collect_atoms(expr)
@@ -88,25 +80,13 @@ def ip_solve(
     for j in range(len(bounds) - 1, -1, -1):
         min_tail[j] = min_tail[j + 1] + lows[j]
 
-    best_value = float("inf")
-    best_counts: Optional[tuple[int, ...]] = None
-    evaluations = 0
     n = len(bounds)
     prefix: list[int] = []
 
-    def objective_at(counts: Sequence[int]) -> float:
-        return float(sum(evaluate_bundle(bundle, HeadcountVector(tuple(counts)), None, inst)))
-
     def walk(j: int) -> None:
-        nonlocal best_value, best_counts, evaluations
         if j == n:
-            hc = HeadcountVector(tuple(prefix))
-            evaluations += 1
-            if violation_expr(expr, None, hc, inst) == 0.0:
-                value = objective_at(prefix)
-                if value < best_value:
-                    best_value = value
-                    best_counts = hc.counts
+            # the tracker keeps the first strictly best feasible leaf
+            tracker.assess(tuple(prefix))
             return
         lo, hi = bounds[j]
         for v in range(lo, hi + 1):
@@ -114,28 +94,20 @@ def ip_solve(
             skip = False
             if cap_prune and sum(prefix) + min_tail[j + 1] > inst.max_total_staff:
                 skip = True
-            if not skip and monotone and best_counts is not None:
-                optimistic = objective_at(prefix + lows[j + 1 :])
-                if optimistic >= best_value:
+            if not skip and monotone and tracker.best_feasible is not None:
+                completion = HeadcountVector(tuple(prefix + lows[j + 1 :]))
+                if _objective(bundle, completion, inst)[0] >= tracker.best_feasible_obj:
                     skip = True
             if not skip:
                 walk(j + 1)
             prefix.pop()
 
     walk(0)
-    millis = (time.perf_counter() - start) * 1e3
-    if best_counts is None:
+    if tracker.best_feasible is None:
         raise InfeasibleError("no feasible headcount vector in the search box")
-    trace = RunTrace((TracePoint(0, best_value, best_value, evaluations, millis),))
-    return SolveResult(
-        counts=HeadcountVector(best_counts),
-        value=best_value,
-        feasible=True,
-        violation=0.0,
-        trace=trace,
-        evaluations=evaluations,
-        seed=0,
-    )
+    best = tracker.best_feasible_obj
+    tracker.mark(0, best, best=best)
+    return _result(SolveResult, tracker, 0, HeadcountVector)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +171,18 @@ def pso_solve(
     """Particle swarm over the headcount box (positions rounded and
     clamped for evaluation only)."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    bounds = inst.headcount_bounds()
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    box = _box(inst.headcount_bounds())
+    lo, hi = box.lo, box.hi
     span = np.maximum(hi - lo, 1.0)
-
-    start = time.perf_counter()
-    tracker = _Tracker()
-    score = _scorer(bundle, expr, inst, cfg.penalty)
+    tracker = _Tracker(_scorer(bundle, expr, inst, cfg.penalty))
 
     def assess(x: np.ndarray) -> np.ndarray:
         """Penalized scores of the swarm's positions, each rounded and
         clamped into the box."""
         rounded = np.minimum(np.maximum(np.rint(x), lo), hi).astype(np.int64)
-        scores = []
-        for counts in map(tuple, rounded.tolist()):
-            scored = score(counts)
-            tracker.observe(counts, scored)
-            scores.append(scored[0])
-        return np.array(scores)
+        return tracker.assess_all(map(tuple, rounded.tolist()))
 
-    positions = rng.uniform(lo, hi, size=(cfg.swarm_size, len(bounds)))
+    positions = rng.uniform(lo, hi, size=(cfg.swarm_size, len(lo)))
     velocities = np.zeros_like(positions)
     scores = assess(positions)
     pbest = positions.copy()
@@ -228,10 +191,7 @@ def pso_solve(
     gbest = pbest[g].copy()
     gbest_score = float(pbest_scores[g])
 
-    points = [
-        TracePoint(0, tracker.best_penalized, float(np.mean(scores)), tracker.evaluations,
-                   (time.perf_counter() - start) * 1e3)
-    ]
+    tracker.mark(0, float(np.mean(scores)))
     w_start, w_end = cfg.inertia
     step_cfg = cfg if cfg.v_max is not None else replace(cfg, v_max=float(span.max()))
     for it in range(1, cfg.iterations + 1):
@@ -247,11 +207,8 @@ def pso_solve(
         if float(pbest_scores[g]) < gbest_score:
             gbest_score = float(pbest_scores[g])
             gbest = pbest[g].copy()
-        points.append(
-            TracePoint(it, tracker.best_penalized, float(np.mean(scores)), tracker.evaluations,
-                       (time.perf_counter() - start) * 1e3)
-        )
-    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed, HeadcountVector)
+        tracker.mark(it, float(np.mean(scores)))
+    return _result(SolveResult, tracker, cfg.seed, HeadcountVector)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +273,12 @@ def sa_solve(
     moves and geometric cooling; the best state ever visited wins."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     bounds = inst.headcount_bounds()
-    start = time.perf_counter()
-    tracker = _Tracker()
-    score = _scorer(bundle, expr, inst, cfg.penalty)
-
-    def assess(counts: tuple[int, ...]) -> float:
-        scored = score(counts)
-        tracker.observe(counts, scored)
-        return scored[0]
+    tracker = _Tracker(_scorer(bundle, expr, inst, cfg.penalty))
+    assess = tracker.assess
 
     counts = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in bounds)
-    current = SAState(HeadcountVector(counts), assess(counts))
-    points = [TracePoint(0, tracker.best_penalized, current.energy, tracker.evaluations,
-                         (time.perf_counter() - start) * 1e3)]
+    current = SAState(HeadcountVector(counts), assess(counts)[0])
+    tracker.mark(0, current.energy)
 
     temperature = cfg.initial_temperature
     level = 0
@@ -344,12 +294,11 @@ def sa_solve(
             if moved == here[j]:
                 continue
             cand_counts = here[:j] + (moved,) + here[j + 1 :]
-            cand = SAState(HeadcountVector(cand_counts), assess(cand_counts))
+            cand = SAState(HeadcountVector(cand_counts), assess(cand_counts)[0])
             if sa_accept(current.energy, cand.energy, temperature, rng):
                 current = cand
             walk_energies.append(current.energy)
         mean_e = float(np.mean(walk_energies)) if walk_energies else current.energy
-        points.append(TracePoint(level, tracker.best_penalized, mean_e, tracker.evaluations,
-                                 (time.perf_counter() - start) * 1e3))
+        tracker.mark(level, mean_e)
         temperature *= cfg.cooling
-    return _result(SolveResult, tracker, RunTrace(tuple(points)), cfg.seed, HeadcountVector)
+    return _result(SolveResult, tracker, cfg.seed, HeadcountVector)

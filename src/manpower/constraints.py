@@ -113,10 +113,6 @@ class Not(Expr):
     operand: Expr
 
 
-ConstraintExpr = Expr
-"""Public name for constraint expression trees (atoms composed with
-And/Or/Not); useful in signatures where ``Expr`` reads too generically."""
-
 
 def atom(code: str | ConstraintKind, jobs: Sequence[str] | None = None, count: int | None = None) -> Atom:
     kind = code if isinstance(code, ConstraintKind) else ConstraintKind(code)

@@ -4,8 +4,7 @@ A scheduling horizon is a run of days, each split into four shift slots in
 the fixed order (MOR, AFT, EVN, MID).  The solution space is a binary
 tensor indexed (employee, shift slot, job): entry 1 means the employee
 attends that slot on that job.  Every employee belongs to exactly one job
-channel, so slices along the job axis ("channel matrices") carry all the
-information and can be recombined losslessly.
+channel.
 
 In single-shift mode attendance is decided per day: the four slots of a
 day carry the same bit.  In multi-shift mode each slot is independent.
@@ -13,8 +12,8 @@ day carry the same bit.  In multi-shift mode each slot is independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -342,54 +341,6 @@ class AttendanceTensor:
             and np.array_equal(self._day_slots, other._day_slots)
             and np.array_equal(self.job_of_employee, other.job_of_employee)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """One job's slice of the tensor: rows are employees, columns are
-    shift slots (working time)."""
-
-    job: int
-    matrix: np.ndarray
-    job_of_employee: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.uint8)
-        if m.ndim != 2:
-            raise StructuralError("channel matrix must be 2-D")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "job_of_employee", np.asarray(self.job_of_employee, dtype=np.int64))
-
-
-def separate_channels(tensor: AttendanceTensor) -> list[ChannelMatrix]:
-    """Split the tensor along the job axis, one matrix per job."""
-    return [
-        ChannelMatrix(j, tensor.entries[:, :, j], tensor.job_of_employee)
-        for j in range(tensor.n_jobs)
-    ]
-
-
-def combine_channels(mats: Iterable[ChannelMatrix]) -> AttendanceTensor:
-    """Reassemble channel matrices into a tensor; exact inverse of
-    :func:`separate_channels`."""
-    mats = list(mats)
-    if not mats:
-        raise StructuralError("no channel matrices to combine")
-    shape = mats[0].matrix.shape
-    jobs_map = mats[0].job_of_employee
-    for m in mats[1:]:
-        if m.matrix.shape != shape:
-            raise StructuralError(f"ragged channel matrices: {m.matrix.shape} vs {shape}")
-        if not np.array_equal(m.job_of_employee, jobs_map):
-            raise StructuralError("channel matrices disagree on the employee-job map")
-    indices = sorted(m.job for m in mats)
-    if indices != list(range(len(mats))):
-        raise StructuralError(f"channel indices must be 0..{len(mats) - 1}, got {indices}")
-    entries = np.zeros((shape[0], shape[1], len(mats)), dtype=np.uint8)
-    for m in mats:
-        entries[:, :, m.job] = m.matrix
-    return AttendanceTensor(entries, jobs_map)
 
 
 def daily_work_hours(job: Job) -> float:

@@ -230,14 +230,28 @@ def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
 # fitness
 
 
+def _objective(
+    bundle: ObjectiveBundle, hc: HeadcountVector, inst: ProblemInstance
+) -> tuple[float, tuple[float, ...]]:
+    """The objective of a staffing: the sum of the bundle's min-oriented
+    values, and the vector it sums."""
+    objectives = evaluate_bundle(bundle, hc, None, inst)
+    return float(sum(objectives)), objectives
+
+
+# (penalized fitness, objective, violation, objective vector)
+_Score = tuple[float, float, float, tuple[float, ...]]
+
+
 def _scorer(
     bundle: ObjectiveBundle,
     expr: Expr,
     inst: ProblemInstance,
     penalty: PenaltyConfig,
-) -> Callable[[tuple[int, ...]], tuple[float, float, float]]:
-    """One run's score of a staffing: ``counts -> (penalized fitness, raw
-    objective, violation)``, lower fitness being better.
+) -> Callable[[tuple[int, ...]], _Score]:
+    """One run's score of a staffing: ``counts -> (penalized fitness,
+    objective, violation, objective vector)``, lower fitness being better.
+    Every staffing solver prices its candidates here.
 
     The last :data:`SCORE_CACHE_SIZE` distinct staffings are remembered,
     so every objective's ``Objective.func`` must be a pure function of
@@ -245,23 +259,23 @@ def _scorer(
     """
 
     @functools.lru_cache(maxsize=SCORE_CACHE_SIZE)
-    def score(counts: tuple[int, ...]) -> tuple[float, float, float]:
+    def score(counts: tuple[int, ...]) -> _Score:
         hc = HeadcountVector(counts)
-        objective = float(sum(evaluate_bundle(bundle, hc, None, inst)))
+        objective, objectives = _objective(bundle, hc, inst)
         violation = violation_expr(expr, None, hc, inst)
         if penalty.method == "external":
-            return objective + penalty.coefficient * violation**2, objective, violation
+            return objective + penalty.coefficient * violation**2, objective, violation, objectives
         # interior barrier
         if violation > 0.0:
-            return float("inf"), objective, violation
+            return float("inf"), objective, violation, objectives
         barrier = 0.0
         for c in collect_atoms(expr):
             d = boundary_distance(c, None, hc, inst)
             if d <= 0.0:
-                return float("inf"), objective, violation
+                return float("inf"), objective, violation, objectives
             if np.isfinite(d):
                 barrier += 1.0 / d
-        return objective + penalty.barrier_coefficient * barrier, objective, violation
+        return objective + penalty.barrier_coefficient * barrier, objective, violation, objectives
 
     return score
 
@@ -356,10 +370,15 @@ class AssignmentResult:
 
 
 class _Tracker:
-    """Keeps the best penalized, best feasible, and least-violating
-    individuals seen so far."""
+    """One run's scoring and trace: scores individuals with ``score``,
+    keeps the best penalized, best feasible and least-violating ones seen
+    so far, and stamps trace points on the run clock started at
+    construction."""
 
-    def __init__(self):
+    def __init__(self, score: Callable[..., _Score]):
+        self._score = score
+        self._start = time.perf_counter()
+        self._points: list[TracePoint] = []
         self.best_penalized: float = float("inf")
         self.best_genome = None
         self.best_feasible_obj: float = float("inf")
@@ -369,21 +388,37 @@ class _Tracker:
         self.least_violator_obj: float = float("inf")
         self.evaluations = 0
 
-    def observe(self, genome, scored: tuple[float, float, float]) -> None:
-        penalized, objective, violation = scored
+    def assess(self, individual) -> _Score:
+        """Score one individual and record it."""
+        scored = self._score(individual)
+        penalized, objective, violation, _ = scored
         self.evaluations += 1
         if penalized < self.best_penalized:
             self.best_penalized = penalized
-            self.best_genome = genome
+            self.best_genome = individual
         if violation == 0.0 and objective < self.best_feasible_obj:
             self.best_feasible_obj = objective
-            self.best_feasible = genome
+            self.best_feasible = individual
         if violation < self.least_violation or (
             violation == self.least_violation and objective < self.least_violator_obj
         ):
             self.least_violation = violation
-            self.least_violator = genome
+            self.least_violator = individual
             self.least_violator_obj = objective
+        return scored
+
+    def assess_all(self, individuals) -> np.ndarray:
+        """The penalized scores of ``individuals``, each recorded."""
+        return np.array([self.assess(i)[0] for i in individuals])
+
+    def mark(self, generation: int, mean: float, best: float | None = None) -> None:
+        """Add a trace point; ``best`` defaults to the best penalized score."""
+        self._points.append(TracePoint(
+            generation, self.best_penalized if best is None else best, mean,
+            self.evaluations, (time.perf_counter() - self._start) * 1e3))
+
+    def trace(self) -> RunTrace:
+        return RunTrace(tuple(self._points))
 
 
 def _select(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> int:
@@ -403,52 +438,40 @@ def _select(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> int:
     return int(rng.choice(n, p=weights / total))
 
 
+def _breed(
+    rng: np.random.Generator,
+    offspring: list[Genome],
+    pick: Callable[[], Genome],
+    cfg: EAConfig,
+) -> list[Genome]:
+    """Fill ``offspring`` up to the population size with mutated children
+    of parent pairs drawn by ``pick``, crossed over at the crossover rate."""
+    while len(offspring) < cfg.population_size:
+        pa, pb = pick(), pick()
+        if rng.random() < cfg.crossover_rate:
+            pa, pb = _crossover(rng, pa, pb)
+        offspring.append(_mutate(rng, pa, cfg.mutation_rate))
+        if len(offspring) < cfg.population_size:
+            offspring.append(_mutate(rng, pb, cfg.mutation_rate))
+    return offspring
+
+
 def _evolve(
     rng: np.random.Generator,
     population: list[Genome],
-    score_fn: Callable[[Genome], tuple[float, float, float]],
+    score_fn: Callable[[Genome], _Score],
     cfg: EAConfig,
-) -> tuple[_Tracker, RunTrace]:
-    start = time.perf_counter()
-    tracker = _Tracker()
-    scores = []
-    for g in population:
-        s = score_fn(g)
-        tracker.observe(g, s)
-        scores.append(s[0])
-    scores = np.asarray(scores)
-    points = [
-        TracePoint(0, tracker.best_penalized, float(np.mean(scores)), tracker.evaluations,
-                   (time.perf_counter() - start) * 1e3)
-    ]
-
+) -> _Tracker:
+    tracker = _Tracker(score_fn)
+    scores = tracker.assess_all(population)
+    tracker.mark(0, float(np.mean(scores)))
     for gen in range(1, cfg.generations + 1):
-        offspring: list[Genome] = []
         # elitism: carry the best penalized genome forward untouched
-        if tracker.best_genome is not None:
-            offspring.append(tracker.best_genome)
-        while len(offspring) < cfg.population_size:
-            pa = population[_select(rng, scores, cfg)]
-            pb = population[_select(rng, scores, cfg)]
-            if rng.random() < cfg.crossover_rate:
-                ca, cb = _crossover(rng, pa, pb)
-            else:
-                ca, cb = pa, pb
-            offspring.append(_mutate(rng, ca, cfg.mutation_rate))
-            if len(offspring) < cfg.population_size:
-                offspring.append(_mutate(rng, cb, cfg.mutation_rate))
-        population = offspring
-        scores = []
-        for g in population:
-            s = score_fn(g)
-            tracker.observe(g, s)
-            scores.append(s[0])
-        scores = np.asarray(scores)
-        points.append(
-            TracePoint(gen, tracker.best_penalized, float(np.mean(scores)), tracker.evaluations,
-                       (time.perf_counter() - start) * 1e3)
-        )
-    return tracker, RunTrace(tuple(points))
+        elite = [] if tracker.best_genome is None else [tracker.best_genome]
+        population = _breed(rng, elite, lambda: population[_select(rng, scores, cfg)], cfg)
+        scores = tracker.assess_all(population)
+        tracker.mark(gen, float(np.mean(scores)))
+    return tracker
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +490,12 @@ def run_ea(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     score_counts = _scorer(bundle, expr, inst, cfg.penalty)
 
-    def score(genome: Genome) -> tuple[float, float, float]:
+    def score(genome: Genome) -> _Score:
         return score_counts(decode(genome).counts)
 
     population = _initial_population(rng, inst, expr, cfg, score)
-    tracker, trace = _evolve(rng, population, score, cfg)
-    return _result(SolveResult, tracker, trace, cfg.seed, decode)
+    tracker = _evolve(rng, population, score, cfg)
+    return _result(SolveResult, tracker, cfg.seed, decode)
 
 
 def _initial_population(
@@ -480,7 +503,7 @@ def _initial_population(
     inst: ProblemInstance,
     expr: Expr,
     cfg: EAConfig,
-    score_fn: Callable[[Genome], tuple[float, float, float]],
+    score_fn: Callable[[Genome], _Score],
 ) -> list[Genome]:
     bounds = inst.headcount_bounds()
     if cfg.penalty.method == "external":
@@ -519,10 +542,11 @@ def _blocking_atoms(genomes: Sequence[Genome], expr: Expr, inst: ProblemInstance
     return ", ".join(f"{name} in {n}" for name, n in tally.most_common())
 
 
-def _result(cls, tracker: _Tracker, trace: RunTrace, seed: int, solution: Callable = lambda x: x):
+def _result(cls, tracker: _Tracker, seed: int, solution: Callable = lambda x: x):
     """A ``cls`` result (:class:`SolveResult` or :class:`AssignmentResult`)
-    for the best feasible individual seen, else the least violating one;
-    ``solution`` maps the tracked individual to the result's first field."""
+    for the best feasible individual seen, else the least violating one,
+    with the tracker's trace; ``solution`` maps the tracked individual to
+    the result's first field."""
     feasible = tracker.best_feasible is not None
     if feasible:
         chosen, value, violation = tracker.best_feasible, tracker.best_feasible_obj, 0.0
@@ -534,7 +558,7 @@ def _result(cls, tracker: _Tracker, trace: RunTrace, seed: int, solution: Callab
         value=value,
         feasible=feasible,
         violation=violation,
-        trace=trace,
+        trace=tracker.trace(),
         evaluations=tracker.evaluations,
         seed=seed,
     )
@@ -568,7 +592,7 @@ def solve_assignment(
             return AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
         return AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
 
-    def score(genome: Genome) -> tuple[float, float, float]:
+    def score(genome: Genome) -> _Score:
         tensor = build(genome.data)
         objective_value = float(obj_fn(tensor, inst))
         violation = violation_expr(expr, tensor, hc, inst)
@@ -576,6 +600,7 @@ def solve_assignment(
             objective_value + cfg.penalty.coefficient * violation**2,
             objective_value,
             violation,
+            (objective_value,),
         )
 
     bit_bounds = tuple((0, 1) for _ in range(n_bits))
@@ -586,6 +611,5 @@ def solve_assignment(
         Genome("bg", rng.integers(0, 2, size=n_bits, dtype=np.uint8), bit_bounds)
         for _ in range(cfg.population_size - 1)
     ]
-    tracker, trace = _evolve(rng, population, score, cfg)
-
-    return _result(AssignmentResult, tracker, trace, cfg.seed, lambda g: build(g.data))
+    tracker = _evolve(rng, population, score, cfg)
+    return _result(AssignmentResult, tracker, cfg.seed, lambda g: build(g.data))

@@ -10,27 +10,32 @@ in one N x N domination matrix and peels the NSGA-II fronts (Deb et al.
 accumulates every feasible non-dominated headcount vector ever seen, so
 its hypervolume can only grow; two-objective hypervolume is one sweep.
 The pairwise-loop versions are the reference in ``tests/oracle.py``.
+Staffings are scored through the memoized scorer of
+:mod:`~manpower.evolution`, and offspring are bred by the same loop as
+the single-objective solver's, with a rank-and-crowding tournament in
+place of its selection.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+# perfbench's tracer patches violation_expr, evaluate_bundle, decode and random_genome here
 from .constraints import Expr, violation_expr
 from .domain import HeadcountVector, ProblemInstance
 from .errors import StructuralError
 from .evolution import (
     EAConfig,
     Genome,
+    PenaltyConfig,
     RunTrace,
-    TracePoint,
-    _crossover,
-    _mutate,
+    _breed,
     _Packed,
+    _scorer,
+    _Tracker,
     decode,
     random_genome,
 )
@@ -267,19 +272,17 @@ def run_moea(
     bundled objectives under the constraint expression."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     bounds = inst.headcount_bounds()
-    start = time.perf_counter()
     archive = ParetoArchive()
-    evaluations = 0
+    # ranking reads objectives and violations only, so the penalty is moot
+    score = _scorer(bundle, expr, inst, PenaltyConfig())
+    tracker = _Tracker(lambda hc: score(hc.counts))
 
     def assess(genomes: list[Genome]) -> tuple[np.ndarray, np.ndarray]:
         """Objective rows and violations of ``genomes``, each offered to the archive."""
-        nonlocal evaluations
         rows, violations = [], []
         for genome in genomes:
-            evaluations += 1
             hc = decode(genome)
-            objs = evaluate_bundle(bundle, hc, None, inst)
-            violation = violation_expr(expr, None, hc, inst)
+            _, _, violation, objs = tracker.assess(hc)
             archive.offer(hc, objs, violation)
             rows.append(objs)
             violations.append(violation)
@@ -291,12 +294,11 @@ def run_moea(
     # freeze the hypervolume reference after the first evaluation sweep
     ref = tuple(float(w) + 1.0 for w in objectives.max(axis=0))
 
-    def trace_point(gen: int) -> TracePoint:
+    def mark(gen: int) -> None:
         hv = hypervolume([e.objectives for e in archive.entries()], ref)
-        return TracePoint(gen, hv, float(len(archive)), evaluations,
-                          (time.perf_counter() - start) * 1e3)
+        tracker.mark(gen, float(len(archive)), best=hv)
 
-    points = [trace_point(0)]
+    mark(0)
 
     for gen in range(1, cfg.generations + 1):
         ranks, crowd = _rank_and_crowd(objectives, violations)
@@ -307,14 +309,7 @@ def run_moea(
                 return population[i] if ranks[i] < ranks[j] else population[j]
             return population[i] if crowd[i] >= crowd[j] else population[j]
 
-        offspring: list[Genome] = []
-        while len(offspring) < cfg.population_size:
-            pa, pb = pick(), pick()
-            if rng.random() < cfg.crossover_rate:
-                pa, pb = _crossover(rng, pa, pb)
-            offspring.append(_mutate(rng, pa, cfg.mutation_rate))
-            if len(offspring) < cfg.population_size:
-                offspring.append(_mutate(rng, pb, cfg.mutation_rate))
+        offspring = _breed(rng, [], pick, cfg)
         child_objectives, child_violations = assess(offspring)
 
         pool = population + offspring
@@ -323,12 +318,12 @@ def run_moea(
         keep = _environmental_selection(pool_objectives, pool_violations, cfg.population_size)
         population = [pool[i] for i in keep]
         objectives, violations = pool_objectives[keep], pool_violations[keep]
-        points.append(trace_point(gen))
+        mark(gen)
 
     return MOEAResult(
         archive=archive.entries(),
-        trace=RunTrace(tuple(points)),
-        evaluations=evaluations,
+        trace=tracker.trace(),
+        evaluations=tracker.evaluations,
         seed=cfg.seed,
         reference_point=ref,
     )

@@ -129,22 +129,6 @@ def total_time_headcount(hc: HeadcountVector, inst: ProblemInstance) -> float:
     )
 
 
-def headcount_upper_bound(inst: ProblemInstance, job: int | str) -> int:
-    """Staffing ceiling for one job: its share of the total seat budget,
-    apportioned proportionally to the per-job minimums and rounded down."""
-    j = inst.job_index(job) if isinstance(job, str) else int(job)
-    lows = [jb.headcount_min for jb in inst.jobs]
-    denom = sum(lows)
-    if denom <= 0:
-        raise ConfigurationError("headcount minimums sum to zero; cannot apportion seats")
-    return math.floor(lows[j] / denom * inst.max_total_staff)
-
-
-def headcount_upper_bounds(inst: ProblemInstance) -> tuple[int, ...]:
-    """Vector of :func:`headcount_upper_bound` over every job."""
-    return tuple(headcount_upper_bound(inst, j) for j in range(len(inst.jobs)))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -36,8 +36,10 @@ from manpower import (
     employee_jobs,
     eval_atom,
     eval_expr,
+    format_expr,
     full_attendance,
     is_conjunction,
+    parse_constraint_string,
     violation_atom,
     violation_expr,
 )
@@ -389,6 +391,56 @@ class TestPairedOracle:
                 assert eval_atom(c, route, counts, inst) == (ref == 0.0)
                 if ref > 0.0:
                     assert boundary_distance(c, route, counts, inst) == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_compositions(self, data):
+        """Random AND/OR/NOT trees over unparameterized atoms survive the
+        string round-trip, and their violation is zero exactly when the
+        composition of the oracle's atom verdicts holds, on both routes."""
+        seed = data.draw(st.integers(0, 2**32 - 1), label="instance seed")
+        multi = data.draw(st.booleans(), label="multi_shift")
+        inst = random_micro_instance(
+            np.random.Generator(np.random.PCG64(seed)), with_emergency=True, multi_shift=multi
+        )
+        kinds = [k for k in ALL_KINDS if multi or k is not ConstraintKind.MULTI_SHIFT]
+        trees = st.recursive(
+            st.sampled_from(kinds).map(atom),
+            lambda sub: st.one_of(
+                st.tuples(sub, sub).map(lambda lr: And(*lr)),
+                st.tuples(sub, sub).map(lambda lr: Or(*lr)),
+                sub.map(Not),
+            ),
+            max_leaves=8,
+        )
+        tree = data.draw(trees, label="expression")
+        assert parse_constraint_string(format_expr(tree)) == tree
+
+        counts = HeadcountVector(tuple(
+            data.draw(st.integers(0, job.headcount_max + 1), label=f"count {job.code}")
+            for job in inst.jobs
+        ))
+        jobs_map = employee_jobs(counts)
+        width = inst.slots if multi else inst.horizon_days
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(jobs_map) * width,
+                                  max_size=len(jobs_map) * width), label="roster")
+        grid = np.array(bits, dtype=np.uint8).reshape(len(jobs_map), width)
+        build_tensor = (AttendanceTensor.from_slot_attendance if multi
+                        else AttendanceTensor.from_day_attendance)
+        tensor = build_tensor(grid, jobs_map, inst.n_jobs)
+
+        def holds(node, route) -> bool:
+            if isinstance(node, Atom):
+                return oracle_violation(node.constraint, route, counts, inst) == 0.0
+            if isinstance(node, And):
+                return holds(node.left, route) and holds(node.right, route)
+            if isinstance(node, Or):
+                return holds(node.left, route) or holds(node.right, route)
+            return not holds(node.operand, route)
+
+        for route in (None, tensor):
+            assert (violation_expr(tree, route, counts, inst) == 0.0) == holds(tree, route), (
+                format_expr(tree), route is None)
 
 
 class TestEmergencyArithmetic:

@@ -12,11 +12,9 @@ from manpower import (
     ProblemInstance,
     SLOTS_PER_DAY,
     StructuralError,
-    combine_channels,
     daily_work_hours,
     employee_jobs,
     full_attendance,
-    separate_channels,
     total_work_time,
 )
 
@@ -141,32 +139,6 @@ class TestTensorStructure:
 
     def test_employee_jobs_layout(self):
         assert list(employee_jobs((2, 0, 3))) == [0, 0, 2, 2, 2]
-
-
-class TestChannels:
-    def test_round_trip_random(self):
-        rng = np.random.Generator(np.random.PCG64(7))
-        for _ in range(100):
-            inst = two_job_instance(days=int(rng.integers(1, 4)), multi_shift=True)
-            counts = HeadcountVector((int(rng.integers(0, 4)), int(rng.integers(1, 4))))
-            t = random_tensor(rng, inst, counts)
-            back = combine_channels(separate_channels(t))
-            assert back == t
-
-    def test_empty_channel_is_preserved(self):
-        inst = two_job_instance()
-        t = full_attendance(HeadcountVector((0, 2)), inst)
-        mats = separate_channels(t)
-        assert mats[0].matrix.sum() == 0
-        assert combine_channels(mats) == t
-
-    def test_combine_rejects_ragged(self):
-        inst = two_job_instance()
-        t1 = full_attendance(HeadcountVector((1, 1)), inst)
-        t2 = full_attendance(HeadcountVector((1, 2)), inst)
-        mats = [separate_channels(t1)[0], separate_channels(t2)[1]]
-        with pytest.raises(StructuralError):
-            combine_channels(mats)
 
 
 class TestWorkTime:

@@ -32,6 +32,7 @@ from manpower import (
     parse_constraint_string,
     random_genome,
     run_ea,
+    run_moea,
     solve_assignment,
     tensor_salary,
     violation_expr,
@@ -250,17 +251,18 @@ class TestPenalties:
 
 class TestRunEA:
     def test_scorer_memoizes_staffings(self):
-        calls = []
+        for solver in (run_ea, run_moea):
+            calls = []
 
-        def wage(hc, tensor, inst):
-            calls.append(hc.counts)
-            return f2_total_salary(hc, inst)
+            def wage(hc, tensor, inst):
+                calls.append(hc.counts)
+                return f2_total_salary(hc, inst)
 
-        bundle = ObjectiveBundle((Objective(ObjectiveKind.CUSTOM, func=wage),))
-        res = run_ea(micro_instance(), bundle, BASIC, EAConfig(population_size=20, generations=10))
-        # the 4 x 6 micro box fits in the cache, so no staffing is scored twice
-        assert res.evaluations == 20 * 11
-        assert len(calls) == len(set(calls)) < res.evaluations
+            bundle = ObjectiveBundle((Objective(ObjectiveKind.CUSTOM, func=wage),))
+            res = solver(micro_instance(), bundle, BASIC, EAConfig(population_size=20, generations=10))
+            # the 4 x 6 micro box fits in the cache, so no staffing is scored twice
+            assert res.evaluations == 20 * 11, solver.__name__
+            assert len(calls) == len(set(calls)) < res.evaluations, solver.__name__
 
     def test_same_seed_same_everything(self):
         inst = micro_instance()

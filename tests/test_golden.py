@@ -33,7 +33,7 @@ from manpower import (
     sa_solve,
     solve_assignment,
 )
-from manpower.instances import reference_instance
+from manpower.instances import micro_instance, reference_instance
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -45,6 +45,10 @@ TRADE_OFF = ObjectiveBundle((
 STAFFING = parse_constraint_string("k1&k2&k3&k4&k5&k6&y1&y2")
 ROSTER = parse_constraint_string("k1&k2&k3&k4&k5&k6")
 NINE = HeadcountVector((1, 2, 1, 2, 1, 2))
+# maximized hours are not monotone, so the exact search prunes nothing
+# on its bound: 21 leaves on the micro instance
+LONGEST = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE),))
+NON_MONOTONE = parse_constraint_string("k1&k2&k3&k5&y2")
 
 
 def _plain(x):
@@ -82,11 +86,16 @@ def snapshot() -> dict:
             week, SALARY, STAFFING, PSOConfig(swarm_size=20, iterations=30, seed=seed))
         cases[f"sa/{seed}"] = sa_solve(week, SALARY, STAFFING, SAConfig(seed=seed))
         cases[f"ip/{seed}"] = ip_solve(week, SALARY, STAFFING)
+    cases["ip/non_monotone"] = ip_solve(micro_instance(), LONGEST, NON_MONOTONE)
+    cases["ea_proportional"] = run_ea(
+        week, SALARY, STAFFING, EAConfig(**small, selection="proportional"))
     roster_cfg = EAConfig(population_size=20, generations=10, encoding="bg", seed=3)
     cases["roster/single"] = solve_assignment(NINE, week, ROSTER, roster_cfg)
     cases["roster/multi"] = solve_assignment(
         NINE, multi, ROSTER & parse_constraint_string("o1"), roster_cfg)
     cases["moea"] = run_moea(week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15))
+    cases["moea_bg"] = run_moea(
+        week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, encoding="bg"))
     for seed in range(1, 10):
         cases[f"moea/{seed}"] = run_moea(
             week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=seed))

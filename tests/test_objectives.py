@@ -19,12 +19,8 @@ from manpower import (
     f2_total_salary,
     f3_multishift_salary,
     full_attendance,
-    headcount_upper_bound,
-    headcount_upper_bounds,
-    Job,
     micro_instance,
     parse_objective_token,
-    ProblemInstance,
     reference_instance,
     run_ea,
     run_moea,
@@ -142,48 +138,6 @@ class TestWorkingTime:
                             if t.day_slots()[emp, day, s]:
                                 expected += job.shift_hours[s]
                 assert f1_job_time(t, j, inst) == pytest.approx(expected)
-
-
-def _instance_with_mins(mins, max_total):
-    jobs = tuple(
-        Job(code=chr(ord("a") + i), name=f"job{i}", wage_per_shift=(10, 10, 10, 20),
-            headcount_min=m, headcount_max=max(m + 10, 1))
-        for i, m in enumerate(mins)
-    )
-    return ProblemInstance(
-        jobs=jobs,
-        horizon_days=7,
-        max_total_staff=max_total,
-        work_time_bounds=tuple((0.0, 1e9) for _ in jobs),
-        salary_bounds=(0.0, 1e9),
-        rest_cap=7,
-    )
-
-
-class TestStaffCeilings:
-    def test_proportional_apportionment(self):
-        inst = _instance_with_mins((2, 3, 5), 60)
-        assert [headcount_upper_bound(inst, j) for j in range(3)] == [12, 18, 30]
-        assert headcount_upper_bounds(inst) == (12, 18, 30)
-        even = _instance_with_mins((1, 1, 1), 10)
-        assert headcount_upper_bounds(even) == (3, 3, 3)
-
-    def test_accepts_job_codes(self):
-        inst = _instance_with_mins((2, 3, 5), 60)
-        assert headcount_upper_bound(inst, "b") == 18
-
-    def test_floors_never_exceed_total(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        for _ in range(200):
-            lows = [int(x) for x in rng.integers(1, 9, size=int(rng.integers(1, 6)))]
-            total = int(rng.integers(sum(lows), sum(lows) + 40))
-            ups = headcount_upper_bounds(_instance_with_mins(lows, total))
-            assert sum(ups) <= total
-
-    def test_zero_lower_bounds_rejected(self):
-        inst = _instance_with_mins((0, 0), 10)
-        with pytest.raises(ConfigurationError):
-            headcount_upper_bound(inst, 0)
 
 
 class TestDirectionsAndBundles:
