@@ -14,8 +14,12 @@ The package splits the problem into three layers:
 
 ``instances`` ships ready-made problems, ``io`` the file formats,
 ``bench`` the canned experiments, and ``cli`` the command-line front
-end.
+end.  ``tablegen``, ``io``, ``bench`` and ``cli`` are imported on first
+use of a name they export, so ``import manpower`` loads the solvers
+only.
 """
+
+import importlib
 
 from .baselines import (
     PSOConfig,
@@ -26,18 +30,6 @@ from .baselines import (
     pso_step,
     sa_accept,
     sa_solve,
-)
-from .bench import (
-    EXPERIMENT_IDS,
-    ComparisonRow,
-    ExperimentReport,
-    ExperimentSpec,
-    TrialResult,
-    accuracy,
-    convergence_rank,
-    run_experiment,
-    stability,
-    write_report,
 )
 from .constraints import (
     ATOM_CODES,
@@ -99,25 +91,11 @@ from .evolution import (
     solve_assignment,
 )
 from .instances import micro_instance, random_micro_instance, reference_instance
-from .io import (
-    load_instance,
-    read_table_csv,
-    read_tensor_csv,
-    save_instance,
-    validate_instance,
-    write_archive_csv,
-    write_counts_csv,
-    write_table_csv,
-    write_tensor_csv,
-    write_trace_csv,
-)
 from .moea import (
     ArchiveEntry,
     MOEAResult,
     ParetoArchive,
-    ScoredIndividual,
     crowding,
-    dominates,
     hypervolume,
     non_dominated_sort,
     run_moea,
@@ -138,28 +116,42 @@ from .objectives import (
     tensor_salary,
     total_time_headcount,
 )
-from .tablegen import (
-    GeneratorState,
-    RotationSpec,
-    ScheduleTable,
-    SuitablePolicy,
-    default_max_assignments,
-    generate_rotation,
-    generate_table,
-    rotation_matrix,
-    table_to_tensor,
-    validate_table,
-)
 
 __version__ = "0.1.0"
 
+# Names resolved on first use, by module.  ``cli`` must stay lazy:
+# importing it here would put ``manpower.cli`` in ``sys.modules`` before
+# ``python -m manpower.cli`` runs it, which makes runpy warn.
+_LAZY = {
+    "bench": (
+        "EXPERIMENT_IDS", "ComparisonRow", "ExperimentReport", "ExperimentSpec", "TrialResult",
+        "accuracy", "convergence_rank", "run_experiment", "stability", "write_report",
+    ),
+    "cli": ("CliInvocation",),
+    "io": (
+        "load_instance", "read_table_csv", "read_tensor_csv", "save_instance",
+        "validate_instance", "write_archive_csv", "write_counts_csv", "write_table_csv",
+        "write_tensor_csv", "write_trace_csv",
+    ),
+    "tablegen": (
+        "GeneratorState", "RotationSpec", "ScheduleTable", "SuitablePolicy",
+        "default_max_assignments", "generate_rotation", "generate_table", "rotation_matrix",
+        "table_to_tensor", "validate_table",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
 
 def __getattr__(name: str):
-    # ``cli`` is imported on first use: importing it here would put
-    # ``manpower.cli`` in ``sys.modules`` before ``python -m manpower.cli``
-    # runs it, which makes runpy warn.
-    if name == "CliInvocation":
-        from .cli import CliInvocation
+    if name in _LAZY:  # the module itself, e.g. ``manpower.io``
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return CliInvocation
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})

@@ -1,12 +1,14 @@
 """Reference solvers: exact branch-and-bound, particle swarm, and
 simulated annealing.
 
-All three score staffings through the evolutionary solver's memoized
-scorer (:func:`~manpower.evolution._scorer`) and record them with its
+All three score staffings through the evolutionary solver's scorer
+(:class:`~manpower.evolution._Scorer`) and record them with its
 tracker, over the same per-job headcount box, so their results are
-directly comparable.  The exact solver is the ground truth on instances
-small enough to enumerate; its pruning bound prices a completion with
-the same objective function, without the constraint check.
+directly comparable: the swarm scores all its particles with one call,
+annealing and the exact search one staffing at a time through the
+scorer's memo.  The exact solver is the ground truth on instances small
+enough to enumerate; its pruning bound prices a completion with the
+same objective function, without the constraint check.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .evolution import (
     PenaltyConfig,
     SolveResult,
     _box,
-    _objective,
     _result,
-    _scorer,
+    _Scorer,
     _Tracker,
 )
 from .objectives import Direction, ObjectiveBundle, ObjectiveKind
@@ -60,7 +61,8 @@ def ip_solve(inst: ProblemInstance, bundle: ObjectiveBundle, expr: Expr) -> Solv
     bounds) already matches the incumbent are pruned; a staffing-cap
     atom inside a pure AND-composition prunes overfull prefixes too.
     """
-    tracker = _Tracker(_scorer(bundle, expr, inst, PenaltyConfig()))
+    scorer = _Scorer(bundle, expr, inst, PenaltyConfig())
+    tracker = _Tracker(scorer.score)
     bounds = inst.headcount_bounds()
     estimate = 1
     for lo, hi in bounds:
@@ -95,8 +97,8 @@ def ip_solve(inst: ProblemInstance, bundle: ObjectiveBundle, expr: Expr) -> Solv
             if cap_prune and sum(prefix) + min_tail[j + 1] > inst.max_total_staff:
                 skip = True
             if not skip and monotone and tracker.best_feasible is not None:
-                completion = HeadcountVector(tuple(prefix + lows[j + 1 :]))
-                if _objective(bundle, completion, inst)[0] >= tracker.best_feasible_obj:
+                completion = np.array([prefix + lows[j + 1 :]], dtype=float)
+                if scorer.objective(completion)[0][0] >= tracker.best_feasible_obj:
                     skip = True
             if not skip:
                 walk(j + 1)
@@ -174,13 +176,14 @@ def pso_solve(
     box = _box(inst.headcount_bounds())
     lo, hi = box.lo, box.hi
     span = np.maximum(hi - lo, 1.0)
-    tracker = _Tracker(_scorer(bundle, expr, inst, cfg.penalty))
+    scorer = _Scorer(bundle, expr, inst, cfg.penalty)
+    tracker = _Tracker()
 
     def assess(x: np.ndarray) -> np.ndarray:
         """Penalized scores of the swarm's positions, each rounded and
-        clamped into the box."""
-        rounded = np.minimum(np.maximum(np.rint(x), lo), hi).astype(np.int64)
-        return tracker.assess_all(map(tuple, rounded.tolist()))
+        clamped into the box, scored with one call and recorded."""
+        rounded = np.minimum(np.maximum(np.rint(x), lo), hi)
+        return tracker.record(rounded, *scorer.rows(rounded)[:3])
 
     positions = rng.uniform(lo, hi, size=(cfg.swarm_size, len(lo)))
     velocities = np.zeros_like(positions)
@@ -273,7 +276,7 @@ def sa_solve(
     moves and geometric cooling; the best state ever visited wins."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     bounds = inst.headcount_bounds()
-    tracker = _Tracker(_scorer(bundle, expr, inst, cfg.penalty))
+    tracker = _Tracker(_Scorer(bundle, expr, inst, cfg.penalty).score)
     assess = tracker.assess
 
     counts = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in bounds)

@@ -10,11 +10,16 @@ cross-job cooperation.  Atoms compose with ``&`` (and), ``|`` (or), and
 Each atom is implemented once, as a graded measure that returns two
 numbers: the violation (how far the staffing or roster misses the atom,
 0.0 exactly when it holds) and the slack (how far inside the feasible
-region it lies, for interior barrier penalties).  The three public faces
-read that one measure, so the check and the magnitude cannot disagree:
+region it lies, for interior barrier penalties).  On headcount vectors
+the measure works on a whole (P, J) matrix of staffings at once:
+:func:`headcount_kernel` compiles an expression for an instance, and the
+staffing solvers score every generation with one call.  The public faces
+read that one measure (on a headcount vector as its single-row case), so
+the check and the magnitude cannot disagree:
 
-* :func:`violation_atom` — the violation,
-* :func:`eval_atom` — the yes/no check, ``violation == 0.0``,
+* :func:`violation_atom` and :func:`violation_expr` — the violation,
+* :func:`eval_atom` and :func:`eval_expr` — the yes/no check,
+  ``violation == 0.0``,
 * :func:`boundary_distance` — the slack.
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .domain import (
     ProblemInstance,
 )
 from .errors import ConfigurationError, InfeasibleError, ParseError
-from .objectives import f1_job_time, f2_total_salary, tensor_salary
+from .objectives import f1_job_time, headcount_rows, row_sums, salary_kernel, tensor_salary
 
 
 class ConstraintKind(str, Enum):
@@ -168,29 +173,6 @@ def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int
     return [inst.job_index(code) for code in codes]
 
 
-def _counts_in_play(hc: HeadcountVector | None, tensor: AttendanceTensor | None) -> tuple[int, ...]:
-    """Headcounts the predicates judge: tensor rows win over the vector."""
-    return tensor.headcounts().counts if tensor is not None else hc.counts
-
-
-def _spare_capacity(counts: Sequence[int], jobs: Sequence[int], inst: ProblemInstance) -> int:
-    """Employees the given jobs can lend while each job keeps its own
-    headcount floor (and never drops to zero)."""
-    spare = 0
-    for j in jobs:
-        floor = max(1, inst.jobs[j].headcount_min)
-        spare += max(0, counts[j] - floor)
-    return spare
-
-
-def _job_hours(tensor: AttendanceTensor | None, hc: HeadcountVector | None, inst: ProblemInstance) -> list[float]:
-    """Hours worked per job over the horizon."""
-    if tensor is None:
-        days = inst.horizon_days
-        return [n * sum(job.shift_hours) * days for n, job in zip(hc.counts, inst.jobs)]
-    return [f1_job_time(tensor, j, inst) for j in range(inst.n_jobs)]
-
-
 def _rest_runs(day_att: np.ndarray) -> np.ndarray:
     """Length of every run of consecutive rest days, over all employee rows."""
     rest = np.zeros((day_att.shape[0], day_att.shape[1] + 2), dtype=np.int8)
@@ -201,18 +183,101 @@ def _rest_runs(day_att: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the graded measure
+#
+# On headcount vectors each atom is compiled for an instance into a
+# function over a (P, J) matrix of staffings, returning one violation
+# and one slack per row.  A roster is judged one at a time, so its
+# counting and window arithmetic stays scalar: on one value each array
+# call costs more than the arithmetic, and roster search judges
+# thousands of rosters one by one.
+
+_Rows = tuple[np.ndarray, np.ndarray]
+
+
+def _count_rows(offending: np.ndarray) -> _Rows:
+    """(violation, slack) of a counting atom per row: the number of
+    offending cells or days, and +inf slack (no usable geometry) when
+    none offend."""
+    offending = offending.astype(float)
+    return offending, np.where(offending == 0.0, _INF, 0.0)
+
+
+def _window_rows(v: np.ndarray, lo, hi) -> _Rows:
+    """(violation, slack) of values against windows ``[lo, hi]``
+    (elementwise): the distance outside the window, and the least
+    distance to an end of the window (0.0 outside).  Windows have
+    ``lo <= hi``, so at most one of ``lo - v`` and ``v - hi`` is
+    positive."""
+    violation = np.maximum(np.maximum(lo - v, v - hi), 0.0)
+    return violation, np.maximum(np.minimum(v - lo, hi - v), 0.0)
+
+
+def _windows_rows(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Rows:
+    """(violation, slack) of each row of a (P, S) matrix against one
+    window per column: the summed distance outside the windows, added
+    left to right, and the least slack over the columns (0.0 when any
+    value is outside)."""
+    outside, slack = _window_rows(values, lo, hi)
+    return row_sums(outside), slack.min(axis=1, initial=_INF)
+
+
+def _spare_rows(jobs: list[int], need: int, inst: ProblemInstance) -> Callable[[np.ndarray], _Rows]:
+    """At least ``need`` employees spare in ``jobs``: each job lends what
+    it holds above its own headcount floor (and never drops to zero)."""
+    floors = np.array([max(1, inst.jobs[j].headcount_min) for j in jobs], dtype=float)
+    # integer-valued totals: exact in any summation order
+    return lambda counts: _window_rows(np.maximum(counts[:, jobs] - floors, 0.0).sum(axis=1), need, _INF)
+
+
+def _headcount_measure(c: AtomicConstraint, inst: ProblemInstance) -> Callable[[np.ndarray], _Rows]:
+    """One atom compiled for an instance: a function from a (P, J) matrix
+    of headcounts, under the full-attendance assumption, to each row's
+    (violation, slack).  The violation is 0.0 exactly when the atom
+    holds; the slack is the barrier's distance from the feasible
+    boundary."""
+    kind = c.kind
+    if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
+        raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
+    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT):
+        # no duty slots without a roster: never violated, no geometry
+        return lambda counts: (np.zeros(len(counts)), np.full(len(counts), _INF))
+    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
+        subset, days = _job_indices(c.jobs, inst), inst.horizon_days
+        return lambda counts: _count_rows(days * (counts[:, subset] < 1).sum(axis=1))
+    if kind is ConstraintKind.WORK_TIME_RANGE:
+        subset, days = _job_indices(c.jobs, inst), inst.horizon_days
+        per_day = np.array([inst.jobs[j].daily_hours for j in subset])
+        lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
+        return lambda counts: _windows_rows(counts[:, subset] * per_day * days, lo, hi)
+    if kind is ConstraintKind.SALARY_RANGE:
+        (lo, hi), salary = inst.salary_bounds, salary_kernel(inst)
+        return lambda counts: _window_rows(salary(counts), lo, hi)
+    if kind is ConstraintKind.STAFF_CAP:
+        return lambda counts: _window_rows(counts.sum(axis=1), -_INF, inst.max_total_staff)
+    if kind is ConstraintKind.REST_CAP:
+        # no rest geometry without a roster: the cap itself is the slack
+        return lambda counts: (np.zeros(len(counts)), np.full(len(counts), float(inst.rest_cap)))
+    if kind is ConstraintKind.EMERGENCY:
+        spec = inst.emergency
+        if spec is None:
+            raise ConfigurationError("instance has no emergency parameters (y1)")
+        return _spare_rows(_job_indices(spec.jobs, inst), spec.alpha, inst)
+    if kind is ConstraintKind.HEADCOUNT_RANGE:
+        subset = _job_indices(c.jobs, inst)
+        lo, hi = np.array([inst.headcount_bounds()[j] for j in subset], dtype=float).reshape(-1, 2).T
+        return lambda counts: _windows_rows(counts[:, subset], lo, hi)
+    if kind is ConstraintKind.COOPERATION:
+        return _spare_rows(_job_indices(c.jobs, inst), c.count if c.count is not None else 1, inst)
+    raise ConfigurationError(f"unknown constraint kind {kind!r}")
 
 
 def _count(offending: int) -> tuple[float, float]:
-    """(violation, slack) of a counting atom: the number of offending
-    cells or days, and +inf slack (no usable geometry) when none offend."""
+    """:func:`_count_rows` of one roster, in scalars."""
     return float(offending), (_INF if offending == 0 else 0.0)
 
 
 def _window(v: float, lo: float, hi: float) -> tuple[float, float]:
-    """(violation, slack) of one value against its window ``[lo, hi]``:
-    its distance outside the window, and its least distance to an end of
-    the window (0.0 outside)."""
+    """:func:`_window_rows` of one value, in scalars."""
     if v < lo:
         return float(lo - v), 0.0
     if v > hi:
@@ -220,28 +285,39 @@ def _window(v: float, lo: float, hi: float) -> tuple[float, float]:
     return 0.0, float(min(v - lo, hi - v))
 
 
-def _windows(
-    values: Sequence[float],
-    bounds: Sequence[tuple[float, float]],
-    subset: Sequence[int],
-) -> tuple[float, float]:
-    """(violation, slack) of the ``subset`` jobs' windows: the summed
-    distance outside each window, and the least slack of :func:`_window`
-    over the jobs.  The arithmetic is inline rather than one
-    :func:`_window` call per job, which is slower on the headcount route
-    that staffing searches evaluate thousands of times."""
-    outside = 0.0
-    slack = _INF
-    for j in subset:
-        v = values[j]
-        lo, hi = bounds[j]
-        if v < lo:
-            outside += lo - v
-        elif v > hi:
-            outside += v - hi
-        elif v - lo < slack or hi - v < slack:  # cheaper than min() on the hot path
-            slack = min(v - lo, hi - v)
-    return outside, (0.0 if outside else float(slack))
+def _tensor_measure(c: AtomicConstraint, tensor: AttendanceTensor, inst: ProblemInstance) -> tuple[float, float]:
+    """(violation, slack) of one atom against a roster."""
+    kind = c.kind
+    if kind is ConstraintKind.SINGLE_DUTY:
+        return _count(int((tensor.entries.sum(axis=2) > 1).sum()))
+    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
+        subset = _job_indices(c.jobs, inst)
+        day_att = tensor.day_attendance()
+        staffed = [int(day_att[tensor.job_of_employee == j].any(axis=0).sum()) for j in subset]
+        return _count(tensor.days * len(subset) - sum(staffed))
+    if kind is ConstraintKind.WORK_TIME_RANGE:
+        # :func:`_windows_rows` of the roster's hours per job
+        outside, slack = 0.0, _INF
+        for j in _job_indices(c.jobs, inst):
+            v, s = _window(f1_job_time(tensor, j, inst), *inst.work_time_bounds[j])
+            outside, slack = outside + v, min(slack, s)
+        return outside, (0.0 if outside else slack)
+    if kind is ConstraintKind.SALARY_RANGE:
+        return _window(tensor_salary(tensor, inst), *inst.salary_bounds)
+    if kind is ConstraintKind.REST_CAP:
+        runs = _rest_runs(tensor.day_attendance())
+        longest = int(runs.max()) if runs.size else 0
+        excess = int(np.maximum(runs - inst.rest_cap, 0).sum())
+        return float(excess), max(0.0, float(inst.rest_cap - longest))
+    if kind is ConstraintKind.MULTI_SHIFT:
+        if not inst.multi_shift:
+            raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
+        return _count(int(tensor.rest_counts().sum()))
+    # k5, y1, y2 and o2 judge headcounts alone: the roster's own, as
+    # headcounts() counts them, without building a HeadcountVector
+    counts = np.bincount(tensor.job_of_employee, minlength=tensor.n_jobs).astype(float)
+    violation, slack = _headcount_measure(c, inst)(counts[None, :])
+    return float(violation[0]), float(slack[0])
 
 
 def _measure(
@@ -252,68 +328,13 @@ def _measure(
 ) -> tuple[float, float]:
     """(violation, slack) of one atom against a tensor, or against a
     headcount vector under the full-attendance assumption when ``tensor``
-    is None.  The violation is 0.0 exactly when the atom holds; the slack
-    is the barrier's distance from the feasible boundary."""
-    if tensor is None and hc is None:
+    is None (the single-row case of :func:`_headcount_measure`)."""
+    if tensor is not None:
+        return _tensor_measure(c, tensor, inst)
+    if hc is None:
         raise ConfigurationError("need a headcount vector or a tensor")
-    kind = c.kind
-
-    if kind is ConstraintKind.SINGLE_DUTY:
-        if tensor is None:
-            return 0.0, _INF
-        return _count(int((tensor.entries.sum(axis=2) > 1).sum()))
-
-    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        subset = _job_indices(c.jobs, inst)
-        if tensor is None:
-            return _count(inst.horizon_days * sum(1 for j in subset if hc.counts[j] < 1))
-        day_att = tensor.day_attendance()
-        staffed = [int(day_att[tensor.job_of_employee == j].any(axis=0).sum()) for j in subset]
-        return _count(tensor.days * len(subset) - sum(staffed))
-
-    if kind is ConstraintKind.WORK_TIME_RANGE:
-        hours = _job_hours(tensor, hc, inst)
-        return _windows(hours, inst.work_time_bounds, _job_indices(c.jobs, inst))
-
-    if kind is ConstraintKind.SALARY_RANGE:
-        v = tensor_salary(tensor, inst) if tensor is not None else f2_total_salary(hc, inst)
-        return _window(v, *inst.salary_bounds)
-
-    if kind is ConstraintKind.STAFF_CAP:
-        return _window(sum(_counts_in_play(hc, tensor)), -_INF, inst.max_total_staff)
-
-    if kind is ConstraintKind.REST_CAP:
-        if tensor is None:
-            return 0.0, float(inst.rest_cap)
-        runs = _rest_runs(tensor.day_attendance())
-        longest = int(runs.max()) if runs.size else 0
-        excess = int(np.maximum(runs - inst.rest_cap, 0).sum())
-        return float(excess), max(0.0, float(inst.rest_cap - longest))
-
-    if kind is ConstraintKind.EMERGENCY:
-        spec = inst.emergency
-        if spec is None:
-            raise ConfigurationError("instance has no emergency parameters (y1)")
-        spare = _spare_capacity(_counts_in_play(hc, tensor), _job_indices(spec.jobs, inst), inst)
-        return _window(spare, spec.alpha, _INF)
-
-    if kind is ConstraintKind.HEADCOUNT_RANGE:
-        counts = _counts_in_play(hc, tensor)
-        return _windows(counts, inst.headcount_bounds(), _job_indices(c.jobs, inst))
-
-    if kind is ConstraintKind.MULTI_SHIFT:
-        if not inst.multi_shift:
-            raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-        if tensor is None:
-            return _count(0)
-        return _count(int(tensor.rest_counts().sum()))
-
-    if kind is ConstraintKind.COOPERATION:
-        need = c.count if c.count is not None else 1
-        spare = _spare_capacity(_counts_in_play(hc, tensor), _job_indices(c.jobs, inst), inst)
-        return _window(spare, need, _INF)
-
-    raise ConfigurationError(f"unknown constraint kind {kind!r}")
+    violation, slack = _headcount_measure(c, inst)(headcount_rows(hc))
+    return float(violation[0]), float(slack[0])
 
 
 def violation_atom(
@@ -357,21 +378,40 @@ def boundary_distance(
 # expression evaluation
 
 
-def eval_expr(
-    expr: Expr,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> bool:
+def _combine(expr: Expr, leaf: Callable[[AtomicConstraint], np.ndarray]) -> np.ndarray:
+    """The tree's violation from ``leaf(atom)``, each atom's violation
+    (an array or a float), asked for left to right as
+    :func:`collect_atoms` lists them: AND sums, OR takes the easiest
+    branch, NOT is an indicator (1.0 when the operand holds, else 0.0)."""
     if isinstance(expr, Atom):
-        return eval_atom(expr.constraint, tensor, hc, inst)
+        return leaf(expr.constraint)
     if isinstance(expr, And):
-        return eval_expr(expr.left, tensor, hc, inst) and eval_expr(expr.right, tensor, hc, inst)
+        return _combine(expr.left, leaf) + _combine(expr.right, leaf)
     if isinstance(expr, Or):
-        return eval_expr(expr.left, tensor, hc, inst) or eval_expr(expr.right, tensor, hc, inst)
+        return np.minimum(_combine(expr.left, leaf), _combine(expr.right, leaf))
     if isinstance(expr, Not):
-        return not eval_expr(expr.operand, tensor, hc, inst)
+        return 1.0 - (_combine(expr.operand, leaf) > 0.0)
     raise ConfigurationError(f"unknown expression node {type(expr).__name__}")
+
+
+def headcount_kernel(expr: Expr, inst: ProblemInstance) -> Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]:
+    """``expr`` compiled for an instance: a function from a (P, J) matrix
+    of headcounts to each row's violation and, for each atom in
+    :func:`collect_atoms` order, each row's slack.  Every atom is measured
+    once per call, for all rows at once."""
+    measures = [_headcount_measure(c, inst) for c in collect_atoms(expr)]
+
+    def kernel(counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        pending, slacks = iter(measures), []
+
+        def leaf(c: AtomicConstraint) -> np.ndarray:
+            violation, slack = next(pending)(counts)
+            slacks.append(slack)
+            return violation
+
+        return _combine(expr, leaf), slacks
+
+    return kernel
 
 
 def violation_expr(
@@ -381,19 +421,20 @@ def violation_expr(
     inst: ProblemInstance,
 ) -> float:
     """Aggregate violation: AND sums, OR takes the easiest branch, NOT is
-    an indicator (1.0 when the operand holds, else 0.0)."""
-    if isinstance(expr, Atom):
-        return violation_atom(expr.constraint, tensor, hc, inst)
-    if isinstance(expr, And):
-        return violation_expr(expr.left, tensor, hc, inst) + violation_expr(expr.right, tensor, hc, inst)
-    if isinstance(expr, Or):
-        return min(
-            violation_expr(expr.left, tensor, hc, inst),
-            violation_expr(expr.right, tensor, hc, inst),
-        )
-    if isinstance(expr, Not):
-        return 0.0 if violation_expr(expr.operand, tensor, hc, inst) > 0.0 else 1.0
-    raise ConfigurationError(f"unknown expression node {type(expr).__name__}")
+    an indicator (1.0 when the operand holds, else 0.0).  On a headcount
+    vector this is the single-row case of :func:`headcount_kernel`, one
+    atom at a time."""
+    return float(_combine(expr, lambda c: violation_atom(c, tensor, hc, inst)))
+
+
+def eval_expr(
+    expr: Expr,
+    tensor: AttendanceTensor | None,
+    hc: HeadcountVector | None,
+    inst: ProblemInstance,
+) -> bool:
+    """Yes/no check of a whole expression: its violation is zero."""
+    return violation_expr(expr, tensor, hc, inst) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,9 @@ class HeadcountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
+        counts = tuple(map(int, self.counts))
+        object.__setattr__(self, "counts", counts)
+        if counts and min(counts) < 0:
             raise ValueError("headcounts must be nonnegative")
 
     @property

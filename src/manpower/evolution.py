@@ -10,6 +10,13 @@ AND-compositions).
 :func:`run_ea` searches headcount vectors; :func:`solve_assignment`
 reuses the same engine on per-day (or per-slot) attendance bits for a
 fixed staff.
+
+Staffings are scored a whole generation at a time: :class:`_Scorer`
+compiles a run's objectives, constraint expression and penalty once
+into one array kernel over a (P, J) matrix of headcounts, and the
+generational loops decode their population into that matrix with one
+array operation.  Solvers that move one staffing at a time (annealing,
+the exact search) use its single-row case behind a small memo.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# perfbench's tracer patches boundary_distance, violation_expr and evaluate_bundle here
 from .constraints import (
     Expr,
     boundary_distance,
     collect_atoms,
+    headcount_kernel,
     is_conjunction,
     violation_expr,
 )
@@ -36,12 +45,18 @@ from .domain import (
     employee_jobs,
 )
 from .errors import ConfigurationError, InfeasibleError
-from .objectives import ObjectiveBundle, evaluate_bundle, tensor_salary
+from .objectives import (
+    ObjectiveBundle,
+    evaluate,
+    evaluate_bundle,
+    objective_kernel,
+    row_sums,
+    tensor_salary,
+)
 
-# Distinct staffings one run's scorer remembers.  Replaying the calls of
-# default runs on the reference week (seeds 0-4), this LRU keeps 97-100%
-# of an unbounded memo's hits for ri, the barrier, PSO and SA, and 70%
-# for bg, whose runs visit about four times as many staffings.
+# Distinct staffings one run's scorer remembers for the solvers that
+# score one staffing at a time (annealing revisits most of its
+# neighbours); also the custom objective values it remembers.
 SCORE_CACHE_SIZE = 256
 # The barrier draws at most this many starting genomes per population
 # member; at the reference week's acceptance ratio of 0.026 a member
@@ -162,18 +177,23 @@ def encode(counts: Sequence[int], bounds: Sequence[tuple[int, int]], encoding: s
     raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
+def _decode_rows(genomes: Sequence[Genome]) -> np.ndarray:
+    """The integer counts of genomes sharing one encoding and box, as a
+    (P, J) float matrix, clamped into the box: ri genes round half to
+    even, bg genes are big-endian offsets from the lower bound."""
+    first = genomes[0]
+    box = _box(first.bounds)
+    data = np.stack([g.data for g in genomes])
+    if first.encoding == "ri":
+        return np.minimum(np.maximum(np.rint(data), box.lo), box.hi)
+    if first.encoding == "bg":
+        return np.minimum(box.lo + data @ box.weights, box.hi)
+    raise ConfigurationError(f"unknown encoding {first.encoding!r}")
+
+
 def decode(genome: Genome) -> HeadcountVector:
-    """Unpack a genome into integer counts, clamping into the box: ri
-    genes round half to even, bg genes are big-endian offsets from the
-    lower bound."""
-    box = _box(genome.bounds)
-    if genome.encoding == "ri":
-        values = np.minimum(np.maximum(np.rint(genome.data), box.lo), box.hi)
-    elif genome.encoding == "bg":
-        values = np.minimum(box.lo + genome.data @ box.weights, box.hi)
-    else:
-        raise ConfigurationError(f"unknown encoding {genome.encoding!r}")
-    return HeadcountVector(tuple(values.astype(np.int64).tolist()))
+    """Unpack a genome into integer counts (:func:`_decode_rows` of one)."""
+    return HeadcountVector(tuple(_decode_rows([genome])[0].astype(np.int64).tolist()))
 
 
 def random_genome(rng: np.random.Generator, bounds: Sequence[tuple[int, int]], encoding: str) -> Genome:
@@ -230,54 +250,63 @@ def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
 # fitness
 
 
-def _objective(
-    bundle: ObjectiveBundle, hc: HeadcountVector, inst: ProblemInstance
-) -> tuple[float, tuple[float, ...]]:
-    """The objective of a staffing: the sum of the bundle's min-oriented
-    values, and the vector it sums."""
-    objectives = evaluate_bundle(bundle, hc, None, inst)
-    return float(sum(objectives)), objectives
-
-
 # (penalized fitness, objective, violation, objective vector)
 _Score = tuple[float, float, float, tuple[float, ...]]
+# the same per row of a (P, J) headcount matrix: (P,), (P,), (P,), (P, M)
+_Scores = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _scorer(
-    bundle: ObjectiveBundle,
-    expr: Expr,
-    inst: ProblemInstance,
-    penalty: PenaltyConfig,
-) -> Callable[[tuple[int, ...]], _Score]:
-    """One run's score of a staffing: ``counts -> (penalized fitness,
-    objective, violation, objective vector)``, lower fitness being better.
-    Every staffing solver prices its candidates here.
+class _Scorer:
+    """One run's score of staffings, lower penalized fitness being
+    better: the objectives, the constraint kernel and the penalty
+    compiled once.  Every staffing solver prices its candidates here.
 
-    The last :data:`SCORE_CACHE_SIZE` distinct staffings are remembered,
-    so every objective's ``Objective.func`` must be a pure function of
-    its arguments.
+    :meth:`rows` scores each row of a (P, J) headcount matrix at once;
+    :meth:`score` is its single-row case for a counts tuple, and
+    remembers the last :data:`SCORE_CACHE_SIZE` distinct staffings.
+    Custom objective values are remembered as well, so every
+    ``Objective.func`` must be a pure function of its arguments.
     """
 
-    @functools.lru_cache(maxsize=SCORE_CACHE_SIZE)
-    def score(counts: tuple[int, ...]) -> _Score:
-        hc = HeadcountVector(counts)
-        objective, objectives = _objective(bundle, hc, inst)
-        violation = violation_expr(expr, None, hc, inst)
-        if penalty.method == "external":
-            return objective + penalty.coefficient * violation**2, objective, violation, objectives
-        # interior barrier
-        if violation > 0.0:
-            return float("inf"), objective, violation, objectives
-        barrier = 0.0
-        for c in collect_atoms(expr):
-            d = boundary_distance(c, None, hc, inst)
-            if d <= 0.0:
-                return float("inf"), objective, violation, objectives
-            if np.isfinite(d):
-                barrier += 1.0 / d
-        return objective + penalty.barrier_coefficient * barrier, objective, violation, objectives
+    def __init__(self, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
+                 penalty: PenaltyConfig):
+        custom = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
+            lambda objective, counts: evaluate(objective, HeadcountVector(counts), None, inst))
+        self._objectives = objective_kernel(bundle, inst, custom)
+        self._constraints = headcount_kernel(expr, inst)
+        self._penalty = penalty
+        self.score = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(self._score)
 
-    return score
+    def objective(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's objective, the sum of the bundle's min-oriented
+        values, and the (P, M) values it sums."""
+        values = self._objectives(counts)
+        return row_sums(values), values
+
+    def rows(self, counts: np.ndarray) -> _Scores:
+        """(penalized fitness, objective, violation, objective values)
+        of each row."""
+        objective, values = self.objective(counts)
+        violation, slacks = self._constraints(counts)
+        penalty = self._penalty
+        if penalty.method == "external":
+            # float_power is the C library's pow, as Python's ``**``;
+            # ``violation**2`` on an array may round the last bit otherwise
+            return (objective + penalty.coefficient * np.float_power(violation, 2.0),
+                    objective, violation, values)
+        # interior barrier: +inf unless strictly inside every atom
+        outside = violation > 0.0
+        barrier = np.zeros(len(counts))
+        for slack in slacks:
+            outside |= slack <= 0.0
+            barrier += np.divide(1.0, slack, out=np.zeros(len(counts)),
+                                 where=np.isfinite(slack) & (slack > 0.0))
+        penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
+        return penalized, objective, violation, values
+
+    def _score(self, counts: tuple[int, ...]) -> _Score:
+        penalized, objective, violation, values = self.rows(np.array([counts], dtype=float))
+        return float(penalized[0]), float(objective[0]), float(violation[0]), tuple(values[0].tolist())
 
 
 def _check_internal_applicable(expr: Expr, penalty: PenaltyConfig) -> None:
@@ -370,12 +399,13 @@ class AssignmentResult:
 
 
 class _Tracker:
-    """One run's scoring and trace: scores individuals with ``score``,
-    keeps the best penalized, best feasible and least-violating ones seen
-    so far, and stamps trace points on the run clock started at
-    construction."""
+    """One run's scoring and trace: keeps the first of the best
+    penalized, best feasible and least-violating individuals seen so far,
+    whether scored one at a time (:meth:`assess`, with ``score``) or a
+    block at a time (:meth:`record`), and stamps trace points on the run
+    clock started at construction."""
 
-    def __init__(self, score: Callable[..., _Score]):
+    def __init__(self, score: Callable[..., _Score] | None = None):
         self._score = score
         self._start = time.perf_counter()
         self._points: list[TracePoint] = []
@@ -391,8 +421,29 @@ class _Tracker:
     def assess(self, individual) -> _Score:
         """Score one individual and record it."""
         scored = self._score(individual)
-        penalized, objective, violation, _ = scored
         self.evaluations += 1
+        self._note(individual, *scored[:3])
+        return scored
+
+    def record(self, individuals: Sequence, penalized: np.ndarray, objective: np.ndarray,
+               violation: np.ndarray) -> np.ndarray:
+        """Record a block of scored individuals in member order, as
+        :meth:`assess` one by one would, and return ``penalized``.
+
+        Only each kept quantity's first best member of the block can
+        change what is kept, so just those members are noted, in order.
+        """
+        self.evaluations += len(penalized)
+        feasible = violation == 0.0
+        least = violation == violation.min()
+        firsts = {int(penalized.argmin()), int(np.where(least, objective, np.inf).argmin())}
+        if feasible.any():
+            firsts.add(int(np.where(feasible, objective, np.inf).argmin()))
+        for i in sorted(firsts):
+            self._note(individuals[i], float(penalized[i]), float(objective[i]), float(violation[i]))
+        return penalized
+
+    def _note(self, individual, penalized: float, objective: float, violation: float) -> None:
         if penalized < self.best_penalized:
             self.best_penalized = penalized
             self.best_genome = individual
@@ -405,11 +456,6 @@ class _Tracker:
             self.least_violation = violation
             self.least_violator = individual
             self.least_violator_obj = objective
-        return scored
-
-    def assess_all(self, individuals) -> np.ndarray:
-        """The penalized scores of ``individuals``, each recorded."""
-        return np.array([self.assess(i)[0] for i in individuals])
 
     def mark(self, generation: int, mean: float, best: float | None = None) -> None:
         """Add a trace point; ``best`` defaults to the best penalized score."""
@@ -425,7 +471,7 @@ def _select(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> int:
     n = scores.shape[0]
     if cfg.selection == "tournament":
         picks = rng.integers(0, n, size=cfg.tournament_k)
-        return int(min(picks, key=lambda i: scores[i]))
+        return int(picks[scores[picks].argmin()])
     # fitness-proportional on min-oriented scores
     finite = np.isfinite(scores)
     if not finite.any():
@@ -456,20 +502,28 @@ def _breed(
     return offspring
 
 
+# genomes -> (penalized, objective, violation), one entry per genome
+_ScoreGenomes = Callable[[Sequence[Genome]], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 def _evolve(
     rng: np.random.Generator,
     population: list[Genome],
-    score_fn: Callable[[Genome], _Score],
+    score_genomes: _ScoreGenomes,
     cfg: EAConfig,
 ) -> _Tracker:
-    tracker = _Tracker(score_fn)
-    scores = tracker.assess_all(population)
+    tracker = _Tracker()
+
+    def assess_all(genomes: list[Genome]) -> np.ndarray:
+        return tracker.record(genomes, *score_genomes(genomes))
+
+    scores = assess_all(population)
     tracker.mark(0, float(np.mean(scores)))
     for gen in range(1, cfg.generations + 1):
         # elitism: carry the best penalized genome forward untouched
         elite = [] if tracker.best_genome is None else [tracker.best_genome]
         population = _breed(rng, elite, lambda: population[_select(rng, scores, cfg)], cfg)
-        scores = tracker.assess_all(population)
+        scores = assess_all(population)
         tracker.mark(gen, float(np.mean(scores)))
     return tracker
 
@@ -488,13 +542,13 @@ def run_ea(
     the constraint expression."""
     _check_internal_applicable(expr, cfg.penalty)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    score_counts = _scorer(bundle, expr, inst, cfg.penalty)
+    scorer = _Scorer(bundle, expr, inst, cfg.penalty)
 
-    def score(genome: Genome) -> _Score:
-        return score_counts(decode(genome).counts)
+    def score_genomes(genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return scorer.rows(_decode_rows(genomes))[:3]
 
-    population = _initial_population(rng, inst, expr, cfg, score)
-    tracker = _evolve(rng, population, score, cfg)
+    population = _initial_population(rng, inst, expr, cfg, score_genomes)
+    tracker = _evolve(rng, population, score_genomes, cfg)
     return _result(SolveResult, tracker, cfg.seed, decode)
 
 
@@ -503,23 +557,31 @@ def _initial_population(
     inst: ProblemInstance,
     expr: Expr,
     cfg: EAConfig,
-    score_fn: Callable[[Genome], _Score],
+    score_genomes: _ScoreGenomes,
 ) -> list[Genome]:
     bounds = inst.headcount_bounds()
+    size = cfg.population_size
     if cfg.penalty.method == "external":
-        return [random_genome(rng, bounds, cfg.encoding) for _ in range(cfg.population_size)]
-    # interior barrier: start strictly inside the feasible region
+        return [random_genome(rng, bounds, cfg.encoding) for _ in range(size)]
+    # interior barrier: start strictly inside the feasible region, drawing
+    # and scoring a population's worth of samples at a time
     population: list[Genome] = []
-    rejected: collections.deque[Genome] = collections.deque(maxlen=cfg.population_size)
-    cap = INITIAL_SAMPLES_PER_MEMBER * cfg.population_size
-    for _ in range(cap):
-        g = random_genome(rng, bounds, cfg.encoding)
-        if not np.isfinite(score_fn(g)[0]):
-            rejected.append(g)
-            continue
-        population.append(g)
-        if len(population) == cfg.population_size:
-            return population
+    rejected: collections.deque[Genome] = collections.deque(maxlen=size)
+    cap = INITIAL_SAMPLES_PER_MEMBER * size
+    for drawn in range(0, cap, size):
+        before = rng.bit_generator.state
+        block = [random_genome(rng, bounds, cfg.encoding) for _ in range(min(size, cap - drawn))]
+        for k, (g, inside) in enumerate(zip(block, np.isfinite(score_genomes(block)[0]).tolist())):
+            if not inside:
+                rejected.append(g)
+                continue
+            population.append(g)
+            if len(population) == size:
+                # leave the generator where the sample-by-sample loop would
+                rng.bit_generator.state = before
+                for _ in range(k + 1):
+                    random_genome(rng, bounds, cfg.encoding)
+                return population
     raise InfeasibleError(
         f"could not sample a strictly feasible starting population ({len(population)} "
         f"of {cfg.population_size} members in {cap} samples); atoms at or past their "
@@ -592,16 +654,14 @@ def solve_assignment(
             return AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
         return AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
 
-    def score(genome: Genome) -> _Score:
+    def score(genome: Genome) -> tuple[float, float, float]:
         tensor = build(genome.data)
         objective_value = float(obj_fn(tensor, inst))
         violation = violation_expr(expr, tensor, hc, inst)
-        return (
-            objective_value + cfg.penalty.coefficient * violation**2,
-            objective_value,
-            violation,
-            (objective_value,),
-        )
+        return objective_value + cfg.penalty.coefficient * violation**2, objective_value, violation
+
+    def score_genomes(genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.array(column) for column in zip(*map(score, genomes)))
 
     bit_bounds = tuple((0, 1) for _ in range(n_bits))
     # warm start: full attendance is feasible whenever the counts are,
@@ -611,5 +671,5 @@ def solve_assignment(
         Genome("bg", rng.integers(0, 2, size=n_bits, dtype=np.uint8), bit_bounds)
         for _ in range(cfg.population_size - 1)
     ]
-    tracker = _evolve(rng, population, score, cfg)
+    tracker = _evolve(rng, population, score_genomes, cfg)
     return _result(AssignmentResult, tracker, cfg.seed, lambda g: build(g.data))

@@ -10,10 +10,11 @@ in one N x N domination matrix and peels the NSGA-II fronts (Deb et al.
 accumulates every feasible non-dominated headcount vector ever seen, so
 its hypervolume can only grow; two-objective hypervolume is one sweep.
 The pairwise-loop versions are the reference in ``tests/oracle.py``.
-Staffings are scored through the memoized scorer of
-:mod:`~manpower.evolution`, and offspring are bred by the same loop as
-the single-objective solver's, with a rank-and-crowding tournament in
-place of its selection.
+Each generation is decoded into one headcount matrix and scored with
+one call of the scorer of :mod:`~manpower.evolution`; only feasible
+staffings not offered before reach the archive.  Offspring are bred by
+the same loop as the single-objective solver's, with a rank-and-crowding
+tournament in place of its selection.
 """
 
 from __future__ import annotations
@@ -33,22 +34,14 @@ from .evolution import (
     PenaltyConfig,
     RunTrace,
     _breed,
+    _decode_rows,
     _Packed,
-    _scorer,
+    _Scorer,
     _Tracker,
     decode,
     random_genome,
 )
 from .objectives import ObjectiveBundle, evaluate_bundle
-
-
-@dataclass(frozen=True)
-class ScoredIndividual:
-    """A candidate with its objective vector and total violation."""
-
-    counts: HeadcountVector
-    objectives: tuple[float, ...]
-    violation: float = 0.0
 
 
 def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
@@ -66,23 +59,6 @@ def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.nda
     return (wins_on_feasibility
             | (both_infeasible & (v[:, None] < v[None, :]))
             | (pareto_decides & pareto))
-
-
-def _unpack(x) -> tuple[float, tuple[float, ...]]:
-    if isinstance(x, ScoredIndividual):
-        return x.violation, x.objectives
-    return 0.0, tuple(float(v) for v in x)
-
-
-def dominates(a, b) -> bool:
-    """Constraint-domination, the two-member case of the ranking's
-    matrix.  Accepts :class:`ScoredIndividual` or bare objective vectors
-    (treated as feasible)."""
-    va, fa = _unpack(a)
-    vb, fb = _unpack(b)
-    if len(fa) != len(fb):
-        raise StructuralError(f"objective arity mismatch: {len(fa)} vs {len(fb)}")
-    return bool(_domination_matrix(np.array([fa, fb], dtype=float), np.array([va, vb], dtype=float))[0, 1])
 
 
 def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
@@ -133,12 +109,8 @@ def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
         if hi > lo:
-            spread = hi - lo
-            for pos in range(1, n - 1):
-                i = order[pos]
-                if np.isinf(dist[i]):
-                    continue
-                dist[i] += (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
+            # a boundary point of an earlier objective stays +inf
+            dist[order[1:-1]] += (objs[order[2:], m] - objs[order[:-2], m]) / (hi - lo)
     return dist
 
 
@@ -189,6 +161,10 @@ class ParetoArchive:
         self._entries.append(ArchiveEntry(counts, objectives))
         self._objectives = np.vstack([held, new])
         return True
+
+    def offered(self, counts: tuple[int, ...]) -> bool:
+        """True when these counts were offered before."""
+        return counts in self._seen
 
     def entries(self) -> tuple[ArchiveEntry, ...]:
         return tuple(sorted(self._entries, key=lambda e: e.objectives))
@@ -274,19 +250,22 @@ def run_moea(
     bounds = inst.headcount_bounds()
     archive = ParetoArchive()
     # ranking reads objectives and violations only, so the penalty is moot
-    score = _scorer(bundle, expr, inst, PenaltyConfig())
-    tracker = _Tracker(lambda hc: score(hc.counts))
+    scorer = _Scorer(bundle, expr, inst, PenaltyConfig())
+    tracker = _Tracker()
 
     def assess(genomes: list[Genome]) -> tuple[np.ndarray, np.ndarray]:
-        """Objective rows and violations of ``genomes``, each offered to the archive."""
-        rows, violations = [], []
-        for genome in genomes:
-            hc = decode(genome)
-            _, _, violation, objs = tracker.assess(hc)
-            archive.offer(hc, objs, violation)
-            rows.append(objs)
-            violations.append(violation)
-        return np.array(rows, dtype=float), np.array(violations, dtype=float)
+        """Objective rows and violations of ``genomes``, scored with one
+        call; feasible staffings not offered before go to the archive,
+        in member order."""
+        counts = _decode_rows(genomes)
+        penalized, objective, violations, rows = scorer.rows(counts)
+        tracker.record(genomes, penalized, objective, violations)
+        keys = counts.astype(np.int64).tolist()
+        for i in np.flatnonzero(violations == 0.0).tolist():
+            key = tuple(keys[i])
+            if not archive.offered(key):
+                archive.offer(HeadcountVector(key), tuple(rows[i].tolist()), 0.0)
+        return rows, violations
 
     population = [random_genome(rng, bounds, cfg.encoding) for _ in range(cfg.population_size)]
     objectives, violations = assess(population)

@@ -10,6 +10,12 @@ Three built-in economics are provided:
 
 Objectives carry a direction; ``signed_value`` maps everything onto
 minimization so optimizers never need to branch.
+
+On headcount vectors a bundle is compiled for an instance into one
+function over a whole (P, J) matrix of staffings (:func:`objective_kernel`);
+the one-staffing functions are its single-row case.  Sums over jobs are
+added column by column, left to right, as Python's ``sum`` adds, so a
+staffing's value never depends on the other rows scored with it.
 """
 
 from __future__ import annotations
@@ -96,10 +102,41 @@ def f1_job_time(tensor: AttendanceTensor, job: int | str, inst: ProblemInstance)
     return float((tensor.day_slots()[mask] * durations).sum())
 
 
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0 as Python's ``sum``
+    adds (``@`` and ``.sum()`` may add in another order); the final
+    ``+ 0.0`` turns a lone -0.0 into 0.0, as ``0 + x`` does."""
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0])
+    return np.add.accumulate(values, axis=1)[:, -1] + 0.0
+
+
+def headcount_rows(hc: HeadcountVector) -> np.ndarray:
+    """One staffing as a (1, J) float matrix, the single-row case."""
+    return np.array([hc.counts], dtype=float)
+
+
+_Rows = Callable[[np.ndarray], np.ndarray]
+
+
+def salary_kernel(inst: ProblemInstance) -> _Rows:
+    """Day-rate wage bill of each row of a (P, J) headcount matrix:
+    allocated headcount is paid the full daily wage for every day of the
+    horizon, attended or not."""
+    wages, days = np.array([j.daily_wage for j in inst.jobs]), inst.horizon_days
+    return lambda counts: days * row_sums(counts * wages)
+
+
+def hours_kernel(inst: ProblemInstance) -> _Rows:
+    """Full-attendance working time of each row of a (P, J) headcount
+    matrix."""
+    hours, days = np.array([daily_work_hours(j) for j in inst.jobs]), inst.horizon_days
+    return lambda counts: days * row_sums(counts * hours)
+
+
 def f2_total_salary(hc: HeadcountVector, inst: ProblemInstance) -> float:
-    """Wage bill under day-rate pay: allocated headcount is paid the full
-    daily wage for every day of the horizon, attended or not."""
-    return float(inst.horizon_days * sum(n * j.daily_wage for n, j in zip(hc.counts, inst.jobs)))
+    """Wage bill under day-rate pay (:func:`salary_kernel` of one staffing)."""
+    return float(salary_kernel(inst)(headcount_rows(hc))[0])
 
 
 def f3_multishift_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
@@ -119,14 +156,12 @@ def tensor_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
 
 
 def headcount_subset(hc: HeadcountVector, job_indices: Sequence[int]) -> float:
-    return float(sum(hc.counts[i] for i in job_indices))
+    return float(row_sums(headcount_rows(hc)[:, list(job_indices)])[0])
 
 
 def total_time_headcount(hc: HeadcountVector, inst: ProblemInstance) -> float:
     """Full-attendance working time implied by a headcount vector alone."""
-    return float(
-        inst.horizon_days * sum(n * daily_work_hours(j) for n, j in zip(hc.counts, inst.jobs))
-    )
+    return float(hours_kernel(inst)(headcount_rows(hc))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +194,66 @@ def signed_value(obj: Objective, hc: HeadcountVector, tensor: AttendanceTensor |
     return raw if obj.direction is Direction.MINIMIZE else -raw
 
 
+def _headcount_column(
+    o: Objective,
+    inst: ProblemInstance,
+    custom: Callable[[Objective, tuple[int, ...]], float] | None,
+) -> _Rows:
+    """One objective's raw values over a (P, J) headcount matrix."""
+    if o.kind is ObjectiveKind.TOTAL_TIME:
+        return hours_kernel(inst)
+    if o.kind in (ObjectiveKind.TOTAL_SALARY, ObjectiveKind.MULTISHIFT_SALARY):
+        # full attendance makes slot pay equal day-rate pay
+        return salary_kernel(inst)
+    if o.kind is ObjectiveKind.HEADCOUNT_SUBSET:
+        jobs = list(o.job_indices)
+        return lambda counts: row_sums(counts[:, jobs])
+    if custom is None:
+        custom = lambda o, key: evaluate(o, HeadcountVector(key), None, inst)  # noqa: E731
+    return lambda counts: np.array([custom(o, tuple(key)) for key in counts.astype(np.int64).tolist()])
+
+
+def objective_kernel(
+    bundle: ObjectiveBundle,
+    inst: ProblemInstance,
+    custom: Callable[[Objective, tuple[int, ...]], float] | None = None,
+) -> _Rows:
+    """``bundle`` compiled for an instance: a function from a (P, J)
+    headcount matrix to the (P, M) signed values of every objective for
+    each row.  A custom objective is evaluated row by row, through
+    ``custom(objective, counts)`` when given (a run's memo).  A NaN or
+    infinite value raises :class:`ConfigurationError` naming the
+    objective and the first row holding one: no solver can rank it, and
+    it would read as a mere infeasible result."""
+    columns = [(_headcount_column(o, inst, custom), o.direction is Direction.MAXIMIZE)
+               for o in bundle]
+
+    def kernel(counts: np.ndarray) -> np.ndarray:
+        values = np.empty((len(counts), len(columns)))
+        for m, (column, maximize) in enumerate(columns):
+            values[:, m] = -column(counts) if maximize else column(counts)
+        if not np.isfinite(values).all():
+            row, m = np.argwhere(~np.isfinite(values))[0]
+            raise ConfigurationError(
+                f"objective {bundle.objectives[m].label!r} is {float(values[row, m])} "
+                f"at headcounts {tuple(counts[row].astype(np.int64).tolist())}")
+        return values
+
+    return kernel
+
+
 def evaluate_bundle(
     bundle: ObjectiveBundle,
     hc: HeadcountVector,
     tensor: AttendanceTensor | None,
     inst: ProblemInstance,
 ) -> tuple[float, ...]:
-    """Signed values of every objective in ``bundle``.  A NaN or infinite
-    value raises :class:`ConfigurationError` naming the objective: no
-    solver can rank it, and it would read as a mere infeasible result."""
+    """Signed values of every objective in ``bundle``: on a headcount
+    vector (``tensor`` None) the single-row case of
+    :func:`objective_kernel`.  A NaN or infinite value raises
+    :class:`ConfigurationError` naming the objective."""
+    if tensor is None:
+        return tuple(objective_kernel(bundle, inst)(headcount_rows(hc))[0].tolist())
     values = tuple(signed_value(o, hc, tensor, inst) for o in bundle)
     if not all(map(math.isfinite, values)):
         o, v = next((o, v) for o, v in zip(bundle, values) if not math.isfinite(v))

@@ -4,12 +4,19 @@
   independent loop version of :func:`manpower.constraints.violation_atom`.
   Every count is taken by walking employees, slots and days one at a time,
   and every window distance from plain Python sums.  On instances with
-  integer wages and hours the two must agree exactly.
-* :func:`dominates`, :func:`non_dominated_sort`, :class:`ParetoArchive`
-  and :func:`hypervolume` — the pairwise-loop NSGA-II ranking, archive
-  and recursive hypervolume that :mod:`manpower.moea` replaced with array
-  code.  Fronts (member order included), archive contents and volumes
-  must agree exactly.
+  integer wages and hours the two must agree exactly; on a headcount
+  vector, whose wage bill is the horizon times the daily bill as in the
+  package, they agree exactly on any wages.
+* :func:`slack_atom` and :func:`score` — a staffing's barrier slack per
+  atom and its penalized score, objective, violation and objective
+  vector, in plain loops: the reference for the array kernel that
+  :class:`manpower.evolution._Scorer` compiles.  Values must agree bit
+  for bit, so each sum over jobs is a Python ``sum`` in job order.
+* :func:`dominates`, :func:`non_dominated_sort`, :func:`crowding`,
+  :class:`ParetoArchive` and :func:`hypervolume` — the pairwise-loop
+  NSGA-II ranking, crowding, archive and recursive hypervolume that
+  :mod:`manpower.moea` replaced with array code.  Fronts (member order
+  included), distances, archive contents and volumes must agree exactly.
 * :func:`decode` — the gene-by-gene genome decoder that
   :func:`manpower.evolution.decode` replaced with array code.  Counts
   must agree exactly.
@@ -18,13 +25,18 @@
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
-from manpower.constraints import AtomicConstraint, ConstraintKind
+import numpy as np
+
+from manpower.constraints import And, Atom, AtomicConstraint, ConstraintKind, Not, Or
 from manpower.domain import SLOTS_PER_DAY, AttendanceTensor, HeadcountVector, ProblemInstance
 from manpower.errors import ConfigurationError, StructuralError
 from manpower.evolution import Genome
-from manpower.moea import ArchiveEntry, ScoredIndividual
+from manpower.moea import ArchiveEntry
+from manpower.objectives import Direction, ObjectiveKind
 
 
 def _subset_indices(c: AtomicConstraint, inst: ProblemInstance) -> list[int]:
@@ -207,9 +219,8 @@ def _loop_job_hours(tensor: AttendanceTensor | None, hc: HeadcountVector | None,
 def _loop_salary(tensor: AttendanceTensor | None, hc: HeadcountVector | None, inst: ProblemInstance) -> float:
     if tensor is None:
         counts = _counts_in_play(hc, tensor, inst)
-        return sum(
-            counts[j] * sum(inst.jobs[j].wage_per_shift) * inst.horizon_days
-            for j in range(inst.n_jobs)
+        return inst.horizon_days * sum(
+            counts[j] * sum(inst.jobs[j].wage_per_shift) for j in range(inst.n_jobs)
         )
     bill = 0.0
     for employee in range(tensor.n_employees):
@@ -225,18 +236,123 @@ def _loop_salary(tensor: AttendanceTensor | None, hc: HeadcountVector | None, in
     return bill
 
 
+def slack_atom(c: AtomicConstraint, hc: HeadcountVector, inst: ProblemInstance) -> float:
+    """Distance of a staffing from the atom's feasible boundary: 0.0 when
+    the atom fails; otherwise +inf for counting atoms, ``rest_cap`` for
+    the rest cap, and the least distance to an end of a window."""
+    if violation_atom(c, None, hc, inst) > 0.0:
+        return 0.0
+    kind = c.kind
+    counts = hc.counts
+    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.EVERY_JOB_OCCUPIED, ConstraintKind.MULTI_SHIFT):
+        return math.inf
+    if kind is ConstraintKind.REST_CAP:
+        return float(inst.rest_cap)
+    if kind is ConstraintKind.STAFF_CAP:
+        return float(inst.max_total_staff - sum(counts))
+    if kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
+        if kind is ConstraintKind.EMERGENCY:
+            spec = _emergency_spec(inst)
+            jobs, need = spec.jobs, spec.alpha
+        else:
+            jobs, need = c.jobs, (c.count if c.count is not None else 1)
+        subset = _subset_indices(AtomicConstraint(kind, jobs), inst)
+        spare = sum(max(0, counts[j] - max(1, inst.jobs[j].headcount_min)) for j in subset)
+        return float(spare - need)
+    if kind is ConstraintKind.SALARY_RANGE:
+        v = _loop_salary(None, hc, inst)
+        lo, hi = inst.salary_bounds
+        return min(v - lo, hi - v)
+    least = math.inf
+    for j in _subset_indices(c, inst):
+        if kind is ConstraintKind.WORK_TIME_RANGE:
+            v = _loop_job_hours(None, hc, inst, j)
+            lo, hi = inst.work_time_bounds[j]
+        else:
+            v = counts[j]
+            lo, hi = inst.jobs[j].headcount_min, inst.jobs[j].headcount_max
+        least = min(least, v - lo, hi - v)
+    return float(least)
+
+
+def violation_expr(expr, hc: HeadcountVector, inst: ProblemInstance) -> float:
+    """A composition's violation on a staffing, walking the tree: AND
+    sums, OR takes the easiest branch, NOT is an indicator."""
+    if isinstance(expr, Atom):
+        return violation_atom(expr.constraint, None, hc, inst)
+    if isinstance(expr, And):
+        return violation_expr(expr.left, hc, inst) + violation_expr(expr.right, hc, inst)
+    if isinstance(expr, Or):
+        return min(violation_expr(expr.left, hc, inst), violation_expr(expr.right, hc, inst))
+    if isinstance(expr, Not):
+        return 0.0 if violation_expr(expr.operand, hc, inst) > 0.0 else 1.0
+    raise ConfigurationError(f"unknown expression node {type(expr).__name__}")
+
+
+def atoms(expr) -> list[AtomicConstraint]:
+    """The tree's atoms, left to right."""
+    if isinstance(expr, Atom):
+        return [expr.constraint]
+    if isinstance(expr, (And, Or)):
+        return atoms(expr.left) + atoms(expr.right)
+    return atoms(expr.operand)
+
+
+def objective_value(o, hc: HeadcountVector, inst: ProblemInstance) -> float:
+    """One objective on a staffing, min-oriented."""
+    days, jobs, counts = inst.horizon_days, inst.jobs, hc.counts
+    if o.kind is ObjectiveKind.TOTAL_TIME:
+        raw = days * sum(counts[j] * sum(jobs[j].shift_hours) for j in range(len(jobs)))
+    elif o.kind in (ObjectiveKind.TOTAL_SALARY, ObjectiveKind.MULTISHIFT_SALARY):
+        raw = days * sum(counts[j] * sum(jobs[j].wage_per_shift) for j in range(len(jobs)))
+    elif o.kind is ObjectiveKind.HEADCOUNT_SUBSET:
+        raw = sum(counts[i] for i in o.job_indices)
+    else:
+        raw = o.func(hc, None, inst)
+    raw = float(raw)
+    return raw if o.direction is Direction.MINIMIZE else -raw
+
+
+def score(bundle, expr, inst: ProblemInstance, penalty, hc: HeadcountVector):
+    """(penalized fitness, objective, violation, objective vector) of one
+    staffing, as the staffing solvers define it."""
+    values = tuple(objective_value(o, hc, inst) for o in bundle)
+    objective = sum(values)
+    violation = violation_expr(expr, hc, inst)
+    if penalty.method == "external":
+        return objective + penalty.coefficient * violation**2, objective, violation, values
+    if violation > 0.0:
+        return math.inf, objective, violation, values
+    barrier = 0.0
+    for c in atoms(expr):
+        d = slack_atom(c, hc, inst)
+        if d <= 0.0:
+            return math.inf, objective, violation, values
+        if d != math.inf:
+            barrier += 1.0 / d
+    return objective + penalty.barrier_coefficient * barrier, objective, violation, values
+
+
 # ---------------------------------------------------------------------------
-# multi-objective ranking, archive and hypervolume
+# multi-objective ranking, crowding, archive and hypervolume
+
+
+@dataclass(frozen=True)
+class Scored:
+    """A member for :func:`dominates`: its objective vector and violation."""
+
+    objectives: tuple[float, ...]
+    violation: float = 0.0
 
 
 def _unpack(x) -> tuple[float, tuple[float, ...]]:
-    if isinstance(x, ScoredIndividual):
+    if isinstance(x, Scored):
         return x.violation, x.objectives
     return 0.0, tuple(float(v) for v in x)
 
 
 def dominates(a, b) -> bool:
-    """Constraint-domination.  Accepts :class:`ScoredIndividual` or bare
+    """Constraint-domination.  Accepts :class:`Scored` members or bare
     objective vectors (treated as feasible)."""
     va, fa = _unpack(a)
     vb, fb = _unpack(b)
@@ -285,6 +401,31 @@ def non_dominated_sort(pop: Sequence) -> list[list[int]]:
         k += 1
     fronts.pop()
     return fronts
+
+
+def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
+    """Crowding distances for one front; boundary points get +inf."""
+    n = len(objectives)
+    dist = np.zeros(n)
+    if n == 0:
+        return dist
+    objs = np.asarray(objectives, dtype=float)
+    if n <= 2:
+        dist[:] = np.inf
+        return dist
+    for m in range(objs.shape[1]):
+        order = np.argsort(objs[:, m], kind="stable")
+        lo, hi = objs[order[0], m], objs[order[-1], m]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if hi > lo:
+            spread = hi - lo
+            for pos in range(1, n - 1):
+                i = order[pos]
+                if np.isinf(dist[i]):
+                    continue
+                dist[i] += (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
+    return dist
 
 
 class ParetoArchive:

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 import oracle
 from manpower import (
+    And,
+    Atom,
+    AtomicConstraint,
     ConfigurationError,
+    ConstraintKind,
     Direction,
     EAConfig,
     Genome,
@@ -21,6 +25,7 @@ from manpower import (
     Objective,
     ObjectiveBundle,
     ObjectiveKind,
+    Or,
     PenaltyConfig,
     RunTrace,
     TracePoint,
@@ -38,7 +43,8 @@ from manpower import (
     violation_expr,
 )
 from manpower import evolution
-from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _scorer
+from manpower.constraints import headcount_kernel
+from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
@@ -106,7 +112,7 @@ class TestGenomeCodec:
 
 def fitness(genome, bundle, expr, inst, cfg):
     """Penalized fitness of one genome, scored the way the solvers score it."""
-    return _scorer(bundle, expr, inst, cfg.penalty)(decode(genome).counts)[0]
+    return _Scorer(bundle, expr, inst, cfg.penalty).score(decode(genome).counts)[0]
 
 
 class TestDecodeAgainstLoopOracle:
@@ -146,6 +152,149 @@ class TestDecodeAgainstLoopOracle:
         counts = tuple(data.draw(st.integers(lo, hi)) for lo, hi in bounds)
         for encoding in ("ri", "bg"):
             assert decode(encode(counts, bounds, encoding)).counts == counts
+
+
+def _custom_objective(hc, tensor, inst):
+    return 0.1 * sum(c * c for c in hc.counts) + 0.37
+
+
+def _bits(values) -> list[str]:
+    """Floats as ``float.hex``, so ``==`` sees every bit and the sign of zero."""
+    return [float.hex(float(v)) for v in values]
+
+
+@st.composite
+def scoring_cases(draw):
+    """A random micro instance of 2-13 jobs (wages and hours possibly
+    non-integer, some headcount floors 0, y1 drawn from a job subset), a random
+    AND/OR/NOT tree of atoms with job subsets and counts, a bundle of 1-3
+    objectives of every kind in both directions, a penalty, and a
+    population with duplicate rows."""
+    seed = draw(st.integers(0, 2**32 - 1), label="instance seed")
+    multi = draw(st.booleans(), label="multi_shift")
+    # past 8 jobs numpy's .sum() adds pairwise, not left to right
+    n_jobs = draw(st.sampled_from([2, 3, 9, 13]), label="jobs")
+    inst = random_micro_instance(np.random.Generator(np.random.PCG64(seed)), n_jobs=n_jobs,
+                                 with_emergency=True, multi_shift=multi)
+    wage_scale = draw(st.sampled_from([1.0, 1.0731, 0.37, 3.3]), label="wage scale")
+    hour_scale = draw(st.sampled_from([1.0, 1.05, 0.3]), label="hour scale")
+    no_floor = draw(st.lists(st.booleans(), min_size=inst.n_jobs, max_size=inst.n_jobs),
+                    label="zero headcount_min")
+    codes = [job.code for job in inst.jobs]
+    subsets = st.none() | st.lists(st.sampled_from(codes), max_size=3)
+    inst = dataclasses.replace(
+        inst,
+        jobs=tuple(dataclasses.replace(
+            job,
+            wage_per_shift=tuple(w * wage_scale for w in job.wage_per_shift),
+            shift_hours=tuple(h * hour_scale for h in job.shift_hours),
+            headcount_min=0 if zero else job.headcount_min,
+        ) for job, zero in zip(inst.jobs, no_floor)),
+        emergency=dataclasses.replace(inst.emergency, jobs=draw(subsets, label="y1 jobs")),
+    )
+    kinds = [k for k in ConstraintKind if multi or k is not ConstraintKind.MULTI_SHIFT]
+    atoms = st.builds(lambda kind, jobs, count: Atom(AtomicConstraint(kind, jobs, count)),
+                      st.sampled_from(kinds), subsets, st.none() | st.integers(1, 3))
+    tree = draw(st.recursive(atoms, lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda lr: And(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Or(*lr)),
+        sub.map(Not),
+    ), max_leaves=6), label="expression")
+    directions = st.sampled_from(list(Direction))
+    objective = st.one_of(
+        st.builds(Objective, st.sampled_from([ObjectiveKind.TOTAL_TIME, ObjectiveKind.TOTAL_SALARY,
+                                              ObjectiveKind.MULTISHIFT_SALARY]), directions),
+        st.builds(lambda jobs, d: Objective(ObjectiveKind.HEADCOUNT_SUBSET, d, job_indices=jobs),
+                  st.lists(st.integers(0, inst.n_jobs - 1), min_size=1, max_size=3), directions),
+        st.builds(lambda d: Objective(ObjectiveKind.CUSTOM, d, func=_custom_objective), directions),
+    )
+    bundle = ObjectiveBundle(tuple(draw(st.lists(objective, min_size=1, max_size=3), label="bundle")))
+    penalty = draw(st.one_of(
+        st.builds(PenaltyConfig, st.just("external"), st.sampled_from([1e4, 0.3, 7.77])),
+        st.builds(lambda b: PenaltyConfig(method="internal", barrier_coefficient=b),
+                  st.sampled_from([1.0, 0.25, 3.1])),
+    ), label="penalty")
+    row = st.tuples(*[st.integers(0, job.headcount_max + 1) for job in inst.jobs])
+    rows = draw(st.lists(row, min_size=1, max_size=12), label="population")
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4), label="duplicates")
+    return inst, tree, bundle, penalty, rows
+
+
+class TestScorerAgainstLoopOracle:
+    """The array kernel a run compiles (:class:`_Scorer`) against the loop
+    scorer in ``tests/oracle.py``, bit for bit, a whole population at once."""
+
+    @PROPERTY
+    @given(scoring_cases())
+    def test_population_scores(self, case):
+        inst, tree, bundle, penalty, rows = case
+        scorer = _Scorer(bundle, tree, inst, penalty)
+        counts = np.array(rows, dtype=float)
+        penalized, objective, violation, values = scorer.rows(counts)
+        _, slacks = headcount_kernel(tree, inst)(counts)
+        assert len(slacks) == len(oracle.atoms(tree))
+        for i, row in enumerate(rows):
+            hc = HeadcountVector(row)
+            want = oracle.score(bundle, tree, inst, penalty, hc)
+            got = (penalized[i], objective[i], violation[i])
+            assert _bits(got) == _bits(want[:3]), (i, row)
+            assert _bits(values[i]) == _bits(want[3]), (i, row)
+            one = scorer.score(row)  # the single-row case
+            assert _bits(one[:3]) + _bits(one[3]) == _bits(want[:3]) + _bits(want[3])
+            for c, slack in zip(oracle.atoms(tree), slacks):
+                assert float.hex(slack[i]) == float.hex(oracle.slack_atom(c, hc, inst)), (c, row)
+            assert violation_expr(tree, None, hc, inst) == want[2]
+
+    def test_penalty_squares_as_python_does(self):
+        # x * x and Python's x**2 (the C library's pow) differ in the last
+        # bit here; an all-zero staffing misses the salary window by x
+        x = float.fromhex("0x1.da62d1e730abdp+9")
+        inst = dataclasses.replace(micro_instance(), salary_bounds=(x, x + 1.0))
+        zero = HeadcountVector((0, 0))
+        penalty = PenaltyConfig(coefficient=1.0)
+        want = oracle.score(SALARY, atom("k4"), inst, penalty, zero)
+        assert want[0] == x**2 and want[2] == x
+        got = _Scorer(SALARY, atom("k4"), inst, penalty).score(zero.counts)
+        assert _bits(got[:3]) == _bits(want[:3])
+
+
+class TestTrackerRecordsBlocksLikeAssess:
+    """A scored block, recorded at once, keeps what assessing its members
+    one by one keeps: the first of tied best members."""
+
+    FIELDS = ("best_penalized", "best_genome", "best_feasible_obj", "best_feasible",
+              "least_violation", "least_violator", "least_violator_obj", "evaluations")
+
+    def _both(self, blocks):
+        scores = {}
+        sequential, recorded = evolution._Tracker(scores.__getitem__), evolution._Tracker()
+        for b, block in enumerate(blocks):
+            names = [f"{b}:{i}" for i in range(len(block))]
+            scores.update({n: (*s, ()) for n, s in zip(names, block)})
+            for n in names:
+                sequential.assess(n)
+            columns = [np.array(c, dtype=float) for c in zip(*block)]
+            assert recorded.record(names, *columns) is columns[0]
+        return ([getattr(sequential, f) for f in self.FIELDS],
+                [getattr(recorded, f) for f in self.FIELDS])
+
+    def test_tied_rows_keep_the_first(self):
+        # (penalized, objective, violation)
+        block = [(9.0, 9.0, 0.0), (4.0, 4.0, 0.0), (4.0, 4.0, 0.0), (4.0, 1.0, 3.0),
+                 (2.0, 1.0, 1.0), (2.0, 0.5, 1.0), (2.0, 0.5, 1.0)]
+        seq, rec = self._both([block])
+        assert seq == rec
+        got = dict(zip(self.FIELDS, rec))
+        assert got["best_genome"] == "0:4" and got["best_feasible"] == "0:1"
+        assert got["least_violator"] == "0:1"
+
+    @PROPERTY
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 3).map(float), st.integers(0, 3).map(float),
+                                       st.sampled_from([0.0, 0.0, 1.0, 2.0])),
+                             min_size=1, max_size=8), min_size=1, max_size=4))
+    def test_blocks_match_sequential_assess(self, blocks):
+        seq, rec = self._both(blocks)
+        assert seq == rec
 
 
 def test_box_draw_is_rng_uniform_bit_for_bit():

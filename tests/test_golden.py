@@ -5,6 +5,10 @@ the reference week.  Floats are stored with ``float.hex`` so that any
 change in the last bit shows; trace ``millis`` (wall time) is left out.
 A change that alters these results on purpose regenerates the file with
 ``python tests/test_golden.py --write`` and says why in CHANGES.md.
+
+The ``frac/*`` cases run on a copy of the week with non-integer wages and
+shift hours, where summing the jobs in another order changes the last
+bits of a wage bill or an hour total.
 """
 
 import dataclasses
@@ -49,6 +53,17 @@ NINE = HeadcountVector((1, 2, 1, 2, 1, 2))
 # on its bound: 21 leaves on the micro instance
 LONGEST = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE),))
 NON_MONOTONE = parse_constraint_string("k1&k2&k3&k5&y2")
+
+
+def fractional_week():
+    """The reference week with wages scaled by 1.0731 and shift hours by
+    1.05, neither of them integers."""
+    week = reference_instance()
+    jobs = tuple(
+        dataclasses.replace(job, wage_per_shift=tuple(w * 1.0731 for w in job.wage_per_shift),
+                            shift_hours=tuple(h * 1.05 for h in job.shift_hours))
+        for job in week.jobs)
+    return dataclasses.replace(week, jobs=jobs)
 
 
 def _plain(x):
@@ -99,6 +114,17 @@ def snapshot() -> dict:
     for seed in range(1, 10):
         cases[f"moea/{seed}"] = run_moea(
             week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=seed))
+    frac = fractional_week()
+    cases["frac/ea_ri"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, seed=2))
+    cases["frac/ea_bg"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, encoding="bg", seed=2))
+    cases["frac/ea_barrier"] = run_ea(
+        frac, SALARY, STAFFING, EAConfig(**small, penalty=PenaltyConfig(method="internal"), seed=2))
+    cases["frac/pso"] = pso_solve(
+        frac, SALARY, STAFFING, PSOConfig(swarm_size=20, iterations=30, seed=2))
+    cases["frac/sa"] = sa_solve(frac, SALARY, STAFFING, SAConfig(seed=2))
+    cases["frac/ip"] = ip_solve(frac, SALARY, STAFFING)
+    cases["frac/moea"] = run_moea(
+        frac, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=2))
     return {name: _plain(result) for name, result in cases.items()}
 
 

@@ -19,11 +19,9 @@ from manpower import (
     ObjectiveBundle,
     ObjectiveKind,
     ParetoArchive,
-    ScoredIndividual,
     StructuralError,
     conjunction,
     crowding,
-    dominates,
     evaluate_bundle,
     hypervolume,
     non_dominated_sort,
@@ -45,11 +43,19 @@ def brute_force_fronts(pop):
         layer = [
             i
             for i in remaining
-            if not any(dominates(pop[j], pop[i]) for j in remaining if j != i)
+            if not any(oracle.dominates(pop[j], pop[i]) for j in remaining if j != i)
         ]
         fronts.append(sorted(layer))
         remaining = [i for i in remaining if i not in layer]
     return fronts
+
+
+def dominates(a, b) -> bool:
+    """Constraint-domination as the ranking applies it: ranking the pair
+    puts ``a`` alone in front 0 and ``b`` in front 1.  Members are
+    :class:`oracle.Scored` or bare objective vectors (feasible)."""
+    (va, fa), (vb, fb) = oracle._unpack(a), oracle._unpack(b)
+    return non_dominated_sort([fa, fb], [va, vb]) == [[0], [1]]
 
 
 class TestDominance:
@@ -61,17 +67,19 @@ class TestDominance:
         assert not dominates((2.0, 3.0), (1.0, 4.0))
 
     def test_feasibility_rules(self):
-        feas = ScoredIndividual(HeadcountVector((1,)), (5.0, 5.0), 0.0)
-        bad = ScoredIndividual(HeadcountVector((2,)), (0.0, 0.0), 2.0)
-        worse = ScoredIndividual(HeadcountVector((3,)), (0.0, 0.0), 3.0)
+        feas = oracle.Scored((5.0, 5.0), 0.0)
+        bad = oracle.Scored((0.0, 0.0), 2.0)
+        worse = oracle.Scored((0.0, 0.0), 3.0)
         assert dominates(feas, bad)
         assert not dominates(bad, feas)
         assert dominates(bad, worse)
         assert not dominates(worse, bad)
 
     def test_arity_mismatch_raises(self):
+        archive = ParetoArchive()
+        archive.offer(HeadcountVector((1,)), (1.0, 2.0), 0.0)
         with pytest.raises(StructuralError):
-            dominates((1.0, 2.0), (1.0, 2.0, 3.0))
+            archive.offer(HeadcountVector((2,)), (1.0, 2.0, 3.0), 0.0)
 
 
 class TestSorting:
@@ -101,8 +109,9 @@ class TestSorting:
 
 
 class TestAgainstLoopOracle:
-    """The array ranking, archive and hypervolume against the pairwise
-    loops they replaced (``tests/oracle.py``), compared with ``==``."""
+    """The array ranking, crowding, archive and hypervolume against the
+    pairwise loops they replaced (``tests/oracle.py``), compared with
+    ``==``."""
 
     @PROPERTY
     @given(st.data())
@@ -111,7 +120,7 @@ class TestAgainstLoopOracle:
         rows = data.draw(st.lists(st.tuples(*[GRID] * m), max_size=40), label="rows")
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=5), label="duplicates") if rows else []
         violations = data.draw(st.lists(VIOLATION, min_size=len(rows), max_size=len(rows)), label="violations")
-        pop = [ScoredIndividual(HeadcountVector((i,)), r, v) for i, (r, v) in enumerate(zip(rows, violations))]
+        pop = [oracle.Scored(r, v) for r, v in zip(rows, violations)]
 
         assert non_dominated_sort(rows) == oracle.non_dominated_sort(rows)
         objectives = np.array(rows, dtype=float).reshape(len(rows), m)
@@ -131,6 +140,14 @@ class TestAgainstLoopOracle:
             assert got.offer(counts, objs, violation) == want.offer(counts, objs, violation)
         assert got.entries() == want.entries()
         assert len(got) == len(want)
+
+    @PROPERTY
+    @given(st.data())
+    def test_crowding(self, data):
+        m = data.draw(st.integers(1, 3), label="objectives")
+        coord = st.one_of(GRID, st.floats(-3.0, 6.0, allow_nan=False, allow_infinity=False))
+        front = data.draw(st.lists(st.tuples(*[coord] * m), max_size=30), label="front")
+        assert crowding(front).tobytes() == oracle.crowding(front).tobytes()
 
     @PROPERTY
     @given(st.data())
@@ -252,7 +269,7 @@ class TestRunMOEA:
             assert violation_expr(self.BASIC, None, e.counts, inst) == 0.0
             assert e.objectives == evaluate_bundle(self.BUNDLE, e.counts, None, inst)
         for a, b in itertools.permutations(res.archive, 2):
-            assert not dominates(a.objectives, b.objectives)
+            assert not oracle.dominates(a.objectives, b.objectives)
 
     def test_recovers_exhaustive_front_on_micro(self):
         rng = np.random.Generator(np.random.PCG64(55))
@@ -264,7 +281,7 @@ class TestRunMOEA:
             if violation_expr(self.BASIC, None, hc, inst) == 0.0:
                 feasible.append(evaluate_bundle(self.BUNDLE, hc, None, inst))
         for p in feasible:
-            if not any(q != p and dominates(q, p) for q in feasible):
+            if not any(q != p and oracle.dominates(q, p) for q in feasible):
                 truth.add(p)
         res = run_moea(inst, self.BUNDLE, self.BASIC, EAConfig(population_size=40, generations=30, seed=2))
         found = {e.objectives for e in res.archive}
