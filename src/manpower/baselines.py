@@ -61,7 +61,7 @@ def ip_solve(inst: ProblemInstance, bundle: ObjectiveBundle, expr: Expr) -> Solv
     bounds) already matches the incumbent are pruned; a staffing-cap
     atom inside a pure AND-composition prunes overfull prefixes too.
     """
-    scorer = _Scorer(bundle, expr, inst, PenaltyConfig())
+    scorer = _Scorer.staffings(bundle, expr, inst, PenaltyConfig())
     tracker = _Tracker(scorer.score)
     bounds = inst.headcount_bounds()
     estimate = 1
@@ -176,7 +176,7 @@ def pso_solve(
     box = _box(inst.headcount_bounds())
     lo, hi = box.lo, box.hi
     span = np.maximum(hi - lo, 1.0)
-    scorer = _Scorer(bundle, expr, inst, cfg.penalty)
+    scorer = _Scorer.staffings(bundle, expr, inst, cfg.penalty)
     tracker = _Tracker()
 
     def assess(x: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def sa_solve(
     moves and geometric cooling; the best state ever visited wins."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     bounds = inst.headcount_bounds()
-    tracker = _Tracker(_Scorer(bundle, expr, inst, cfg.penalty).score)
+    tracker = _Tracker(_Scorer.staffings(bundle, expr, inst, cfg.penalty).score)
     assess = tracker.assess
 
     counts = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in bounds)

@@ -10,12 +10,12 @@ cross-job cooperation.  Atoms compose with ``&`` (and), ``|`` (or), and
 Each atom is implemented once, as a graded measure that returns two
 numbers: the violation (how far the staffing or roster misses the atom,
 0.0 exactly when it holds) and the slack (how far inside the feasible
-region it lies, for interior barrier penalties).  On headcount vectors
-the measure works on a whole (P, J) matrix of staffings at once:
-:func:`headcount_kernel` compiles an expression for an instance, and the
-staffing solvers score every generation with one call.  The public faces
-read that one measure (on a headcount vector as its single-row case), so
-the check and the magnitude cannot disagree:
+region it lies, for interior barrier penalties).  Every solver scores a
+whole generation with one call: :func:`headcount_kernel` compiles an
+expression for an instance over a (P, J) matrix of staffings, and
+:func:`roster_kernel` for a fixed staff over a (P, E, D, 4) stack of
+rosters.  The public faces read that one measure as its single-row
+case, so the check and the magnitude cannot disagree:
 
 * :func:`violation_atom` and :func:`violation_expr` — the violation,
 * :func:`eval_atom` and :func:`eval_expr` — the yes/no check,
@@ -37,7 +37,7 @@ from .domain import (
     ProblemInstance,
 )
 from .errors import ConfigurationError, InfeasibleError, ParseError
-from .objectives import f1_job_time, headcount_rows, row_sums, salary_kernel, tensor_salary
+from .objectives import headcount_rows, roster_salary_kernel, row_sums, salary_kernel
 
 
 class ConstraintKind(str, Enum):
@@ -173,23 +173,15 @@ def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int
     return [inst.job_index(code) for code in codes]
 
 
-def _rest_runs(day_att: np.ndarray) -> np.ndarray:
-    """Length of every run of consecutive rest days, over all employee rows."""
-    rest = np.zeros((day_att.shape[0], day_att.shape[1] + 2), dtype=np.int8)
-    rest[:, 1:-1] = day_att == 0
-    edges = np.flatnonzero(np.diff(rest.ravel()))
-    return edges[1::2] - edges[0::2]
-
-
 # ---------------------------------------------------------------------------
 # the graded measure
 #
-# On headcount vectors each atom is compiled for an instance into a
-# function over a (P, J) matrix of staffings, returning one violation
-# and one slack per row.  A roster is judged one at a time, so its
-# counting and window arithmetic stays scalar: on one value each array
-# call costs more than the arithmetic, and roster search judges
-# thousands of rosters one by one.
+# Each atom is compiled once per run into a function over a whole
+# generation, returning one violation and one slack per row: a (P, J)
+# matrix of staffings for the staffing solvers, a (P, E, D, 4) stack of
+# rosters of one staff for roster search.  A roster's sums run over its
+# own bits only, in the order one roster's ``.sum()`` adds them, so its
+# score never depends on the other rosters scored with it.
 
 _Rows = tuple[np.ndarray, np.ndarray]
 
@@ -271,53 +263,62 @@ def _headcount_measure(c: AtomicConstraint, inst: ProblemInstance) -> Callable[[
     raise ConfigurationError(f"unknown constraint kind {kind!r}")
 
 
-def _count(offending: int) -> tuple[float, float]:
-    """:func:`_count_rows` of one roster, in scalars."""
-    return float(offending), (_INF if offending == 0 else 0.0)
+def _rest_rows(attended: np.ndarray, cap: int) -> _Rows:
+    """(violation, slack) of the rest cap per roster of a (P, E, D)
+    attendance stack: the rest days past ``cap`` in every run of rest
+    days, and ``cap`` minus the longest run (0.0 past it)."""
+    run = np.zeros(attended.shape[:2])  # each employee's rest days so far in a row
+    excess = np.zeros(len(attended))
+    longest = np.zeros(len(attended))
+    for today in np.moveaxis(attended, 2, 0):
+        run = np.where(today, 0.0, run + 1.0)
+        excess += (run > cap).sum(axis=1)
+        longest = np.maximum(longest, run.max(axis=1, initial=0.0))
+    return excess, np.maximum(cap - longest, 0.0)
 
 
-def _window(v: float, lo: float, hi: float) -> tuple[float, float]:
-    """:func:`_window_rows` of one value, in scalars."""
-    if v < lo:
-        return float(lo - v), 0.0
-    if v > hi:
-        return float(v - hi), 0.0
-    return 0.0, float(min(v - lo, hi - v))
-
-
-def _tensor_measure(c: AtomicConstraint, tensor: AttendanceTensor, inst: ProblemInstance) -> tuple[float, float]:
-    """(violation, slack) of one atom against a roster."""
+def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> Callable[[np.ndarray], _Rows]:
+    """One atom compiled for a fixed staff, employee ``e`` holding job
+    ``staff[e]``: a function from a (P, E, D, 4) stack of own-channel
+    slot bits to each roster's (violation, slack)."""
     kind = c.kind
-    if kind is ConstraintKind.SINGLE_DUTY:
-        return _count(int((tensor.entries.sum(axis=2) > 1).sum()))
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        subset = _job_indices(c.jobs, inst)
-        day_att = tensor.day_attendance()
-        staffed = [int(day_att[tensor.job_of_employee == j].any(axis=0).sum()) for j in subset]
-        return _count(tensor.days * len(subset) - sum(staffed))
+        masks = [staff == j for j in _job_indices(c.jobs, inst)]
+
+        def unstaffed(slots: np.ndarray) -> _Rows:
+            # each job's staffed days per roster: integer counts, exact in any order
+            staffed = np.zeros(len(slots))
+            for mask in masks:
+                staffed += slots[:, mask].any(axis=(1, 3)).sum(axis=1)
+            return _count_rows(slots.shape[2] * len(masks) - staffed)
+
+        return unstaffed
     if kind is ConstraintKind.WORK_TIME_RANGE:
-        # :func:`_windows_rows` of the roster's hours per job
-        outside, slack = 0.0, _INF
-        for j in _job_indices(c.jobs, inst):
-            v, s = _window(f1_job_time(tensor, j, inst), *inst.work_time_bounds[j])
-            outside, slack = outside + v, min(slack, s)
-        return outside, (0.0 if outside else slack)
+        subset = _job_indices(c.jobs, inst)
+        shifts = [(staff == j, np.array(inst.jobs[j].shift_hours)) for j in subset]
+        lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
+
+        def hours(slots: np.ndarray) -> _Rows:
+            worked = [(slots[:, mask] * durations).reshape(len(slots), -1).sum(axis=1)
+                      for mask, durations in shifts]
+            return _windows_rows(np.array(worked).reshape(len(shifts), len(slots)).T, lo, hi)
+
+        return hours
     if kind is ConstraintKind.SALARY_RANGE:
-        return _window(tensor_salary(tensor, inst), *inst.salary_bounds)
+        lo, hi = inst.salary_bounds
+        salary = roster_salary_kernel(inst, staff, inst.multi_shift)
+        return lambda slots: _window_rows(salary(slots), lo, hi)
     if kind is ConstraintKind.REST_CAP:
-        runs = _rest_runs(tensor.day_attendance())
-        longest = int(runs.max()) if runs.size else 0
-        excess = int(np.maximum(runs - inst.rest_cap, 0).sum())
-        return float(excess), max(0.0, float(inst.rest_cap - longest))
+        return lambda slots: _rest_rows(slots.any(axis=3), inst.rest_cap)
     if kind is ConstraintKind.MULTI_SHIFT:
         if not inst.multi_shift:
             raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-        return _count(int(tensor.rest_counts().sum()))
-    # k5, y1, y2 and o2 judge headcounts alone: the roster's own, as
-    # headcounts() counts them, without building a HeadcountVector
-    counts = np.bincount(tensor.job_of_employee, minlength=tensor.n_jobs).astype(float)
+        return lambda slots: _count_rows((~slots.any(axis=3)).sum(axis=(1, 2)))
+    # only each employee's own job channel is stored, so k1 cannot fail;
+    # k5, y1, y2 and o2 judge the fixed staff's headcounts alone
+    counts = np.bincount(staff, minlength=inst.n_jobs).astype(float)
     violation, slack = _headcount_measure(c, inst)(counts[None, :])
-    return float(violation[0]), float(slack[0])
+    return lambda slots: (np.repeat(violation, len(slots)), np.repeat(slack, len(slots)))
 
 
 def _measure(
@@ -328,12 +329,14 @@ def _measure(
 ) -> tuple[float, float]:
     """(violation, slack) of one atom against a tensor, or against a
     headcount vector under the full-attendance assumption when ``tensor``
-    is None (the single-row case of :func:`_headcount_measure`)."""
+    is None: the single-row case of :func:`_roster_measure` or
+    :func:`_headcount_measure`."""
     if tensor is not None:
-        return _tensor_measure(c, tensor, inst)
-    if hc is None:
+        violation, slack = _roster_measure(c, inst, tensor.job_of_employee)(tensor.day_slots()[None])
+    elif hc is None:
         raise ConfigurationError("need a headcount vector or a tensor")
-    violation, slack = _headcount_measure(c, inst)(headcount_rows(hc))
+    else:
+        violation, slack = _headcount_measure(c, inst)(headcount_rows(hc))
     return float(violation[0]), float(slack[0])
 
 
@@ -394,24 +397,37 @@ def _combine(expr: Expr, leaf: Callable[[AtomicConstraint], np.ndarray]) -> np.n
     raise ConfigurationError(f"unknown expression node {type(expr).__name__}")
 
 
-def headcount_kernel(expr: Expr, inst: ProblemInstance) -> Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]:
-    """``expr`` compiled for an instance: a function from a (P, J) matrix
-    of headcounts to each row's violation and, for each atom in
-    :func:`collect_atoms` order, each row's slack.  Every atom is measured
-    once per call, for all rows at once."""
-    measures = [_headcount_measure(c, inst) for c in collect_atoms(expr)]
+_Kernel = Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]
 
-    def kernel(counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+
+def _kernel(expr: Expr, measures: list[Callable[[np.ndarray], _Rows]]) -> _Kernel:
+    """A function from a block of rows to each row's violation of
+    ``expr`` and, for each atom in :func:`collect_atoms` order (measured
+    by ``measures``, in that order), each row's slack.  Every atom is
+    measured once per call, for all rows at once."""
+
+    def kernel(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         pending, slacks = iter(measures), []
 
         def leaf(c: AtomicConstraint) -> np.ndarray:
-            violation, slack = next(pending)(counts)
+            violation, slack = next(pending)(rows)
             slacks.append(slack)
             return violation
 
         return _combine(expr, leaf), slacks
 
     return kernel
+
+
+def headcount_kernel(expr: Expr, inst: ProblemInstance) -> _Kernel:
+    """``expr`` compiled for an instance, over a (P, J) headcount matrix."""
+    return _kernel(expr, [_headcount_measure(c, inst) for c in collect_atoms(expr)])
+
+
+def roster_kernel(expr: Expr, inst: ProblemInstance, staff: np.ndarray) -> _Kernel:
+    """``expr`` compiled for an instance and a fixed staff (employee ``e``
+    holds job ``staff[e]``), over a (P, E, D, 4) stack of rosters."""
+    return _kernel(expr, [_roster_measure(c, inst, staff) for c in collect_atoms(expr)])
 
 
 def violation_expr(
@@ -421,10 +437,13 @@ def violation_expr(
     inst: ProblemInstance,
 ) -> float:
     """Aggregate violation: AND sums, OR takes the easiest branch, NOT is
-    an indicator (1.0 when the operand holds, else 0.0).  On a headcount
-    vector this is the single-row case of :func:`headcount_kernel`, one
-    atom at a time."""
-    return float(_combine(expr, lambda c: violation_atom(c, tensor, hc, inst)))
+    an indicator (1.0 when the operand holds, else 0.0).  This is the
+    single-row case of :func:`roster_kernel` on a roster, and of
+    :func:`headcount_kernel` on a headcount vector, one atom at a time."""
+    if tensor is None:
+        return float(_combine(expr, lambda c: violation_atom(c, None, hc, inst)))
+    violation, _ = roster_kernel(expr, inst, tensor.job_of_employee)(tensor.day_slots()[None])
+    return float(violation[0])
 
 
 def eval_expr(

@@ -179,9 +179,6 @@ class HeadcountVector:
     def total(self) -> int:
         return sum(self.counts)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -220,12 +217,14 @@ class AttendanceTensor:
 
     ``job_of_employee`` maps each employee row to its single job channel;
     entries outside that channel must be zero (one job per employee), so
-    only each employee's own-channel bits are stored, by day, and
-    :attr:`entries` is rebuilt from them on access.  Immutable: the
-    stored arrays are read-only.
+    only each employee's own-channel bits are stored, by day and packed
+    eight to a byte, and :attr:`entries` and :meth:`day_slots` are
+    rebuilt from them on access.  Immutable: the stored job map and
+    every array handed out are read-only.
     """
 
-    _day_slots: np.ndarray
+    _bits: bytes
+    days: int
     job_of_employee: np.ndarray
     n_jobs: int
 
@@ -250,9 +249,9 @@ class AttendanceTensor:
     def _store(self, day_slots: np.ndarray, jobs: np.ndarray, n_jobs: int) -> None:
         if day_slots.size and day_slots.max() > 1:
             raise StructuralError("entries must be binary")
-        day_slots.flags.writeable = False
         jobs.flags.writeable = False
-        object.__setattr__(self, "_day_slots", day_slots)
+        object.__setattr__(self, "_bits", np.packbits(day_slots).tobytes())
+        object.__setattr__(self, "days", day_slots.shape[1])
         object.__setattr__(self, "job_of_employee", jobs)
         object.__setattr__(self, "n_jobs", n_jobs)
 
@@ -276,17 +275,16 @@ class AttendanceTensor:
     def from_day_attendance(cls, day_attendance: np.ndarray, job_of_employee: Sequence[int], n_jobs: int) -> "AttendanceTensor":
         """Build a single-shift tensor from a per-day bit matrix
         (employees x days); each day bit is copied into all four slots."""
-        day = np.array(day_attendance, dtype=np.uint8)
+        day = np.asarray(day_attendance, dtype=np.uint8)
         if day.ndim != 2:
             raise StructuralError("day_attendance must be 2-D (employees x days)")
-        # the four slots of a day share the day's bit, so store it once
         slots = np.broadcast_to(day[:, :, None], day.shape + (SLOTS_PER_DAY,))
         return cls._from_day_slots(slots, job_of_employee, n_jobs)
 
     @classmethod
     def from_slot_attendance(cls, slot_attendance: np.ndarray, job_of_employee: Sequence[int], n_jobs: int) -> "AttendanceTensor":
         """Build a tensor from a per-slot bit matrix (employees x slots)."""
-        slot = np.array(slot_attendance, dtype=np.uint8)
+        slot = np.asarray(slot_attendance, dtype=np.uint8)
         if slot.ndim != 2:
             raise StructuralError("slot_attendance must be 2-D (employees x slots)")
         return cls._from_day_slots(_by_day(slot), job_of_employee, n_jobs)
@@ -295,19 +293,18 @@ class AttendanceTensor:
 
     @property
     def n_employees(self) -> int:
-        return self._day_slots.shape[0]
-
-    @property
-    def days(self) -> int:
-        return self._day_slots.shape[1]
+        return len(self.job_of_employee)
 
     def slot_attendance(self) -> np.ndarray:
-        """Each employee's own-channel bits, shape (employees, slots)."""
-        return self._day_slots.reshape(self.n_employees, SLOTS_PER_DAY * self.days)
+        """Each employee's own-channel bits, shape (employees, slots); read-only."""
+        return self.day_slots().reshape(self.n_employees, SLOTS_PER_DAY * self.days)
 
     def day_slots(self) -> np.ndarray:
         """Own-channel bits as (employees, days, 4); read-only."""
-        return self._day_slots
+        shape = (self.n_employees, self.days, SLOTS_PER_DAY)
+        bits = np.unpackbits(np.frombuffer(self._bits, dtype=np.uint8), count=np.prod(shape, dtype=int))
+        bits.flags.writeable = False
+        return bits.reshape(shape)
 
     def day_attendance(self) -> np.ndarray:
         """1 where the employee attends at least one slot of the day."""
@@ -338,8 +335,7 @@ class AttendanceTensor:
         if not isinstance(other, AttendanceTensor):
             return NotImplemented
         return (
-            self.n_jobs == other.n_jobs
-            and np.array_equal(self._day_slots, other._day_slots)
+            (self.n_jobs, self.days, self._bits) == (other.n_jobs, other.days, other._bits)
             and np.array_equal(self.job_of_employee, other.job_of_employee)
         )
 

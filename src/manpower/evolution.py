@@ -11,12 +11,13 @@ AND-compositions).
 reuses the same engine on per-day (or per-slot) attendance bits for a
 fixed staff.
 
-Staffings are scored a whole generation at a time: :class:`_Scorer`
-compiles a run's objectives, constraint expression and penalty once
-into one array kernel over a (P, J) matrix of headcounts, and the
-generational loops decode their population into that matrix with one
-array operation.  Solvers that move one staffing at a time (annealing,
-the exact search) use its single-row case behind a small memo.
+Candidates are scored a whole generation at a time: :class:`_Scorer`
+compiles a run's objectives and constraint expression once into array
+kernels, over a (P, J) matrix of headcounts for staffings (the
+generational loops decode their population into it with one array
+operation) or over a (P, E, D, 4) stack of rosters of one staff.
+Solvers that move one staffing at a time (annealing, the exact search)
+use the single-row case behind a small memo.
 """
 
 from __future__ import annotations
@@ -29,16 +30,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# perfbench's tracer patches boundary_distance, violation_expr and evaluate_bundle here
+# perfbench's tracer patches boundary_distance, violation_expr, evaluate_bundle, tensor_salary here
 from .constraints import (
     Expr,
     boundary_distance,
     collect_atoms,
     headcount_kernel,
     is_conjunction,
+    roster_kernel,
     violation_expr,
 )
 from .domain import (
+    SLOTS_PER_DAY,
     AttendanceTensor,
     HeadcountVector,
     ProblemInstance,
@@ -50,6 +53,7 @@ from .objectives import (
     evaluate,
     evaluate_bundle,
     objective_kernel,
+    roster_salary_kernel,
     row_sums,
     tensor_salary,
 )
@@ -252,30 +256,36 @@ def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
 
 # (penalized fitness, objective, violation, objective vector)
 _Score = tuple[float, float, float, tuple[float, ...]]
-# the same per row of a (P, J) headcount matrix: (P,), (P,), (P,), (P, M)
+# the same per row of a block of candidates: (P,), (P,), (P,), (P, M)
 _Scores = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _Scorer:
-    """One run's score of staffings, lower penalized fitness being
-    better: the objectives, the constraint kernel and the penalty
-    compiled once.  Every staffing solver prices its candidates here.
+    """One run's score of candidates, lower penalized fitness being
+    better: kernels compiled once over a block of candidates for the
+    objectives (the (P, M) min-oriented values) and for the constraint
+    expression (violation and per-atom slacks), and the penalty.  Every
+    solver prices its candidates here.
 
-    :meth:`rows` scores each row of a (P, J) headcount matrix at once;
-    :meth:`score` is its single-row case for a counts tuple, and
-    remembers the last :data:`SCORE_CACHE_SIZE` distinct staffings.
-    Custom objective values are remembered as well, so every
-    ``Objective.func`` must be a pure function of its arguments.
+    :meth:`rows` scores a block at once; :meth:`score` is its single-row
+    case for a staffing's counts tuple, and remembers the last
+    :data:`SCORE_CACHE_SIZE` distinct staffings.
     """
 
-    def __init__(self, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
-                 penalty: PenaltyConfig):
-        custom = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
-            lambda objective, counts: evaluate(objective, HeadcountVector(counts), None, inst))
-        self._objectives = objective_kernel(bundle, inst, custom)
-        self._constraints = headcount_kernel(expr, inst)
+    def __init__(self, objectives: Callable, constraints: Callable, penalty: PenaltyConfig):
+        self._objectives = objectives
+        self._constraints = constraints
         self._penalty = penalty
         self.score = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(self._score)
+
+    @classmethod
+    def staffings(cls, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
+                  penalty: PenaltyConfig) -> "_Scorer":
+        """The scorer of (P, J) headcount matrices.  It remembers custom objective
+        values, so every ``Objective.func`` must be a pure function."""
+        custom = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
+            lambda objective, counts: evaluate(objective, HeadcountVector(counts), None, inst))
+        return cls(objective_kernel(bundle, inst, custom), headcount_kernel(expr, inst), penalty)
 
     def objective(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's objective, the sum of the bundle's min-oriented
@@ -283,11 +293,11 @@ class _Scorer:
         values = self._objectives(counts)
         return row_sums(values), values
 
-    def rows(self, counts: np.ndarray) -> _Scores:
+    def rows(self, block: np.ndarray) -> _Scores:
         """(penalized fitness, objective, violation, objective values)
-        of each row."""
-        objective, values = self.objective(counts)
-        violation, slacks = self._constraints(counts)
+        of each row of a block."""
+        objective, values = self.objective(block)
+        violation, slacks = self._constraints(block)
         penalty = self._penalty
         if penalty.method == "external":
             # float_power is the C library's pow, as Python's ``**``;
@@ -296,10 +306,10 @@ class _Scorer:
                     objective, violation, values)
         # interior barrier: +inf unless strictly inside every atom
         outside = violation > 0.0
-        barrier = np.zeros(len(counts))
+        barrier = np.zeros(len(block))
         for slack in slacks:
             outside |= slack <= 0.0
-            barrier += np.divide(1.0, slack, out=np.zeros(len(counts)),
+            barrier += np.divide(1.0, slack, out=np.zeros(len(block)),
                                  where=np.isfinite(slack) & (slack > 0.0))
         penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
         return penalized, objective, violation, values
@@ -350,15 +360,15 @@ class _Packed:
         object.__setattr__(obj, self._attr, self._pack(value))
 
 
-def _pack_points(points: Sequence[TracePoint]) -> np.ndarray:
+def _pack_points(points: Sequence[TracePoint]) -> bytes:
     # the two counts stay exact in a double up to 2**53
     rows = [(p.generation, p.best, p.mean, p.evaluations, p.millis) for p in points]
-    return np.array(rows, dtype=float).reshape(-1, 5)
+    return np.array(rows, dtype=float).tobytes()
 
 
-def _unpack_points(rows: np.ndarray) -> tuple[TracePoint, ...]:
+def _unpack_points(raw: bytes) -> tuple[TracePoint, ...]:
     return tuple(TracePoint(int(g), best, mean, int(e), millis)
-                 for g, best, mean, e, millis in rows.tolist())
+                 for g, best, mean, e, millis in np.frombuffer(raw).reshape(-1, 5).tolist())
 
 
 @dataclass(frozen=True)
@@ -542,7 +552,7 @@ def run_ea(
     the constraint expression."""
     _check_internal_applicable(expr, cfg.penalty)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    scorer = _Scorer(bundle, expr, inst, cfg.penalty)
+    scorer = _Scorer.staffings(bundle, expr, inst, cfg.penalty)
 
     def score_genomes(genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return scorer.rows(_decode_rows(genomes))[:3]
@@ -592,16 +602,15 @@ def _initial_population(
 
 def _blocking_atoms(genomes: Sequence[Genome], expr: Expr, inst: ProblemInstance) -> str:
     """``"k6 in 100, k3 in 12"``: for each atom, how many of ``genomes``
-    give it a boundary distance of zero or less, most often first."""
-    tally: collections.Counter[str] = collections.Counter()
-    atoms = collect_atoms(expr)
-    for g in genomes:
-        hc = decode(g)
-        tally.update({
-            c.kind.value + (f"({','.join(c.jobs)})" if c.jobs else "")
-            for c in atoms if boundary_distance(c, None, hc, inst) <= 0.0
-        })
-    return ", ".join(f"{name} in {n}" for name, n in tally.most_common())
+    give it a slack of zero or less, most often first; an atom named
+    twice counts once per genome."""
+    _, slacks = headcount_kernel(expr, inst)(_decode_rows(genomes))
+    blocked: dict[str, np.ndarray] = {}
+    for c, slack in zip(collect_atoms(expr), slacks):
+        name = c.kind.value + (f"({','.join(c.jobs)})" if c.jobs else "")
+        blocked[name] = blocked.get(name, False) | (slack <= 0.0)
+    tally = collections.Counter({name: int(rows.sum()) for name, rows in blocked.items()})
+    return ", ".join(f"{name} in {n}" for name, n in tally.most_common() if n)
 
 
 def _result(cls, tracker: _Tracker, seed: int, solution: Callable = lambda x: x):
@@ -631,13 +640,12 @@ def solve_assignment(
     inst: ProblemInstance,
     expr: Expr,
     cfg: EAConfig,
-    objective: Callable[[AttendanceTensor, ProblemInstance], float] | None = None,
 ) -> AssignmentResult:
     """Search attendance rosters for a fixed staff.
 
     The genome is one bit per employee-day (or employee-slot when the
-    instance is multi-shift); the default objective is the realized wage
-    bill.  Always bit-encoded regardless of ``cfg.encoding``.
+    instance is multi-shift); the objective is the realized wage bill.
+    Always bit-encoded regardless of ``cfg.encoding``.
     """
     if cfg.penalty.method == "internal":
         raise ConfigurationError("roster search supports the external penalty only")
@@ -646,7 +654,8 @@ def solve_assignment(
     n_emp = jobs_map.shape[0]
     per_emp = inst.slots if inst.multi_shift else inst.horizon_days
     n_bits = n_emp * per_emp
-    obj_fn = objective if objective is not None else tensor_salary
+    salary = roster_salary_kernel(inst, jobs_map, inst.multi_shift)
+    scorer = _Scorer(lambda slots: salary(slots)[:, None], roster_kernel(expr, inst, jobs_map), cfg.penalty)
 
     def build(bits: np.ndarray) -> AttendanceTensor:
         grid = bits.reshape(n_emp, per_emp)
@@ -654,14 +663,11 @@ def solve_assignment(
             return AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
         return AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
 
-    def score(genome: Genome) -> tuple[float, float, float]:
-        tensor = build(genome.data)
-        objective_value = float(obj_fn(tensor, inst))
-        violation = violation_expr(expr, tensor, hc, inst)
-        return objective_value + cfg.penalty.coefficient * violation**2, objective_value, violation
-
     def score_genomes(genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.array(column) for column in zip(*map(score, genomes)))
+        # (P, E, D, 4) slot bits; in single-shift mode a day's bit stands for its four slots
+        bits = np.stack([g.data for g in genomes])
+        bits = bits.reshape(len(genomes), n_emp, inst.horizon_days, -1)
+        return scorer.rows(np.broadcast_to(bits, bits.shape[:3] + (SLOTS_PER_DAY,)))[:3]
 
     bit_bounds = tuple((0, 1) for _ in range(n_bits))
     # warm start: full attendance is feasible whenever the counts are,

@@ -250,7 +250,7 @@ def run_moea(
     bounds = inst.headcount_bounds()
     archive = ParetoArchive()
     # ranking reads objectives and violations only, so the penalty is moot
-    scorer = _Scorer(bundle, expr, inst, PenaltyConfig())
+    scorer = _Scorer.staffings(bundle, expr, inst, PenaltyConfig())
     tracker = _Tracker()
 
     def assess(genomes: list[Genome]) -> tuple[np.ndarray, np.ndarray]:

@@ -139,20 +139,27 @@ def f2_total_salary(hc: HeadcountVector, inst: ProblemInstance) -> float:
     return float(salary_kernel(inst)(headcount_rows(hc))[0])
 
 
+def roster_salary_kernel(inst: ProblemInstance, staff: np.ndarray, per_slot: bool) -> _Rows:
+    """Wage bill of each roster of a (P, E, D, 4) stack of own-channel
+    slot bits, employee ``e`` holding job ``staff[e]``: paid per attended
+    slot when ``per_slot``, else the daily wage per attended day.  Each
+    bill adds its own roster's terms, as one roster's ``.sum()`` would."""
+    if per_slot:
+        wages = np.array([j.wage_per_shift for j in inst.jobs], dtype=float)[staff]  # (E, 4)
+        return lambda slots: (slots * wages[:, None, :]).reshape(len(slots), -1).sum(axis=1)
+    daily = np.array([j.daily_wage for j in inst.jobs], dtype=float)[staff]
+    return lambda slots: (slots.any(axis=3).sum(axis=2) * daily).sum(axis=1)
+
+
 def f3_multishift_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
-    """Wage bill when pay accrues per attended slot."""
-    wages = np.array([j.wage_per_shift for j in inst.jobs], dtype=float)
-    per_emp = wages[tensor.job_of_employee]  # (employees, 4)
-    return float((tensor.day_slots() * per_emp[:, None, :]).sum())
+    """Wage bill when pay accrues per attended slot (:func:`roster_salary_kernel` of one roster)."""
+    return float(roster_salary_kernel(inst, tensor.job_of_employee, True)(tensor.day_slots()[None])[0])
 
 
 def tensor_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
     """Salary realized by a tensor: slot-accrued in multi-shift mode,
-    attended-day day-rate otherwise."""
-    if inst.multi_shift:
-        return f3_multishift_salary(tensor, inst)
-    daily = np.array([j.daily_wage for j in inst.jobs], dtype=float)
-    return float((tensor.day_attendance().sum(axis=1) * daily[tensor.job_of_employee]).sum())
+    attended-day day-rate otherwise (:func:`roster_salary_kernel` of one roster)."""
+    return float(roster_salary_kernel(inst, tensor.job_of_employee, inst.multi_shift)(tensor.day_slots()[None])[0])
 
 
 def headcount_subset(hc: HeadcountVector, job_indices: Sequence[int]) -> float:

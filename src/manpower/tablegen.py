@@ -48,10 +48,6 @@ class GeneratorState:
         self.counts[member] += 1
         self.days_chosen[member].append(self.day)
 
-    def next_day(self) -> None:
-        self.day += 1
-        self.today = set()
-
 
 @dataclass(frozen=True)
 class SuitablePolicy:

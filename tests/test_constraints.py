@@ -43,6 +43,7 @@ from manpower import (
     violation_atom,
     violation_expr,
 )
+from manpower.constraints import roster_kernel
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 from oracle import violation_atom as oracle_violation
 
@@ -355,7 +356,9 @@ class TestPairedOracle:
     @given(st.data())
     def test_random_cases(self, data):
         """Random micro instances, staffings (inside and just outside the
-        box), rosters and job subsets, on both routes."""
+        box), one to four rosters of that staff and job subsets, on both
+        routes.  The rosters are also scored stacked, by the roster
+        kernel, and each row must equal its roster scored alone."""
         seed = data.draw(st.integers(0, 2**32 - 1), label="instance seed")
         multi = data.draw(st.booleans(), label="multi_shift")
         inst = random_micro_instance(
@@ -372,12 +375,15 @@ class TestPairedOracle:
         ))
         jobs_map = employee_jobs(counts)
         width = inst.slots if multi else inst.horizon_days
-        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(jobs_map) * width,
-                                  max_size=len(jobs_map) * width), label="roster")
-        grid = np.array(bits, dtype=np.uint8).reshape(len(jobs_map), width)
         build_tensor = (AttendanceTensor.from_slot_attendance if multi
                         else AttendanceTensor.from_day_attendance)
-        tensor = build_tensor(grid, jobs_map, inst.n_jobs)
+        tensors = []
+        for r in range(data.draw(st.integers(1, 4), label="rosters")):
+            bits = data.draw(st.lists(st.integers(0, 1), min_size=len(jobs_map) * width,
+                                      max_size=len(jobs_map) * width), label=f"roster {r}")
+            grid = np.array(bits, dtype=np.uint8).reshape(len(jobs_map), width)
+            tensors.append(build_tensor(grid, jobs_map, inst.n_jobs))
+        stack = np.stack([t.day_slots() for t in tensors])
         codes = [job.code for job in inst.jobs]
         subset = data.draw(st.none() | st.lists(st.sampled_from(codes), unique=True), label="jobs")
         need = data.draw(st.integers(1, 3), label="o2 count")
@@ -385,12 +391,18 @@ class TestPairedOracle:
             if kind is ConstraintKind.MULTI_SHIFT and not multi:
                 continue
             c = AtomicConstraint(kind, subset, need)
-            for route in (None, tensor):
+            violations, (slacks,) = roster_kernel(Atom(c), inst, jobs_map)(stack)
+            for r, route in [(None, None)] + list(enumerate(tensors)):
                 ref = oracle_violation(c, route, counts, inst)
-                assert violation_atom(c, route, counts, inst) == ref, (kind, route is None)
+                v, slack = violation_atom(c, route, counts, inst), boundary_distance(c, route, counts, inst)
+                assert v == ref, (kind, r)
                 assert eval_atom(c, route, counts, inst) == (ref == 0.0)
                 if ref > 0.0:
-                    assert boundary_distance(c, route, counts, inst) == 0.0
+                    assert slack == 0.0, (kind, r)
+                if route is not None:
+                    # the stacked row is the roster scored alone, bit for bit
+                    assert float.hex(violations[r]) == float.hex(v), (kind, r)
+                    assert float.hex(slacks[r]) == float.hex(slack), (kind, r)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -438,9 +450,20 @@ class TestPairedOracle:
                 return holds(node.left, route) or holds(node.right, route)
             return not holds(node.operand, route)
 
+        def combined(node) -> float:
+            if isinstance(node, Atom):
+                return violation_atom(node.constraint, tensor, counts, inst)
+            if isinstance(node, And):
+                return combined(node.left) + combined(node.right)
+            if isinstance(node, Or):
+                return min(combined(node.left), combined(node.right))
+            return 0.0 if combined(node.operand) > 0.0 else 1.0
+
         for route in (None, tensor):
             assert (violation_expr(tree, route, counts, inst) == 0.0) == holds(tree, route), (
                 format_expr(tree), route is None)
+        # one roster_kernel call combines the atoms as they read one by one
+        assert violation_expr(tree, tensor, counts, inst) == combined(tree), format_expr(tree)
 
 
 class TestEmergencyArithmetic:

@@ -112,7 +112,7 @@ class TestGenomeCodec:
 
 def fitness(genome, bundle, expr, inst, cfg):
     """Penalized fitness of one genome, scored the way the solvers score it."""
-    return _Scorer(bundle, expr, inst, cfg.penalty).score(decode(genome).counts)[0]
+    return _Scorer.staffings(bundle, expr, inst, cfg.penalty).score(decode(genome).counts)[0]
 
 
 class TestDecodeAgainstLoopOracle:
@@ -228,7 +228,7 @@ class TestScorerAgainstLoopOracle:
     @given(scoring_cases())
     def test_population_scores(self, case):
         inst, tree, bundle, penalty, rows = case
-        scorer = _Scorer(bundle, tree, inst, penalty)
+        scorer = _Scorer.staffings(bundle, tree, inst, penalty)
         counts = np.array(rows, dtype=float)
         penalized, objective, violation, values = scorer.rows(counts)
         _, slacks = headcount_kernel(tree, inst)(counts)
@@ -254,7 +254,7 @@ class TestScorerAgainstLoopOracle:
         penalty = PenaltyConfig(coefficient=1.0)
         want = oracle.score(SALARY, atom("k4"), inst, penalty, zero)
         assert want[0] == x**2 and want[2] == x
-        got = _Scorer(SALARY, atom("k4"), inst, penalty).score(zero.counts)
+        got = _Scorer.staffings(SALARY, atom("k4"), inst, penalty).score(zero.counts)
         assert _bits(got[:3]) == _bits(want[:3])
 
 

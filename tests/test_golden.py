@@ -7,8 +7,8 @@ A change that alters these results on purpose regenerates the file with
 ``python tests/test_golden.py --write`` and says why in CHANGES.md.
 
 The ``frac/*`` cases run on a copy of the week with non-integer wages and
-shift hours, where summing the jobs in another order changes the last
-bits of a wage bill or an hour total.
+shift hours, where summing the jobs, or a roster's bits, in another
+order changes the last bits of a wage bill or an hour total.
 """
 
 import dataclasses
@@ -125,6 +125,10 @@ def snapshot() -> dict:
     cases["frac/ip"] = ip_solve(frac, SALARY, STAFFING)
     cases["frac/moea"] = run_moea(
         frac, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=2))
+    cases["frac/roster/single"] = solve_assignment(NINE, frac, ROSTER, roster_cfg)
+    cases["frac/roster/multi"] = solve_assignment(
+        NINE, dataclasses.replace(frac, multi_shift=True), ROSTER & parse_constraint_string("o1"),
+        roster_cfg)
     return {name: _plain(result) for name, result in cases.items()}
 
 
