@@ -236,17 +236,16 @@ def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
         data = g.data.copy()
         data[flips] ^= 1
         return Genome("bg", data, g.bounds)
-    # every draw is made, hit or not, so the generator advances the same
-    hits = rng.random(n) < rate
-    up = rng.random(n) < 0.5
-    fresh = rng.random(n)
-    # half the mutations nudge by one step, half resample the gene
-    nudge = rng.random(n) < 0.5
+    # every draw is made, hit or not, so the generator advances the same;
+    # one (4, n) draw gives the same doubles as four rng.random(n) calls
+    hit, up, fresh, nudge = rng.random((4, n))
+    hits = hit < rate
     if not hits.any():
         return g
     box = _box(g.bounds)
-    local = np.minimum(np.maximum(g.data + np.where(up, 1.0, -1.0), box.low), box.high)
-    mutated = np.where(nudge, local, box.low + box.span * fresh)
+    local = np.minimum(np.maximum(g.data + np.where(up < 0.5, 1.0, -1.0), box.low), box.high)
+    # half the mutations nudge by one step, half resample the gene
+    mutated = np.where(nudge < 0.5, local, box.low + box.span * fresh)
     return Genome("ri", np.where(hits, mutated, g.data), g.bounds)
 
 

@@ -5,16 +5,19 @@ beats infeasible, less violation beats more, and among feasible
 candidates ordinary Pareto dominance on the (min-oriented) objective
 vector decides.  A population is an (N, M) objective array with a
 violation vector; :func:`non_dominated_sort` compares every pair at once
-in one N x N domination matrix and peels the NSGA-II fronts (Deb et al.
-2002) from it.  An external archive, also an objective array,
-accumulates every feasible non-dominated headcount vector ever seen, so
-its hypervolume can only grow; two-objective hypervolume is one sweep.
-The pairwise-loop versions are the reference in ``tests/oracle.py``.
-Each generation is decoded into one headcount matrix and scored with
-one call of the scorer of :mod:`~manpower.evolution`; only feasible
-staffings not offered before reach the archive.  Offspring are bred by
-the same loop as the single-objective solver's, with a rank-and-crowding
-tournament in place of its selection.
+in one N x N domination matrix, built one objective column at a time
+as two boolean planes, and peels the NSGA-II fronts (Deb et al. 2002)
+from it.  An external archive, also an objective array, accumulates
+every feasible non-dominated headcount vector ever seen, so its
+hypervolume can only grow.  It takes each generation's feasible rows
+as one block and admits and evicts them with a few matrix comparisons,
+ending as if they were offered one by one.  Two-objective hypervolume
+is one array sweep over the archive's objective array.  The
+pairwise-loop versions are the reference in ``tests/oracle.py``.  Each
+generation is decoded into one headcount matrix and scored with one
+call of the scorer of :mod:`~manpower.evolution`.  Offspring are bred
+by the same loop as the single-objective solver's, with a
+rank-and-crowding tournament in place of its selection.
 """
 
 from __future__ import annotations
@@ -52,13 +55,17 @@ def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.nda
     loses_on_feasibility = infeasible[:, None] & feasible[None, :]
     both_infeasible = infeasible[:, None] & infeasible[None, :]
     pareto_decides = ~(wins_on_feasibility | loses_on_feasibility | both_infeasible)
-    a, b = objectives[:, None, :], objectives[None, :, :]
     # "never worse, somewhere better" rather than "<= everywhere", so a
-    # coordinate that compares neither way is ignored, as in the loop
-    pareto = ~(a > b).any(axis=2) & (a < b).any(axis=2)
+    # coordinate that compares neither way is ignored, as in the loop;
+    # built one objective column at a time, as two N x N planes
+    never_worse = np.ones((len(v), len(v)), dtype=bool)
+    better = np.zeros((len(v), len(v)), dtype=bool)
+    for c in objectives.T:
+        never_worse &= ~(c[:, None] > c[None, :])
+        better |= c[:, None] < c[None, :]
     return (wins_on_feasibility
             | (both_infeasible & (v[:, None] < v[None, :]))
-            | (pareto_decides & pareto))
+            | (pareto_decides & never_worse & better))
 
 
 def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
@@ -124,14 +131,23 @@ class ArchiveEntry:
     objectives: tuple[float, ...]
 
 
+def _weakly_below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``W[i, j]`` is True when row ``a[i]`` is ``<=`` row ``b[j]`` in
+    every column; built one column at a time."""
+    below = np.ones((len(a), len(b)), dtype=bool)
+    for x, y in zip(a.T, b.T):
+        below &= x[:, None] <= y[None, :]
+    return below
+
+
 class ParetoArchive:
     """Cumulative store of feasible non-dominated headcount vectors.
 
     Deduplicates by counts (objectives are a function of counts here),
     so re-encountered points are free.  Dominated entries are evicted;
     the archive's hypervolume never decreases.  The entries' objectives
-    are also held as one (n, M) array, so an offer is compared with all
-    of them at once; objectives must be finite, which
+    are also held as one (n, M) array, so a block of offers is compared
+    with all of them at once; objectives must be finite, which
     :func:`~manpower.objectives.evaluate_bundle` ensures.
     """
 
@@ -141,30 +157,65 @@ class ParetoArchive:
         self._seen: set[tuple[int, ...]] = set()
 
     def offer(self, counts: HeadcountVector, objectives: tuple[float, ...], violation: float) -> bool:
+        """Offer one staffing; True when it enters the archive."""
         if violation > 0.0:
             return False
-        key = counts.counts
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        new = np.array(objectives, dtype=float)
-        held = np.empty((0, len(new))) if self._objectives is None else self._objectives
-        if held.shape[1] != len(new):
-            raise StructuralError(f"objective arity mismatch: {held.shape[1]} vs {len(new)}")
-        if (held <= new).all(axis=1).any():  # dominated by or equal to an entry
-            return False
-        # no entry equals ``new``, so "nowhere worse" is domination here
-        evicted = (new <= held).all(axis=1)
+        return self.offer_rows(np.array([counts.counts]), np.array([objectives], dtype=float)) == 1
+
+    def offer_rows(self, counts: np.ndarray, objectives: np.ndarray) -> int:
+        """Offer a block of feasible staffings, one per row of the (P, J)
+        integer ``counts`` and the (P, M) ``objectives``, and return how
+        many entered.  The archive ends as if the rows were offered one
+        by one in row order:
+
+        - a row whose counts were seen before, in an earlier block or
+          earlier in this one, is skipped, as a repeat offer is;
+        - a row is admitted when no held entry and no earlier row is
+          ``<=`` it everywhere, and no later row strictly dominates it;
+        - a held entry is evicted when some row strictly dominates it.
+
+        Why: offered in turn, a row is refused exactly when an entry
+        present at its turn is ``<=`` it.  That entry is a held one or an
+        earlier row; conversely a held entry or earlier row that is
+        ``<=`` it and has left was removed by something ``<=`` it too.
+        A row is removed later exactly when a later admitted row strictly
+        dominates it.  A refused row that strictly dominates some target
+        was refused by an entry that strictly dominates the target as
+        well: an earlier admitted row (held entries do not dominate one
+        another, and a held one would have refused an admitted target),
+        which had already removed it.  So refused rows may count as
+        evictors.
+        """
+        fresh = []
+        for i, key in enumerate(map(tuple, counts.tolist())):
+            if key not in self._seen:
+                self._seen.add(key)
+                fresh.append(i)
+        if not fresh:
+            return 0
+        new = objectives[fresh]
+        held = np.empty((0, new.shape[1])) if self._objectives is None else self._objectives
+        if held.shape[1] != new.shape[1]:
+            raise StructuralError(f"objective arity mismatch: {held.shape[1]} vs {new.shape[1]}")
+        below = _weakly_below(new, new)  # below[i, k]: row i <= row k
+        dominates = below & ~below.T
+        refused = (_weakly_below(held, new).any(axis=0)
+                   | np.triu(below, 1).any(axis=0)
+                   | np.tril(dominates, -1).any(axis=0))
+        evicted = (_weakly_below(new, held) & ~_weakly_below(held, new).T).any(axis=0)
         if evicted.any():
             self._entries = [e for e, out in zip(self._entries, evicted.tolist()) if not out]
-            held = held[~evicted]
-        self._entries.append(ArchiveEntry(counts, objectives))
-        self._objectives = np.vstack([held, new])
-        return True
+        admitted = np.flatnonzero(~refused)
+        keys = counts[fresh][admitted].tolist()
+        self._entries.extend(ArchiveEntry(HeadcountVector(c), tuple(o))
+                             for c, o in zip(keys, new[admitted].tolist()))
+        self._objectives = np.vstack([held[~evicted], new[admitted]])
+        return len(admitted)
 
-    def offered(self, counts: tuple[int, ...]) -> bool:
-        """True when these counts were offered before."""
-        return counts in self._seen
+    @property
+    def objectives(self) -> np.ndarray:
+        """The entries' objectives as one (n, M) array, in no fixed order."""
+        return np.empty((0, 0)) if self._objectives is None else self._objectives
 
     def entries(self) -> tuple[ArchiveEntry, ...]:
         return tuple(sorted(self._entries, key=lambda e: e.objectives))
@@ -173,17 +224,24 @@ class ParetoArchive:
         return len(self._entries)
 
 
-def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
+def hypervolume(points: Sequence[Sequence[float]] | np.ndarray, ref: Sequence[float]) -> float:
     """Volume dominated by min-oriented ``points`` up to ``ref`` (the
-    union of boxes [p, ref]); points not strictly below ``ref`` in every
-    coordinate are ignored.
+    union of boxes [p, ref]); points of another arity, and points not
+    strictly below ``ref`` in every coordinate, are ignored.  ``points``
+    is a sequence of points or an (n, M) array.
 
     Slices along the leading coordinate.  With two objectives a slice is
     a box up to the running minimum of the second coordinate, so the
-    recursion becomes one sweep that adds the same terms in the same
-    order.
+    recursion becomes one array sweep that adds the same terms in the
+    same order.
     """
     ref = tuple(float(r) for r in ref)
+    if len(ref) == 2:
+        if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == 2:
+            pts = points.astype(float, copy=False)
+        else:
+            pts = np.array([p for p in points if len(p) == 2], dtype=float).reshape(-1, 2)
+        return _sweep(pts[(pts < ref).all(axis=1)], ref)
     pts = sorted(
         {
             tuple(float(v) for v in p)
@@ -197,20 +255,33 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
     def volume(pts: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
         if len(ref) == 1:
             return ref[0] - min(p[0] for p in pts)
+        if len(ref) == 2:
+            return _sweep(np.array(pts), ref)
         pts = sorted(set(pts))  # ascending in the leading coordinate
         total = 0.0
-        lowest = np.inf  # of the second coordinate over pts[: i + 1]
         for i, p in enumerate(pts):
             upper = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
             width = upper - p[0]
-            lowest = min(lowest, p[1])
-            if width > 0.0 and len(ref) == 2:
-                total += width * (ref[1] - lowest)
-            elif width > 0.0:
+            if width > 0.0:
                 total += width * volume([q[1:] for q in pts[: i + 1]], ref[1:])
         return total
 
     return volume(pts, ref)
+
+
+def _sweep(pts: np.ndarray, ref: tuple[float, float]) -> float:
+    """Two-objective volume of the (n, 2) ``pts``, all strictly below
+    ``ref``: a slab per point, ascending in the first coordinate, as wide
+    as the gap to the next point (or ``ref``) and as tall as the least
+    second coordinate so far.  Tied and repeated points make slabs of
+    width 0, which add nothing; the slabs are added left to right, as
+    the recursion adds them, never pairwise."""
+    if not len(pts):
+        return 0.0
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    width = np.append(pts[1:, 0], ref[0]) - pts[:, 0]
+    slabs = (width * (ref[1] - np.minimum.accumulate(pts[:, 1])))[width > 0.0]
+    return float(np.add.accumulate(slabs)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +289,10 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
 
 
 def _pack_archive(entries: Sequence[ArchiveEntry]) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.array([e.counts.counts for e in entries], dtype=np.int32)
+    # int64 first, so an empty archive stays integer; then the narrowest
+    # unsigned type that holds the largest count (counts are nonnegative)
+    counts = np.array([e.counts.counts for e in entries], dtype=np.int64)
+    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
     objectives = np.array([e.objectives for e in entries], dtype=float)
     return counts, objectives
 
@@ -255,16 +329,13 @@ def run_moea(
 
     def assess(genomes: list[Genome]) -> tuple[np.ndarray, np.ndarray]:
         """Objective rows and violations of ``genomes``, scored with one
-        call; feasible staffings not offered before go to the archive,
+        call; the feasible ones are offered to the archive as one block,
         in member order."""
         counts = _decode_rows(genomes)
         penalized, objective, violations, rows = scorer.rows(counts)
         tracker.record(genomes, penalized, objective, violations)
-        keys = counts.astype(np.int64).tolist()
-        for i in np.flatnonzero(violations == 0.0).tolist():
-            key = tuple(keys[i])
-            if not archive.offered(key):
-                archive.offer(HeadcountVector(key), tuple(rows[i].tolist()), 0.0)
+        feasible = violations == 0.0
+        archive.offer_rows(counts[feasible].astype(np.int64), rows[feasible])
         return rows, violations
 
     population = [random_genome(rng, bounds, cfg.encoding) for _ in range(cfg.population_size)]
@@ -274,7 +345,7 @@ def run_moea(
     ref = tuple(float(w) + 1.0 for w in objectives.max(axis=0))
 
     def mark(gen: int) -> None:
-        hv = hypervolume([e.objectives for e in archive.entries()], ref)
+        hv = hypervolume(archive.objectives, ref)
         tracker.mark(gen, float(len(archive)), best=hv)
 
     mark(0)

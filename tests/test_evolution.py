@@ -313,6 +313,14 @@ def test_box_draw_is_rng_uniform_bit_for_bit():
                 "random_genome and _mutate rely on it, so every seeded ri result would change")
         assert ours.bit_generator.state == numpys.bit_generator.state, (
             "rng.uniform(low, high) no longer consumes one rng.random() double per value")
+        n = len(bounds)
+        block = ours.random((4, n))
+        rows = [numpys.random(n) for _ in range(4)]
+        assert block.tobytes() == np.stack(rows).tobytes(), (
+            "rng.random((4, n)) no longer fills row by row with the doubles of four rng.random(n) "
+            "calls; the ri _mutate relies on it, so every seeded ri result would change")
+        assert ours.bit_generator.state == numpys.bit_generator.state, (
+            "rng.random((4, n)) no longer consumes the same doubles as four rng.random(n) calls")
 
 
 class TestPenalties:

@@ -114,6 +114,10 @@ def snapshot() -> dict:
     for seed in range(1, 10):
         cases[f"moea/{seed}"] = run_moea(
             week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=seed))
+    # the workload's scale: 40 generations of archive evictions and
+    # ranking over several fronts
+    cases["moea/60x40"] = run_moea(
+        week, TRADE_OFF, ROSTER, EAConfig(population_size=60, generations=40, seed=4))
     frac = fractional_week()
     cases["frac/ea_ri"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, seed=2))
     cases["frac/ea_bg"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, encoding="bg", seed=2))
@@ -125,6 +129,9 @@ def snapshot() -> dict:
     cases["frac/ip"] = ip_solve(frac, SALARY, STAFFING)
     cases["frac/moea"] = run_moea(
         frac, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=2))
+    cases["frac/moea_bg_60x40"] = run_moea(
+        frac, TRADE_OFF, ROSTER,
+        EAConfig(population_size=60, generations=40, encoding="bg", seed=5))
     cases["frac/roster/single"] = solve_assignment(NINE, frac, ROSTER, roster_cfg)
     cases["frac/roster/multi"] = solve_assignment(
         NINE, dataclasses.replace(frac, multi_shift=True), ROSTER & parse_constraint_string("o1"),

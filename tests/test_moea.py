@@ -131,6 +131,9 @@ class TestAgainstLoopOracle:
     @PROPERTY
     @given(st.data())
     def test_archive_offer_stream(self, data):
+        """One by one through ``offer``, and cut into blocks of feasible
+        rows through ``offer_rows``: integer-grid ties, equal objectives
+        under different counts and counts repeated inside a block."""
         m = data.draw(st.integers(1, 3), label="objectives")
         offers = data.draw(st.lists(st.tuples(st.integers(0, 30), st.tuples(*[GRID] * m), VIOLATION),
                                     max_size=60), label="offers")
@@ -140,6 +143,21 @@ class TestAgainstLoopOracle:
             assert got.offer(counts, objs, violation) == want.offer(counts, objs, violation)
         assert got.entries() == want.entries()
         assert len(got) == len(want)
+
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(offers)), max_size=8), label="cuts"))
+        blocks, want = ParetoArchive(), oracle.ParetoArchive()
+        for start, stop in zip([0] + cuts, cuts + [len(offers)]):
+            rows = [(key, objs) for key, objs, violation in offers[start:stop] if violation == 0.0]
+            held = {e.counts for e in want.entries()}
+            for key, objs in rows:
+                want.offer(HeadcountVector((key,)), objs, 0.0)
+            entered = {e.counts for e in want.entries()} - held
+            counts = np.array([key for key, _ in rows], dtype=np.int64).reshape(-1, 1)
+            objectives = np.array([objs for _, objs in rows], dtype=float).reshape(-1, m)
+            assert blocks.offer_rows(counts, objectives) == len(entered)
+            assert blocks.entries() == want.entries()
+            assert len(blocks) == len(want)
+            assert sorted(map(tuple, blocks.objectives.tolist())) == [e.objectives for e in want.entries()]
 
     @PROPERTY
     @given(st.data())
@@ -156,7 +174,19 @@ class TestAgainstLoopOracle:
         coord = st.one_of(GRID, st.floats(-3.0, 6.0, allow_nan=False, allow_infinity=False))
         points = data.draw(st.lists(st.tuples(*[coord] * m), max_size=30 if m < 3 else 10), label="points")
         ref = data.draw(st.tuples(*[st.floats(0.0, 6.0, allow_nan=False)] * m), label="reference")
-        assert hypervolume(points, ref) == oracle.hypervolume(points, ref)
+        want = oracle.hypervolume(points, ref)
+        assert hypervolume(points, ref) == want
+        assert hypervolume(np.array(points, dtype=float).reshape(-1, m), ref) == want
+        other = data.draw(st.lists(st.tuples(*[coord] * (m + 1)), max_size=3), label="other arity")
+        assert hypervolume(points + other, ref) == want
+
+
+    def test_hypervolume_adds_slabs_left_to_right(self):
+        """Many slabs of arbitrary width: a pairwise sum rounds differently."""
+        rng = np.random.Generator(np.random.PCG64(23))
+        for _ in range(20):
+            points = rng.random((60, 2)) * 3.0
+            assert hypervolume(points, (3.0, 3.0)) == oracle.hypervolume(points.tolist(), (3.0, 3.0))
 
 
 class TestCrowding:
@@ -305,6 +335,22 @@ class TestRunMOEA:
         trimmed = dataclasses.replace(res, archive=archive[1:])
         assert trimmed.archive == archive[1:] and trimmed != res
         assert dataclasses.replace(res, archive=()).archive == ()
+
+    def test_packed_archive_reads_back_exactly(self):
+        res = run_moea(micro_instance(), self.BUNDLE, self.BASIC, EAConfig(population_size=20, generations=5, seed=1))
+        counts, _ = res._archive_packed
+        assert counts.dtype == np.uint8  # the narrowest type that holds the counts
+        wide = (
+            ArchiveEntry(HeadcountVector((0, 255, 256)), (1.0, -2.5)),
+            ArchiveEntry(HeadcountVector((65_535, 65_536, 7)), (0.5, 3.0)),
+            ArchiveEntry(HeadcountVector((2**40, 0, 1)), (-0.0, 0.1)),
+        )
+        for archive in ((), wide[:1], wide[:2], wide):
+            kept = dataclasses.replace(res, archive=archive)
+            assert kept._archive_packed[0].dtype.kind == "u"  # an empty archive too
+            assert kept.archive == archive
+            assert pickle.loads(pickle.dumps(kept)).archive == archive
+            assert [type(c) for e in kept.archive for c in e.counts.counts] == [int] * (3 * len(archive))
 
     def test_hypervolume_trace_monotone(self):
         inst = micro_instance()
