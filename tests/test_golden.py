@@ -37,7 +37,7 @@ from manpower import (
     sa_solve,
     solve_assignment,
 )
-from manpower.instances import micro_instance, reference_instance
+from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -104,10 +104,22 @@ def snapshot() -> dict:
     cases["ip/non_monotone"] = ip_solve(micro_instance(), LONGEST, NON_MONOTONE)
     cases["ea_proportional"] = run_ea(
         week, SALARY, STAFFING, EAConfig(**small, selection="proportional"))
+    # the breeding paths: an odd population leaves the last pair's second
+    # child undrawn; crossover always and mutation never; a lone ri gene
+    # crosses over by arithmetic blend
+    cases["ea_ri/odd_k3"] = run_ea(
+        week, SALARY, STAFFING, EAConfig(population_size=31, generations=15, tournament_k=3, seed=6))
+    cases["ea_bg/cross_only"] = run_ea(
+        week, SALARY, STAFFING,
+        EAConfig(**small, encoding="bg", crossover_rate=1.0, mutation_rate=0.0, seed=7))
+    one_job = random_micro_instance(np.random.default_rng(1), n_jobs=1)
+    cases["ea_ri/one_job"] = run_ea(one_job, SALARY, ROSTER, EAConfig(**small, seed=8))
     roster_cfg = EAConfig(population_size=20, generations=10, encoding="bg", seed=3)
     cases["roster/single"] = solve_assignment(NINE, week, ROSTER, roster_cfg)
     cases["roster/multi"] = solve_assignment(
         NINE, multi, ROSTER & parse_constraint_string("o1"), roster_cfg)
+    cases["roster/odd"] = solve_assignment(
+        NINE, week, ROSTER, EAConfig(population_size=21, generations=10, encoding="bg", seed=9))
     cases["moea"] = run_moea(week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15))
     cases["moea_bg"] = run_moea(
         week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, encoding="bg"))
@@ -118,6 +130,8 @@ def snapshot() -> dict:
     # ranking over several fronts
     cases["moea/60x40"] = run_moea(
         week, TRADE_OFF, ROSTER, EAConfig(population_size=60, generations=40, seed=4))
+    cases["moea/31x10"] = run_moea(
+        week, TRADE_OFF, ROSTER, EAConfig(population_size=31, generations=10, seed=10))
     frac = fractional_week()
     cases["frac/ea_ri"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, seed=2))
     cases["frac/ea_bg"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, encoding="bg", seed=2))
