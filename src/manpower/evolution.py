@@ -18,6 +18,13 @@ generational loops decode their population into it with one array
 operation) or over a (P, E, D, 4) stack of rosters of one staff.
 Solvers that move one staffing at a time (annealing, the exact search)
 use the single-row case behind a small memo.
+
+A generational population is one (P, n) gene matrix.  A generation is
+bred in two phases: a loop makes the generator calls of breeding one
+child at a time, in the same order (parent picks, crossover gate, cut
+point, one mutation draw per child), and whole-array operations then
+gather the parents, cross them over and mutate them.  The child-by-child
+loop is the reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -181,23 +188,21 @@ def encode(counts: Sequence[int], bounds: Sequence[tuple[int, int]], encoding: s
     raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
-def _decode_rows(genomes: Sequence[Genome]) -> np.ndarray:
-    """The integer counts of genomes sharing one encoding and box, as a
-    (P, J) float matrix, clamped into the box: ri genes round half to
+def _decode_rows(genes: np.ndarray, encoding: str, box: _Box) -> np.ndarray:
+    """The integer counts of a (P, n) gene matrix of one encoding and box,
+    as a (P, J) float matrix, clamped into the box: ri genes round half to
     even, bg genes are big-endian offsets from the lower bound."""
-    first = genomes[0]
-    box = _box(first.bounds)
-    data = np.stack([g.data for g in genomes])
-    if first.encoding == "ri":
-        return np.minimum(np.maximum(np.rint(data), box.lo), box.hi)
-    if first.encoding == "bg":
-        return np.minimum(box.lo + data @ box.weights, box.hi)
-    raise ConfigurationError(f"unknown encoding {first.encoding!r}")
+    if encoding == "ri":
+        return np.minimum(np.maximum(np.rint(genes), box.lo), box.hi)
+    if encoding == "bg":
+        return np.minimum(box.lo + genes @ box.weights, box.hi)
+    raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
 def decode(genome: Genome) -> HeadcountVector:
     """Unpack a genome into integer counts (:func:`_decode_rows` of one)."""
-    return HeadcountVector(tuple(_decode_rows([genome])[0].astype(np.int64).tolist()))
+    counts = _decode_rows(genome.data[None], genome.encoding, _box(genome.bounds))[0]
+    return HeadcountVector(tuple(counts.astype(np.int64).tolist()))
 
 
 def random_genome(rng: np.random.Generator, bounds: Sequence[tuple[int, int]], encoding: str) -> Genome:
@@ -209,44 +214,6 @@ def random_genome(rng: np.random.Generator, bounds: Sequence[tuple[int, int]], e
     if encoding == "bg":
         return Genome("bg", rng.integers(0, 2, size=box.weights.shape[0], dtype=np.uint8), bounds)
     raise ConfigurationError(f"unknown encoding {encoding!r}")
-
-
-def _crossover(rng: np.random.Generator, a: Genome, b: Genome) -> tuple[Genome, Genome]:
-    n = a.data.shape[0]
-    if a.encoding == "bg" or n >= 2:
-        if n < 2:
-            return a, b
-        point = int(rng.integers(1, n))
-        c1 = np.concatenate([a.data[:point], b.data[point:]])
-        c2 = np.concatenate([b.data[:point], a.data[point:]])
-    else:
-        # single real gene: arithmetic blend
-        w = float(rng.uniform())
-        c1 = np.array([w * a.data[0] + (1 - w) * b.data[0]])
-        c2 = np.array([w * b.data[0] + (1 - w) * a.data[0]])
-    return Genome(a.encoding, c1, a.bounds), Genome(b.encoding, c2, b.bounds)
-
-
-def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
-    n = g.data.shape[0]
-    if g.encoding == "bg":
-        flips = rng.random(n) < rate
-        if not flips.any():
-            return g
-        data = g.data.copy()
-        data[flips] ^= 1
-        return Genome("bg", data, g.bounds)
-    # every draw is made, hit or not, so the generator advances the same;
-    # one (4, n) draw gives the same doubles as four rng.random(n) calls
-    hit, up, fresh, nudge = rng.random((4, n))
-    hits = hit < rate
-    if not hits.any():
-        return g
-    box = _box(g.bounds)
-    local = np.minimum(np.maximum(g.data + np.where(up < 0.5, 1.0, -1.0), box.low), box.high)
-    # half the mutations nudge by one step, half resample the gene
-    mutated = np.where(nudge < 0.5, local, box.low + box.span * fresh)
-    return Genome("ri", np.where(hits, mutated, g.data), g.bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -476,63 +443,112 @@ class _Tracker:
         return RunTrace(tuple(self._points))
 
 
-def _select(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> int:
+def _selector(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> Callable[[], int]:
+    """The parent picker of one generation: each call draws a row index,
+    lower penalized ``scores`` being fitter."""
     n = scores.shape[0]
     if cfg.selection == "tournament":
-        picks = rng.integers(0, n, size=cfg.tournament_k)
-        return int(picks[scores[picks].argmin()])
+        fitness, k = scores.tolist(), cfg.tournament_k
+
+        def tournament() -> int:
+            # k scalar draws give the values and generator state of one
+            # rng.integers(0, n, size=k); the first least score wins, as
+            # argmin would (scores are finite or +inf, never NaN)
+            best = rng.integers(0, n)
+            for _ in range(1, k):
+                i = rng.integers(0, n)
+                if fitness[i] < fitness[best]:
+                    best = i
+            return int(best)
+
+        return tournament
     # fitness-proportional on min-oriented scores
     finite = np.isfinite(scores)
-    if not finite.any():
-        return int(rng.integers(0, n))
-    worst = scores[finite].max()
-    weights = np.where(finite, worst - scores + 1e-9, 0.0)
-    total = weights.sum()
-    if total <= 0:
-        return int(rng.integers(0, n))
-    return int(rng.choice(n, p=weights / total))
+    if finite.any():
+        worst = scores[finite].max()
+        weights = np.where(finite, worst - scores + 1e-9, 0.0)
+        total = weights.sum()
+        if total > 0:
+            p = weights / total
+            return lambda: int(rng.choice(n, p=p))
+    return lambda: int(rng.integers(0, n))
 
 
 def _breed(
     rng: np.random.Generator,
-    offspring: list[Genome],
-    pick: Callable[[], Genome],
+    genes: np.ndarray,
+    pick: Callable[[], int],
     cfg: EAConfig,
-) -> list[Genome]:
-    """Fill ``offspring`` up to the population size with mutated children
-    of parent pairs drawn by ``pick``, crossed over at the crossover rate."""
-    while len(offspring) < cfg.population_size:
-        pa, pb = pick(), pick()
-        if rng.random() < cfg.crossover_rate:
-            pa, pb = _crossover(rng, pa, pb)
-        offspring.append(_mutate(rng, pa, cfg.mutation_rate))
-        if len(offspring) < cfg.population_size:
-            offspring.append(_mutate(rng, pb, cfg.mutation_rate))
-    return offspring
+    elite: np.ndarray,
+    ri_box: _Box | None = None,
+) -> np.ndarray:
+    """The next generation's (P, n) gene matrix: the rows of ``elite``,
+    then mutated children of parent pairs (rows of ``genes`` drawn by
+    ``pick``), crossed over at the crossover rate.  ``ri_box`` is the box
+    of real genes; None for bit genes.
+
+    A loop first makes every generator call, in the order of breeding
+    one child at a time: per pair, the two picks, the crossover gate,
+    the cut point (a blend weight for a lone real gene; nothing for a
+    lone bit), then one mutation draw per child, the pair's second child
+    only when it fits.  Whole-array operations then build the children.
+    """
+    size = cfg.population_size - len(elite)
+    n = genes.shape[1]
+    blends = ri_box is not None and n == 1
+    parents: list[int] = []
+    mix: list[float] = []  # per pair: the cut point (n: no crossover), or the blend weight (nan: none)
+    draws = np.empty((size, n) if ri_box is None else (size, 4, n))
+    for c in range(0, size, 2):
+        parents += pick(), pick()
+        if rng.random() < cfg.crossover_rate and (blends or n >= 2):
+            mix.append(rng.uniform() if blends else rng.integers(1, n))
+        else:
+            mix.append(np.nan if blends else n)
+        rng.random(out=draws[c])
+        if c + 1 < size:
+            rng.random(out=draws[c + 1])
+
+    a, b = genes[parents[0::2]], genes[parents[1::2]]
+    w = np.array(mix)[:, None]
+    if blends:
+        crossed = ~np.isnan(w)
+        a, b = np.where(crossed, w * a + (1 - w) * b, a), np.where(crossed, w * b + (1 - w) * a, b)
+    else:
+        first = np.arange(n) < w
+        a, b = np.where(first, a, b), np.where(first, b, a)
+    children = np.stack([a, b], axis=1).reshape(-1, n)[:size]
+    if ri_box is None:
+        children ^= draws < cfg.mutation_rate
+    else:
+        # half the mutations nudge a gene by one step, half resample it
+        hit, up, fresh, nudge = draws.transpose(1, 0, 2)
+        low, high = ri_box.low, ri_box.high
+        local = np.minimum(np.maximum(children + np.where(up < 0.5, 1.0, -1.0), low), high)
+        mutated = np.where(nudge < 0.5, local, low + ri_box.span * fresh)
+        children = np.where(hit < cfg.mutation_rate, mutated, children)
+    return np.concatenate([elite, children])
 
 
-# genomes -> (penalized, objective, violation), one entry per genome
-_ScoreGenomes = Callable[[Sequence[Genome]], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# (P, n) genes -> (penalized, objective, violation), one entry per row
+_ScoreRows = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _evolve(
     rng: np.random.Generator,
-    population: list[Genome],
-    score_genomes: _ScoreGenomes,
+    genes: np.ndarray,
+    score_rows: _ScoreRows,
     cfg: EAConfig,
+    ri_box: _Box | None = None,
 ) -> _Tracker:
     tracker = _Tracker()
-
-    def assess_all(genomes: list[Genome]) -> np.ndarray:
-        return tracker.record(genomes, *score_genomes(genomes))
-
-    scores = assess_all(population)
+    scores = tracker.record(genes, *score_rows(genes))
     tracker.mark(0, float(np.mean(scores)))
     for gen in range(1, cfg.generations + 1):
         # elitism: carry the best penalized genome forward untouched
-        elite = [] if tracker.best_genome is None else [tracker.best_genome]
-        population = _breed(rng, elite, lambda: population[_select(rng, scores, cfg)], cfg)
-        scores = assess_all(population)
+        elite = genes[:0] if tracker.best_genome is None else tracker.best_genome[None]
+        genes = _breed(rng, genes, _selector(rng, scores, cfg), cfg, elite, ri_box)
+        scores = tracker.record(genes, *score_rows(genes))
         tracker.mark(gen, float(np.mean(scores)))
     return tracker
 
@@ -552,13 +568,15 @@ def run_ea(
     _check_internal_applicable(expr, cfg.penalty)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     scorer = _Scorer.staffings(bundle, expr, inst, cfg.penalty)
+    bounds = inst.headcount_bounds()
+    box = _box(bounds)
 
-    def score_genomes(genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return scorer.rows(_decode_rows(genomes))[:3]
+    def score_rows(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return scorer.rows(_decode_rows(genes, cfg.encoding, box))[:3]
 
-    population = _initial_population(rng, inst, expr, cfg, score_genomes)
-    tracker = _evolve(rng, population, score_genomes, cfg)
-    return _result(SolveResult, tracker, cfg.seed, decode)
+    genes = _initial_population(rng, inst, expr, cfg, score_rows)
+    tracker = _evolve(rng, genes, score_rows, cfg, box if cfg.encoding == "ri" else None)
+    return _result(SolveResult, tracker, cfg.seed, lambda row: decode(Genome(cfg.encoding, row, bounds)))
 
 
 def _initial_population(
@@ -566,44 +584,46 @@ def _initial_population(
     inst: ProblemInstance,
     expr: Expr,
     cfg: EAConfig,
-    score_genomes: _ScoreGenomes,
-) -> list[Genome]:
+    score_rows: _ScoreRows,
+) -> np.ndarray:
     bounds = inst.headcount_bounds()
     size = cfg.population_size
     if cfg.penalty.method == "external":
-        return [random_genome(rng, bounds, cfg.encoding) for _ in range(size)]
+        return np.stack([random_genome(rng, bounds, cfg.encoding).data for _ in range(size)])
     # interior barrier: start strictly inside the feasible region, drawing
     # and scoring a population's worth of samples at a time
-    population: list[Genome] = []
-    rejected: collections.deque[Genome] = collections.deque(maxlen=size)
+    population: list[np.ndarray] = []
+    rejected: collections.deque[np.ndarray] = collections.deque(maxlen=size)
     cap = INITIAL_SAMPLES_PER_MEMBER * size
     for drawn in range(0, cap, size):
         before = rng.bit_generator.state
-        block = [random_genome(rng, bounds, cfg.encoding) for _ in range(min(size, cap - drawn))]
-        for k, (g, inside) in enumerate(zip(block, np.isfinite(score_genomes(block)[0]).tolist())):
+        block = np.stack([random_genome(rng, bounds, cfg.encoding).data
+                          for _ in range(min(size, cap - drawn))])
+        for k, (row, inside) in enumerate(zip(block, np.isfinite(score_rows(block)[0]).tolist())):
             if not inside:
-                rejected.append(g)
+                rejected.append(row)
                 continue
-            population.append(g)
+            population.append(row)
             if len(population) == size:
                 # leave the generator where the sample-by-sample loop would
                 rng.bit_generator.state = before
                 for _ in range(k + 1):
                     random_genome(rng, bounds, cfg.encoding)
-                return population
+                return np.stack(population)
+    counts = _decode_rows(np.stack(rejected), cfg.encoding, _box(bounds))
     raise InfeasibleError(
         f"could not sample a strictly feasible starting population ({len(population)} "
         f"of {cfg.population_size} members in {cap} samples); atoms at or past their "
         f"boundary in the last {len(rejected)} rejected samples: "
-        + _blocking_atoms(rejected, expr, inst)
+        + _blocking_atoms(counts, expr, inst)
     )
 
 
-def _blocking_atoms(genomes: Sequence[Genome], expr: Expr, inst: ProblemInstance) -> str:
-    """``"k6 in 100, k3 in 12"``: for each atom, how many of ``genomes``
-    give it a slack of zero or less, most often first; an atom named
-    twice counts once per genome."""
-    _, slacks = headcount_kernel(expr, inst)(_decode_rows(genomes))
+def _blocking_atoms(counts: np.ndarray, expr: Expr, inst: ProblemInstance) -> str:
+    """``"k6 in 100, k3 in 12"``: for each atom, how many rows of the
+    (P, J) ``counts`` give it a slack of zero or less, most often first;
+    an atom named twice counts once per row."""
+    _, slacks = headcount_kernel(expr, inst)(counts)
     blocked: dict[str, np.ndarray] = {}
     for c, slack in zip(collect_atoms(expr), slacks):
         name = c.kind.value + (f"({','.join(c.jobs)})" if c.jobs else "")
@@ -662,19 +682,14 @@ def solve_assignment(
             return AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
         return AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
 
-    def score_genomes(genomes: Sequence[Genome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def score_rows(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (P, E, D, 4) slot bits; in single-shift mode a day's bit stands for its four slots
-        bits = np.stack([g.data for g in genomes])
-        bits = bits.reshape(len(genomes), n_emp, inst.horizon_days, -1)
+        bits = genes.reshape(len(genes), n_emp, inst.horizon_days, -1)
         return scorer.rows(np.broadcast_to(bits, bits.shape[:3] + (SLOTS_PER_DAY,)))[:3]
 
-    bit_bounds = tuple((0, 1) for _ in range(n_bits))
     # warm start: full attendance is feasible whenever the counts are,
     # so keep one all-ones roster among the random initial rosters
-    population = [Genome("bg", np.ones(n_bits, dtype=np.uint8), bit_bounds)]
-    population += [
-        Genome("bg", rng.integers(0, 2, size=n_bits, dtype=np.uint8), bit_bounds)
-        for _ in range(cfg.population_size - 1)
-    ]
-    tracker = _evolve(rng, population, score_genomes, cfg)
-    return _result(AssignmentResult, tracker, cfg.seed, lambda g: build(g.data))
+    genes = np.stack([np.ones(n_bits, dtype=np.uint8)] + [
+        rng.integers(0, 2, size=n_bits, dtype=np.uint8) for _ in range(cfg.population_size - 1)])
+    tracker = _evolve(rng, genes, score_rows, cfg)
+    return _result(AssignmentResult, tracker, cfg.seed, build)

@@ -13,11 +13,13 @@ hypervolume can only grow.  It takes each generation's feasible rows
 as one block and admits and evicts them with a few matrix comparisons,
 ending as if they were offered one by one.  Two-objective hypervolume
 is one array sweep over the archive's objective array.  The
-pairwise-loop versions are the reference in ``tests/oracle.py``.  Each
-generation is decoded into one headcount matrix and scored with one
-call of the scorer of :mod:`~manpower.evolution`.  Offspring are bred
-by the same loop as the single-objective solver's, with a
-rank-and-crowding tournament in place of its selection.
+pairwise-loop versions are the reference in ``tests/oracle.py``.  The
+population is one gene matrix, decoded into one headcount matrix and
+scored with one call of the scorer of :mod:`~manpower.evolution`.
+Offspring are bred by the single-objective solver's generation breeder,
+with a rank-and-crowding tournament in place of its selection.  The
+pool of parents and offspring is ranked once per generation: the kept
+members' domination matrix is the pool's, restricted to them.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .domain import HeadcountVector, ProblemInstance
 from .errors import StructuralError
 from .evolution import (
     EAConfig,
-    Genome,
     PenaltyConfig,
     RunTrace,
+    _box,
     _breed,
     _decode_rows,
     _Packed,
@@ -86,7 +88,12 @@ def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
     viol = np.zeros(len(objs)) if violations is None else np.asarray(violations, dtype=float)
     if viol.shape != (len(objs),):
         raise StructuralError(f"{len(objs)} members but violations of shape {viol.shape}")
-    dom = _domination_matrix(objs, viol)
+    return _peel(_domination_matrix(objs, viol))
+
+
+def _peel(dom: np.ndarray) -> list[list[int]]:
+    """The fronts of the members that the N x N domination matrix ``dom``
+    compares, in :func:`non_dominated_sort`'s member order."""
     count = dom.sum(axis=0)  # dominators not yet placed in a front
     fronts: list[list[int]] = []
     front = np.flatnonzero(count == 0)
@@ -322,24 +329,27 @@ def run_moea(
     bundled objectives under the constraint expression."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     bounds = inst.headcount_bounds()
+    box = _box(bounds)
+    size = cfg.population_size
     archive = ParetoArchive()
     # ranking reads objectives and violations only, so the penalty is moot
     scorer = _Scorer.staffings(bundle, expr, inst, PenaltyConfig())
     tracker = _Tracker()
 
-    def assess(genomes: list[Genome]) -> tuple[np.ndarray, np.ndarray]:
-        """Objective rows and violations of ``genomes``, scored with one
-        call; the feasible ones are offered to the archive as one block,
-        in member order."""
-        counts = _decode_rows(genomes)
+    def assess(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective rows and violations of the (P, n) ``genes``, scored
+        with one call; the feasible ones are offered to the archive as one
+        block, in member order."""
+        counts = _decode_rows(genes, cfg.encoding, box)
         penalized, objective, violations, rows = scorer.rows(counts)
-        tracker.record(genomes, penalized, objective, violations)
+        tracker.record(genes, penalized, objective, violations)
         feasible = violations == 0.0
         archive.offer_rows(counts[feasible].astype(np.int64), rows[feasible])
         return rows, violations
 
-    population = [random_genome(rng, bounds, cfg.encoding) for _ in range(cfg.population_size)]
-    objectives, violations = assess(population)
+    genes = np.stack([random_genome(rng, bounds, cfg.encoding).data for _ in range(size)])
+    objectives, violations = assess(genes)
+    dom = _domination_matrix(objectives, violations)
 
     # freeze the hypervolume reference after the first evaluation sweep
     ref = tuple(float(w) + 1.0 for w in objectives.max(axis=0))
@@ -351,23 +361,26 @@ def run_moea(
     mark(0)
 
     for gen in range(1, cfg.generations + 1):
-        ranks, crowd = _rank_and_crowd(objectives, violations)
+        ranks, crowd = _rank_and_crowd(objectives, dom)
 
-        def pick() -> Genome:
-            i, j = int(rng.integers(len(population))), int(rng.integers(len(population)))
+        def pick() -> int:
+            i, j = int(rng.integers(size)), int(rng.integers(size))
             if ranks[i] != ranks[j]:
-                return population[i] if ranks[i] < ranks[j] else population[j]
-            return population[i] if crowd[i] >= crowd[j] else population[j]
+                return i if ranks[i] < ranks[j] else j
+            return i if crowd[i] >= crowd[j] else j
 
-        offspring = _breed(rng, [], pick, cfg)
+        offspring = _breed(rng, genes, pick, cfg, genes[:0], box if cfg.encoding == "ri" else None)
         child_objectives, child_violations = assess(offspring)
 
-        pool = population + offspring
         pool_objectives = np.vstack([objectives, child_objectives])
         pool_violations = np.concatenate([violations, child_violations])
-        keep = _environmental_selection(pool_objectives, pool_violations, cfg.population_size)
-        population = [pool[i] for i in keep]
+        pool_dom = _domination_matrix(pool_objectives, pool_violations)
+        keep = _environmental_selection(pool_objectives, pool_dom, size)
+        # a member's domination of another depends on just the two, so the
+        # kept population's matrix is the pool's, restricted to the kept
+        genes = np.concatenate([genes, offspring])[keep]
         objectives, violations = pool_objectives[keep], pool_violations[keep]
+        dom = pool_dom[np.ix_(keep, keep)]
         mark(gen)
 
     return MOEAResult(
@@ -379,22 +392,22 @@ def run_moea(
     )
 
 
-def _rank_and_crowd(objectives: np.ndarray, violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    fronts = non_dominated_sort(objectives, violations)
+def _rank_and_crowd(objectives: np.ndarray, dom: np.ndarray) -> tuple[list[int], list[float]]:
+    """Each member's front number and crowding distance within its front."""
     ranks = np.zeros(len(objectives), dtype=np.int64)
     crowd = np.zeros(len(objectives))
-    for r, front in enumerate(fronts):
+    for r, front in enumerate(_peel(dom)):
         ranks[front] = r
         crowd[front] = crowding(objectives[front])
-    return ranks, crowd
+    return ranks.tolist(), crowd.tolist()
 
 
-def _environmental_selection(objectives: np.ndarray, violations: np.ndarray, size: int) -> list[int]:
-    """Indices of the best ``size`` members: whole fronts while they fit,
-    then the most isolated members of the first overflowing front."""
-    fronts = non_dominated_sort(objectives, violations)
+def _environmental_selection(objectives: np.ndarray, dom: np.ndarray, size: int) -> list[int]:
+    """Indices of the best ``size`` members, ranked by their domination
+    matrix ``dom``: whole fronts while they fit, then the most isolated
+    members of the first overflowing front."""
     keep: list[int] = []
-    for front in fronts:
+    for front in _peel(dom):
         if len(keep) + len(front) <= size:
             keep.extend(front)
             continue

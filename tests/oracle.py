@@ -20,6 +20,10 @@
 * :func:`decode` — the gene-by-gene genome decoder that
   :func:`manpower.evolution.decode` replaced with array code.  Counts
   must agree exactly.
+* :func:`_select`, :func:`_crossover`, :func:`_mutate` and :func:`_breed`
+  — the child-by-child breeding loop that :func:`manpower.evolution._breed`
+  replaced with one draw loop and whole-array variation.  Children must
+  agree byte for byte, and the generator must end in the same state.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from manpower.constraints import And, Atom, AtomicConstraint, ConstraintKind, Not, Or
 from manpower.domain import SLOTS_PER_DAY, AttendanceTensor, HeadcountVector, ProblemInstance
 from manpower.errors import ConfigurationError, StructuralError
-from manpower.evolution import Genome
+from manpower.evolution import EAConfig, Genome, _box
 from manpower.moea import ArchiveEntry
 from manpower.objectives import Direction, ObjectiveKind
 
@@ -514,3 +518,76 @@ def decode(genome: Genome) -> HeadcountVector:
             values.append(min(hi, lo + v))
         return HeadcountVector(tuple(values))
     raise ConfigurationError(f"unknown encoding {genome.encoding!r}")
+
+
+def _select(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> int:
+    n = scores.shape[0]
+    if cfg.selection == "tournament":
+        picks = rng.integers(0, n, size=cfg.tournament_k)
+        return int(picks[scores[picks].argmin()])
+    # fitness-proportional on min-oriented scores
+    finite = np.isfinite(scores)
+    if not finite.any():
+        return int(rng.integers(0, n))
+    worst = scores[finite].max()
+    weights = np.where(finite, worst - scores + 1e-9, 0.0)
+    total = weights.sum()
+    if total <= 0:
+        return int(rng.integers(0, n))
+    return int(rng.choice(n, p=weights / total))
+
+
+def _crossover(rng: np.random.Generator, a: Genome, b: Genome) -> tuple[Genome, Genome]:
+    n = a.data.shape[0]
+    if a.encoding == "bg" or n >= 2:
+        if n < 2:
+            return a, b
+        point = int(rng.integers(1, n))
+        c1 = np.concatenate([a.data[:point], b.data[point:]])
+        c2 = np.concatenate([b.data[:point], a.data[point:]])
+    else:
+        # single real gene: arithmetic blend
+        w = float(rng.uniform())
+        c1 = np.array([w * a.data[0] + (1 - w) * b.data[0]])
+        c2 = np.array([w * b.data[0] + (1 - w) * a.data[0]])
+    return Genome(a.encoding, c1, a.bounds), Genome(b.encoding, c2, b.bounds)
+
+
+def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
+    n = g.data.shape[0]
+    if g.encoding == "bg":
+        flips = rng.random(n) < rate
+        if not flips.any():
+            return g
+        data = g.data.copy()
+        data[flips] ^= 1
+        return Genome("bg", data, g.bounds)
+    # every draw is made, hit or not, so the generator advances the same;
+    # one (4, n) draw gives the same doubles as four rng.random(n) calls
+    hit, up, fresh, nudge = rng.random((4, n))
+    hits = hit < rate
+    if not hits.any():
+        return g
+    box = _box(g.bounds)
+    local = np.minimum(np.maximum(g.data + np.where(up < 0.5, 1.0, -1.0), box.low), box.high)
+    # half the mutations nudge by one step, half resample the gene
+    mutated = np.where(nudge < 0.5, local, box.low + box.span * fresh)
+    return Genome("ri", np.where(hits, mutated, g.data), g.bounds)
+
+
+def _breed(
+    rng: np.random.Generator,
+    offspring: list[Genome],
+    pick: Callable[[], Genome],
+    cfg: EAConfig,
+) -> list[Genome]:
+    """Fill ``offspring`` up to the population size with mutated children
+    of parent pairs drawn by ``pick``, crossed over at the crossover rate."""
+    while len(offspring) < cfg.population_size:
+        pa, pb = pick(), pick()
+        if rng.random() < cfg.crossover_rate:
+            pa, pb = _crossover(rng, pa, pb)
+        offspring.append(_mutate(rng, pa, cfg.mutation_rate))
+        if len(offspring) < cfg.population_size:
+            offspring.append(_mutate(rng, pb, cfg.mutation_rate))
+    return offspring

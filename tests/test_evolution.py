@@ -297,6 +297,55 @@ class TestTrackerRecordsBlocksLikeAssess:
         assert seq == rec
 
 
+@st.composite
+def generations(draw):
+    """A generation to breed from: (encoding, bounds, genes, scores, config,
+    elite row or None, generator seed), with tied and infinite scores."""
+    encoding = draw(st.sampled_from(["ri", "bg"]))
+    n = draw(st.integers(1, 9))   # genes: jobs for ri, bits for bg
+    size = draw(st.integers(2, 11))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if encoding == "ri":
+        bounds = tuple((lo, lo + w) for lo, w in draw(st.lists(
+            st.tuples(st.integers(0, 20), st.integers(0, 6)), min_size=n, max_size=n)))
+    else:
+        bounds = ((0, 1),) * n
+    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
+    genes = np.stack([random_genome(rng, bounds, encoding).data for _ in range(size)])
+    scores = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 40.0, np.inf]),
+                                    min_size=size, max_size=size)))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        selection = dict(selection="tournament", tournament_k=draw(st.integers(2, 4)))
+    else:
+        selection = dict(selection="proportional")
+    cfg = EAConfig(population_size=size, crossover_rate=draw(rate), mutation_rate=draw(rate),
+                   encoding=encoding, **selection)
+    elite = draw(st.none() | st.integers(0, size - 1))
+    return encoding, bounds, genes, scores, cfg, elite, seed
+
+
+class TestBreedAgainstLoopOracle:
+    """A generation bred in whole arrays is the per-child loop's, byte for
+    byte, and leaves the generator where the loop leaves it."""
+
+    @PROPERTY
+    @given(generations())
+    def test_children_and_generator_state(self, case):
+        encoding, bounds, genes, scores, cfg, elite, seed = case
+        ours = np.random.Generator(np.random.PCG64(seed))
+        loop = np.random.Generator(np.random.PCG64(seed))
+        population = [Genome(encoding, row, bounds) for row in genes]
+        first = [] if elite is None else [population[elite]]
+        want = oracle._breed(loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
+        got = evolution._breed(ours, genes, evolution._selector(ours, scores, cfg), cfg,
+                               genes[:0] if elite is None else genes[elite][None],
+                               _box(bounds) if encoding == "ri" else None)
+        assert got.dtype == genes.dtype and got.shape == genes.shape
+        assert got.tobytes() == np.stack([g.data for g in want]).tobytes()
+        assert ours.bit_generator.state == loop.bit_generator.state
+
+
 def test_box_draw_is_rng_uniform_bit_for_bit():
     meta = np.random.Generator(np.random.PCG64(99))
     for seed in range(40):
@@ -310,7 +359,7 @@ def test_box_draw_is_rng_uniform_bit_for_bit():
             uniform = numpys.uniform(box.low, box.high)
             assert drawn.tobytes() == uniform.tobytes(), (
                 "low + span * rng.random(n) no longer equals rng.uniform(low, high) bit for bit; "
-                "random_genome and _mutate rely on it, so every seeded ri result would change")
+                "random_genome and the ri mutation rely on it, so every seeded ri result would change")
         assert ours.bit_generator.state == numpys.bit_generator.state, (
             "rng.uniform(low, high) no longer consumes one rng.random() double per value")
         n = len(bounds)
@@ -318,9 +367,51 @@ def test_box_draw_is_rng_uniform_bit_for_bit():
         rows = [numpys.random(n) for _ in range(4)]
         assert block.tobytes() == np.stack(rows).tobytes(), (
             "rng.random((4, n)) no longer fills row by row with the doubles of four rng.random(n) "
-            "calls; the ri _mutate relies on it, so every seeded ri result would change")
+            "calls; the ri mutation draw relies on it, so every seeded ri result would change")
         assert ours.bit_generator.state == numpys.bit_generator.state, (
             "rng.random((4, n)) no longer consumes the same doubles as four rng.random(n) calls")
+
+
+def test_scalar_integer_draws_match_one_sized_draw():
+    # the tournament draws its k entrants one rng.integers(0, n) call at a
+    # time, between rng.random() calls, where it once drew them with size=k
+    meta = np.random.Generator(np.random.PCG64(98))
+    for seed in range(40):
+        ours = np.random.Generator(np.random.PCG64(seed))
+        numpys = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(30):
+            n = int(meta.choice([1, 2, 3, 31, 100, 1000, 2**16 + 1, 2**31 - 1, 2**31]))
+            k = int(meta.integers(2, 6))
+            scalars = [int(ours.integers(0, n)) for _ in range(k)]
+            assert scalars == numpys.integers(0, n, size=k).tolist(), (
+                "k scalar rng.integers(0, n) calls no longer draw the values of one "
+                "rng.integers(0, n, size=k); every seeded tournament-selection result of run_ea "
+                "and solve_assignment would change")
+            assert ours.bit_generator.state == numpys.bit_generator.state, (
+                "k scalar rng.integers(0, n) calls no longer leave the generator where "
+                "rng.integers(0, n, size=k) does; every seeded run_ea and solve_assignment "
+                "result would change")
+            if meta.random() < 0.5:
+                assert ours.random() == numpys.random()
+
+
+def test_random_into_a_row_matches_a_fresh_draw():
+    for seed in range(20):
+        n = seed % 9 + 1
+        ours = np.random.Generator(np.random.PCG64(seed))
+        numpys = np.random.Generator(np.random.PCG64(seed))
+        for shape in ((7, n), (7, 4, n)):
+            draws = np.empty(shape)
+            for row in draws:
+                ours.random(out=row)
+            fresh = np.stack([numpys.random(shape[1:]) for _ in range(shape[0])])
+            assert draws.tobytes() == fresh.tobytes(), (
+                "rng.random(out=row) no longer fills the doubles of rng.random(row.shape); "
+                "breeding draws each child's mutation that way, so every seeded run_ea, "
+                "run_moea and solve_assignment result would change")
+            assert ours.bit_generator.state == numpys.bit_generator.state, (
+                "rng.random(out=row) no longer consumes the doubles of rng.random(row.shape)")
+            assert ours.random() == numpys.random()
 
 
 class TestPenalties:
