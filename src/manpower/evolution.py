@@ -490,8 +490,9 @@ def _breed(
     A loop first makes every generator call, in the order of breeding
     one child at a time: per pair, the two picks, the crossover gate,
     the cut point (a blend weight for a lone real gene; nothing for a
-    lone bit), then one mutation draw per child, the pair's second child
-    only when it fits.  Whole-array operations then build the children.
+    lone bit), then one mutation draw per child, none for the pair's
+    second child when it does not fit.  Whole-array operations then
+    build the children.
     """
     size = cfg.population_size - len(elite)
     n = genes.shape[1]
@@ -505,9 +506,9 @@ def _breed(
             mix.append(rng.uniform() if blends else rng.integers(1, n))
         else:
             mix.append(np.nan if blends else n)
-        rng.random(out=draws[c])
-        if c + 1 < size:
-            rng.random(out=draws[c + 1])
+        # the pair's mutation draws follow one another, so one call makes
+        # both; on an odd last pair the slice holds the first child's only
+        rng.random(out=draws[c:c + 2])
 
     a, b = genes[parents[0::2]], genes[parents[1::2]]
     w = np.array(mix)[:, None]
@@ -517,7 +518,7 @@ def _breed(
     else:
         first = np.arange(n) < w
         a, b = np.where(first, a, b), np.where(first, b, a)
-    children = np.stack([a, b], axis=1).reshape(-1, n)[:size]
+    children = np.stack([a, b], axis=1).reshape(len(parents), n)[:size]
     if ri_box is None:
         children ^= draws < cfg.mutation_rate
     else:
