@@ -15,11 +15,14 @@ ending as if they were offered one by one.  Two-objective hypervolume
 is one array sweep over the archive's objective array.  The
 pairwise-loop versions are the reference in ``tests/oracle.py``.  The
 population is one gene matrix, decoded into one headcount matrix and
-scored with one call of the scorer of :mod:`~manpower.evolution`.
-Offspring are bred by the single-objective solver's generation breeder,
-with a rank-and-crowding tournament in place of its selection.  The
-pool of parents and offspring is ranked once per generation: the kept
-members' domination matrix is the pool's, restricted to them.
+scored with one call of the scorer of :mod:`~manpower.evolution`, and
+the starting population is drawn with one generator call.  Offspring
+are bred by the single-objective solver's generation breeder, from one
+block of raw generator words, with a rank-and-crowding tournament
+(:func:`_crowded_pick`, chosen for all pairs at once) in place of its
+selection.  The pool of parents and offspring is ranked once per
+generation: the kept members' domination matrix is the pool's,
+restricted to them.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .evolution import (
     _breed,
     _decode_rows,
     _Packed,
+    _Pick,
+    _random_genes,
     _Scorer,
     _Tracker,
     decode,
@@ -328,8 +333,7 @@ def run_moea(
     """Evolve a population toward the feasible Pareto front of the
     bundled objectives under the constraint expression."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    bounds = inst.headcount_bounds()
-    box = _box(bounds)
+    box = _box(inst.headcount_bounds())
     size = cfg.population_size
     archive = ParetoArchive()
     # ranking reads objectives and violations only, so the penalty is moot
@@ -347,7 +351,7 @@ def run_moea(
         archive.offer_rows(counts[feasible].astype(np.int64), rows[feasible])
         return rows, violations
 
-    genes = np.stack([random_genome(rng, bounds, cfg.encoding).data for _ in range(size)])
+    genes = _random_genes(rng, size, box, cfg.encoding)
     objectives, violations = assess(genes)
     dom = _domination_matrix(objectives, violations)
 
@@ -361,14 +365,7 @@ def run_moea(
     mark(0)
 
     for gen in range(1, cfg.generations + 1):
-        ranks, crowd = _rank_and_crowd(objectives, dom)
-
-        def pick() -> int:
-            i, j = int(rng.integers(size)), int(rng.integers(size))
-            if ranks[i] != ranks[j]:
-                return i if ranks[i] < ranks[j] else j
-            return i if crowd[i] >= crowd[j] else j
-
+        pick = _crowded_pick(*_rank_and_crowd(objectives, dom))
         offspring = _breed(rng, genes, pick, cfg, genes[:0], box if cfg.encoding == "ri" else None)
         child_objectives, child_violations = assess(offspring)
 
@@ -392,14 +389,27 @@ def run_moea(
     )
 
 
-def _rank_and_crowd(objectives: np.ndarray, dom: np.ndarray) -> tuple[list[int], list[float]]:
+def _rank_and_crowd(objectives: np.ndarray, dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each member's front number and crowding distance within its front."""
     ranks = np.zeros(len(objectives), dtype=np.int64)
     crowd = np.zeros(len(objectives))
     for r, front in enumerate(_peel(dom)):
         ranks[front] = r
         crowd[front] = crowding(objectives[front])
-    return ranks.tolist(), crowd.tolist()
+    return ranks, crowd
+
+
+def _crowded_pick(ranks: np.ndarray, crowd: np.ndarray) -> _Pick:
+    """The crowded binary tournament: of two members drawn with
+    ``rng.integers(size)`` each, the one in the better front wins, and
+    within a front the less crowded one, the first on a tie."""
+
+    def choose(drawn: np.ndarray) -> np.ndarray:
+        i, j = drawn.T
+        return np.where(ranks[i] != ranks[j], np.where(ranks[i] < ranks[j], i, j),
+                        np.where(crowd[i] >= crowd[j], i, j))
+
+    return _Pick(2, len(ranks), choose)
 
 
 def _environmental_selection(objectives: np.ndarray, dom: np.ndarray, size: int) -> list[int]:

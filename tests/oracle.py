@@ -591,3 +591,14 @@ def _breed(
         if len(offspring) < cfg.population_size:
             offspring.append(_mutate(rng, pb, cfg.mutation_rate))
     return offspring
+
+
+def crowded_pick(rng: np.random.Generator, ranks: Sequence[int], crowd: Sequence[float]) -> int:
+    """:func:`manpower.run_moea`'s parent pick, one scalar draw at a time:
+    of two members drawn, the one in the better front, else the less
+    crowded one, the first on a tie."""
+    size = len(ranks)
+    i, j = int(rng.integers(size)), int(rng.integers(size))
+    if ranks[i] != ranks[j]:
+        return i if ranks[i] < ranks[j] else j
+    return i if crowd[i] >= crowd[j] else j

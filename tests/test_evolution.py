@@ -42,9 +42,9 @@ from manpower import (
     tensor_salary,
     violation_expr,
 )
-from manpower import evolution
+from manpower import evolution, moea
 from manpower.constraints import headcount_kernel
-from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _Scorer
+from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _random_genes, _Scorer, _selector, _Words
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
@@ -316,35 +316,85 @@ def generations(draw):
     scores = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 40.0, np.inf]),
                                     min_size=size, max_size=size)))
     rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-    if draw(st.booleans()):
-        selection = dict(selection="tournament", tournament_k=draw(st.integers(2, 4)))
-    else:
-        selection = dict(selection="proportional")
+    selection = draw(st.sampled_from(["tournament", "proportional", "crowded"]))
+    if selection == "crowded":
+        # run_moea's pick, on front numbers and crowding distances tied in both
+        ranks = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        crowd = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, np.inf]), min_size=size, max_size=size))
+        scores = (np.array(ranks), np.array(crowd))
+        selection = "tournament"
     cfg = EAConfig(population_size=size, crossover_rate=draw(rate), mutation_rate=draw(rate),
-                   encoding=encoding, **selection)
+                   selection=selection, tournament_k=draw(st.integers(2, 4)), encoding=encoding)
     elite = draw(st.none() | st.integers(0, size - 1))
     return encoding, bounds, genes, scores, cfg, elite, seed
 
 
-class TestBreedAgainstLoopOracle:
-    """A generation bred in whole arrays is the per-child loop's, byte for
-    byte, and leaves the generator where the loop leaves it."""
+def _generator_whose_next_word_is(word: int, seed: int = 0) -> np.random.Generator:
+    """A PCG64 generator whose next raw word is ``word``: the state before
+    the step whose XSL-RR output (O'Neill 2014) is ``word``."""
+    inc = np.random.PCG64(seed).state["state"]["inc"]
+    hi = 0xB123456789ABCDEF
+    rot = hi >> 58
+    xored = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1)
+    after = (hi << 64) | (xored ^ hi)
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    before = (after - inc) * pow(multiplier, -1, 2**128) % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    check = np.random.PCG64()
+    check.state = bitgen.state
+    assert int(check.random_raw()) == word
+    return np.random.Generator(bitgen)
 
-    @PROPERTY
-    @given(generations())
-    def test_children_and_generator_state(self, case):
+
+class TestBreedAgainstLoopOracle:
+    """A generation bred in whole arrays from one block of raw words is the
+    per-child loop's, byte for byte, and leaves the generator where the
+    loop's numpy calls leave it."""
+
+    @staticmethod
+    def _both(case, ours, loop):
         encoding, bounds, genes, scores, cfg, elite, seed = case
-        ours = np.random.Generator(np.random.PCG64(seed))
-        loop = np.random.Generator(np.random.PCG64(seed))
         population = [Genome(encoding, row, bounds) for row in genes]
         first = [] if elite is None else [population[elite]]
-        want = oracle._breed(loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
-        got = evolution._breed(ours, genes, evolution._selector(ours, scores, cfg), cfg,
-                               genes[:0] if elite is None else genes[elite][None],
+        if isinstance(scores, tuple):
+            ranks, crowd = scores
+            pick = moea._crowded_pick(ranks, crowd)
+            want = oracle._breed(loop, first, lambda: population[oracle.crowded_pick(loop, ranks, crowd)], cfg)
+        else:
+            pick = evolution._selector(scores, cfg)
+            want = oracle._breed(loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
+        got = evolution._breed(ours, genes, pick, cfg, genes[:0] if elite is None else genes[elite][None],
                                _box(bounds) if encoding == "ri" else None)
         assert got.dtype == genes.dtype and got.shape == genes.shape
         assert got.tobytes() == np.stack([g.data for g in want]).tobytes()
         assert ours.bit_generator.state == loop.bit_generator.state
+
+    @PROPERTY
+    @given(generations(), st.booleans())
+    def test_children_and_generator_state(self, case, primed):
+        seed = case[-1]
+        ours = np.random.Generator(np.random.PCG64(seed))
+        loop = np.random.Generator(np.random.PCG64(seed))
+        if primed:
+            # breeding starts with a 32-bit half kept by the generator
+            assert ours.integers(0, 3) == loop.integers(0, 3)
+        self._both(case, ours, loop)
+
+    @pytest.mark.parametrize("selection", ["tournament", "crowded"])
+    def test_rejected_halves_are_skipped(self, selection):
+        # both halves of the first word are 0, which Lemire's method
+        # rejects for the bound 6: the first two parent draws read past it
+        rng = np.random.Generator(np.random.PCG64(4))
+        bounds = tuple((0, w) for w in (3, 6, 2, 9, 1, 5, 7))
+        genes = np.stack([random_genome(rng, bounds, "bg").data for _ in range(6)])
+        scores = np.array([3.0, 1.0, 2.0, np.inf, 0.5, 1.0])
+        if selection == "crowded":
+            scores = (np.array([1, 0, 0, 2, 1, 0]), np.array([0.5, np.inf, 1.0, 0.0, 0.5, 1.0]))
+        cfg = EAConfig(population_size=6, encoding="bg", crossover_rate=0.8, mutation_rate=0.1)
+        ours, loop = _generator_whose_next_word_is(0), _generator_whose_next_word_is(0)
+        self._both(("bg", bounds, genes, scores, cfg, None, 0), ours, loop)
 
 
 def test_box_draw_is_rng_uniform_bit_for_bit():
@@ -373,47 +423,131 @@ def test_box_draw_is_rng_uniform_bit_for_bit():
             "rng.random((4, n)) no longer consumes the same doubles as four rng.random(n) calls")
 
 
-def test_scalar_integer_draws_match_one_sized_draw():
-    # the tournament draws its k entrants one rng.integers(0, n) call at a
-    # time, between rng.random() calls, where it once drew them with size=k
-    meta = np.random.Generator(np.random.PCG64(98))
-    for seed in range(40):
-        ours = np.random.Generator(np.random.PCG64(seed))
-        numpys = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(30):
-            n = int(meta.choice([1, 2, 3, 31, 100, 1000, 2**16 + 1, 2**31 - 1, 2**31]))
-            k = int(meta.integers(2, 6))
-            scalars = [int(ours.integers(0, n)) for _ in range(k)]
-            assert scalars == numpys.integers(0, n, size=k).tolist(), (
-                "k scalar rng.integers(0, n) calls no longer draw the values of one "
-                "rng.integers(0, n, size=k); every seeded tournament-selection result of run_ea "
-                "and solve_assignment would change")
-            assert ours.bit_generator.state == numpys.bit_generator.state, (
-                "k scalar rng.integers(0, n) calls no longer leave the generator where "
-                "rng.integers(0, n, size=k) does; every seeded run_ea and solve_assignment "
-                "result would change")
-            if meta.random() < 0.5:
-                assert ours.random() == numpys.random()
+@st.composite
+def draw_scripts(draw):
+    """numpy draws of every kind breeding and sampling read from raw words:
+    doubles, bounded integers (rejecting about half their halves at
+    2**31 + 1), cut points, rows of doubles and fitness-proportional
+    picks, plus a generator seed, a prefix draw that leaves a kept half,
+    and a first guess of the words needed (often short)."""
+    bound = st.sampled_from([3, 100, 2**31 + 1])
+    op = st.one_of(
+        st.tuples(st.just("random"), st.none()),
+        st.tuples(st.just("uniform"), st.none()),
+        st.tuples(st.just("integers"), bound),
+        st.tuples(st.just("cut"), st.sampled_from([2, 3, 100, 2**31 + 1])),   # rng.integers(1, n)
+        st.tuples(st.just("rows"), st.tuples(st.integers(1, 2), st.integers(0, 4), st.integers(1, 3))),
+        st.tuples(st.just("choice"), st.lists(st.sampled_from([0.0, 1.0, 2.5, 40.0, np.inf]),
+                                              min_size=2, max_size=9).filter(lambda s: min(s) < np.inf)),
+    )
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+            draw(st.lists(op, max_size=30)), draw(st.integers(1, 40)))
 
 
-def test_random_into_rows_matches_a_fresh_draw_per_row():
-    for seed in range(20):
-        n = seed % 9 + 1
-        ours = np.random.Generator(np.random.PCG64(seed))
-        numpys = np.random.Generator(np.random.PCG64(seed))
-        for shape in ((7, n), (7, 4, n)):
-            draws = np.empty(shape)
-            for c in range(0, shape[0], 2):   # the last slice holds one row
-                ours.random(out=draws[c:c + 2])
-            fresh = np.stack([numpys.random(shape[1:]) for _ in range(shape[0])])
-            assert draws.tobytes() == fresh.tobytes(), (
-                "rng.random(out=rows) no longer fills the doubles of one rng.random(row.shape) "
-                "call per row; breeding draws a pair's mutations that way, so every seeded "
-                "run_ea, run_moea and solve_assignment result would change")
-            assert ours.bit_generator.state == numpys.bit_generator.state, (
-                "rng.random(out=rows) no longer consumes the doubles of one rng.random(row.shape) "
-                "call per row")
-            assert ours.random() == numpys.random()
+def _numpy_draws(rng: np.random.Generator, script) -> list:
+    """The values of the script's draws made with numpy's own calls: as
+    breeding made them one child at a time."""
+    out = []
+    for kind, arg in script:
+        if kind in ("random", "uniform"):
+            out.append(getattr(rng, kind)())
+        elif kind == "integers":
+            out.append(int(rng.integers(0, arg)))
+        elif kind == "cut":
+            out.append(int(rng.integers(1, arg)))
+        elif kind == "rows":
+            rows = np.empty(arg)
+            rng.random(out=rows)
+            out.append(rows.tolist())
+        else:
+            scores = np.array(arg)
+            finite = np.isfinite(scores)
+            weights = np.where(finite, scores[finite].max() - scores + 1e-9, 0.0)
+            out.append(int(rng.choice(len(scores), p=weights / weights.sum())))
+    return out
+
+
+def _word_draws(rng: np.random.Generator, script, guess: int) -> list:
+    """The values of the same draws read off one block of raw words."""
+    words = _Words(rng, guess)
+
+    def walk(w: _Words) -> list:
+        positions = []
+        for kind, arg in script:
+            if kind in ("random", "uniform", "choice"):
+                positions.append(w.doubles(1))
+            elif kind in ("integers", "cut"):
+                positions.append(w.bounded(arg if kind == "integers" else arg - 1, 1)[0])
+            else:
+                positions.append(w.doubles(int(np.prod(arg))))
+        return positions
+
+    out = []
+    for (kind, arg), at in zip(script, words.read(walk)):
+        if kind in ("random", "uniform"):
+            out.append(float(words.units([at])[0]))
+        elif kind == "integers":
+            out.append(int(words.below([at], arg)[0]))
+        elif kind == "cut":
+            out.append(1 + int(words.below([at], arg - 1)[0]))
+        elif kind == "rows":
+            out.append(words.units(np.arange(at, at + int(np.prod(arg)))).reshape(arg).tolist())
+        else:
+            scores = np.array(arg)
+            cfg = EAConfig(population_size=len(scores), selection="proportional")
+            out.append(int(_selector(scores, cfg).choose(words.units([[at]]))[0]))
+    words.close()
+    return out
+
+
+@PROPERTY
+@given(draw_scripts())
+def test_raw_words_reproduce_numpys_draws(script):
+    seed, primed, draws, guess = script
+    ours = np.random.Generator(np.random.PCG64(seed))
+    numpys = np.random.Generator(np.random.PCG64(seed))
+    if primed:
+        # the generator keeps a 32-bit half for the next bounded draw
+        assert ours.integers(0, 3) == numpys.integers(0, 3)
+    want = _numpy_draws(numpys, draws)
+    got = _word_draws(ours, draws, guess)
+    assert got == want, (
+        "numpy's draws are no longer the functions of PCG64's raw words that _Words reads "
+        "(doubles (w >> 11) * 2**-53, Lemire's method on kept 32-bit halves, choice by "
+        "searching the cumulative weights); breeding reads them that way, so every seeded "
+        "run_ea, run_moea and solve_assignment result would change")
+    assert ours.bit_generator.state == numpys.bit_generator.state, (
+        "_Words.close no longer leaves the generator where numpy's calls leave it (words read, "
+        "kept half, numpy's uinteger); every draw after a generation's breeding would change, "
+        "and with it every seeded run_ea, run_moea and solve_assignment result")
+
+
+@PROPERTY
+@given(st.sampled_from(["ri", "bg"]), st.integers(0, 9), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_block_sampling_is_sampling_member_by_member(encoding, genes, rows, primed, seed):
+    # bg: W = 0..9 bits; ri: 1..9 jobs of boxes 0..9 wide
+    bounds = tuple((j, j + (genes + 3 * j) % 10) for j in range(max(genes, 1)))
+    if encoding == "bg":
+        bounds = ((0, 1),) * genes
+    ours = np.random.Generator(np.random.PCG64(seed))
+    numpys = np.random.Generator(np.random.PCG64(seed))
+    if primed:
+        assert ours.integers(0, 3) == numpys.integers(0, 3)
+    box = _box(bounds)
+    block = _random_genes(ours, rows, box, encoding)
+    if encoding == "ri":
+        one_by_one = [numpys.uniform(box.low, box.high) for _ in range(rows)]
+    else:
+        one_by_one = [numpys.integers(0, 2, size=genes, dtype=np.uint8) for _ in range(rows)]
+    assert block.dtype == one_by_one[0].dtype
+    assert block.tobytes() == np.stack(one_by_one).tobytes(), (
+        "one block draw no longer gives the rows of one draw per member; starting "
+        "populations and the barrier's samples are drawn that way, so every seeded run_ea, "
+        "run_moea and solve_assignment result would change")
+    assert ours.bit_generator.state == numpys.bit_generator.state
+    assert random_genome(ours, bounds, encoding).data.tobytes() == (
+        _random_genes(numpys, 1, box, encoding)[0].tobytes())
 
 
 class TestPenalties:
@@ -476,17 +610,24 @@ class TestPenalties:
     def test_barrier_with_no_interior_fails_fast_and_names_the_atom(self, monkeypatch):
         # rest_cap=0 leaves k6 no slack on any staffing, so no start is strictly inside
         inst = dataclasses.replace(micro_instance(), rest_cap=0)
-        samples = []
+        sample = evolution._initial_population
+        ends = []
 
-        def counted(*args):
-            samples.append(1)
-            return random_genome(*args)
+        def watched(rng, *args):
+            try:
+                return sample(rng, *args)
+            finally:
+                ends.append(rng.bit_generator.state)
 
-        monkeypatch.setattr(evolution, "random_genome", counted)
+        monkeypatch.setattr(evolution, "_initial_population", watched)
         cfg = EAConfig(population_size=10, penalty=PenaltyConfig(method="internal"))
         with pytest.raises(InfeasibleError, match=r"atoms at or past their boundary .*: .*k6 in 10"):
             run_ea(inst, SALARY, conjunction("k5", "k6"), cfg)
-        assert len(samples) == INITIAL_SAMPLES_PER_MEMBER * 10
+        # the sampling drew exactly the cap of samples, no more and no fewer
+        drew = np.random.Generator(np.random.PCG64(cfg.seed))
+        for _ in range(INITIAL_SAMPLES_PER_MEMBER * 10):
+            random_genome(drew, inst.headcount_bounds(), cfg.encoding)
+        assert ends == [drew.bit_generator.state]
 
     def test_internal_solve_stays_feasible(self):
         inst = micro_instance()
