@@ -132,6 +132,11 @@ def snapshot() -> dict:
         week, TRADE_OFF, ROSTER, EAConfig(population_size=60, generations=40, seed=4))
     cases["moea/31x10"] = run_moea(
         week, TRADE_OFF, ROSTER, EAConfig(population_size=31, generations=10, seed=10))
+    # a generated instance: few distinct staffings, so the pool holds
+    # many duplicates and ties, and its fronts are cut in many places
+    cases["moea/random_micro_bg_40x20"] = run_moea(
+        random_micro_instance(np.random.default_rng(4), n_jobs=4), TRADE_OFF, ROSTER,
+        EAConfig(population_size=40, generations=20, encoding="bg", seed=11))
     frac = fractional_week()
     cases["frac/ea_ri"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, seed=2))
     cases["frac/ea_bg"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, encoding="bg", seed=2))
