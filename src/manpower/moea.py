@@ -7,11 +7,12 @@ vector decides.  A population is an (N, M) objective array with a
 violation vector; :func:`non_dominated_sort` compares every pair at once
 in one N x N domination matrix, built one objective column at a time
 as two boolean planes, and peels the NSGA-II fronts (Deb et al. 2002)
-from it.  An external archive, also an objective array, accumulates
-every feasible non-dominated headcount vector ever seen, so its
-hypervolume can only grow.  It takes each generation's feasible rows
-as one block and admits and evicts them with a few matrix comparisons,
-ending as if they were offered one by one.  Two-objective hypervolume
+from it.  An external archive, a counts matrix beside an objective
+matrix with entries built on read, accumulates every feasible
+non-dominated headcount vector ever seen, so its hypervolume can only
+grow.  It takes each generation's feasible rows as one block and admits
+and evicts them with a few matrix comparisons, ending as if they were
+offered one by one.  Two-objective hypervolume
 is one array sweep over the archive's objective array.  The
 pairwise-loop versions are the reference in ``tests/oracle.py``.  The
 population is one gene matrix, decoded into one headcount matrix and
@@ -20,15 +21,15 @@ the starting population is drawn with one generator call.  Offspring
 are bred by the single-objective solver's generation breeder, from one
 block of raw generator words, with a rank-and-crowding tournament
 (:func:`_crowded_pick`, chosen for all pairs at once) in place of its
-selection.  The pool of parents and offspring is ranked once per
-generation: the kept members' domination matrix is the pool's,
-restricted to them.
+selection.  The pool of parents and offspring is peeled once per
+generation, up to the cut, and the kept members' ranks and crowding
+are read off that one peel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,23 +94,50 @@ def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
     viol = np.zeros(len(objs)) if violations is None else np.asarray(violations, dtype=float)
     if viol.shape != (len(objs),):
         raise StructuralError(f"{len(objs)} members but violations of shape {viol.shape}")
-    return _peel(_domination_matrix(objs, viol))
+    return [front.tolist() for front, _ in _peel(_domination_matrix(objs, viol))]
 
 
-def _peel(dom: np.ndarray) -> list[list[int]]:
-    """The fronts of the members that the N x N domination matrix ``dom``
-    compares, in :func:`non_dominated_sort`'s member order."""
+def _peel(dom: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the fronts of the members that the N x N domination matrix
+    ``dom`` compares, in :func:`non_dominated_sort`'s member order, each
+    with the position of each member's last dominator in the previous
+    front (0 in front 0).  A front is peeled only when it is asked for."""
     count = dom.sum(axis=0)  # dominators not yet placed in a front
-    fronts: list[list[int]] = []
     front = np.flatnonzero(count == 0)
+    last = np.zeros(len(front), dtype=np.intp)
     while front.size:
-        fronts.append(front.tolist())
+        yield front, last
         hits = dom[front]
         count -= hits.sum(axis=0)
         freed = np.flatnonzero((count == 0) & hits.any(axis=0))
         last = len(front) - 1 - np.argmax(hits[::-1, freed], axis=0)
-        front = freed[np.argsort(last, kind="stable")]
-    return fronts
+        order = np.argsort(last, kind="stable")
+        front, last = freed[order], last[order]
+
+
+def _survivors(objectives: np.ndarray, violations: np.ndarray,
+               size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool indices of the best ``size`` members, by one peel that stops
+    at the cut: whole fronts while they fit, then the most isolated
+    members of the first front that overflows.  Also the kept members'
+    fronts and crowding as ranking them alone gives: ranked alone, those
+    kept from the cut are listed by the position of their last dominator
+    in the previous front, then by their place among the kept."""
+    keep, crowd, room = [], [], size
+    for front, last in _peel(_domination_matrix(objectives, violations)):
+        dist = crowding(objectives[front])
+        if len(front) > room:
+            chosen = np.argsort(-dist, kind="stable")[:room]
+            alone = np.argsort(last[chosen], kind="stable")
+            front, dist = front[chosen], np.empty(room)
+            dist[alone] = crowding(objectives[front[alone]])
+        keep.append(front)
+        crowd.append(dist)
+        room -= len(front)
+        if not room:
+            break
+    ranks = np.repeat(np.arange(len(keep), dtype=np.int64), [len(f) for f in keep])
+    return np.concatenate(keep), ranks, np.concatenate(crowd)
 
 
 def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
@@ -157,16 +185,17 @@ class ParetoArchive:
 
     Deduplicates by counts (objectives are a function of counts here),
     so re-encountered points are free.  Dominated entries are evicted;
-    the archive's hypervolume never decreases.  The entries' objectives
-    are also held as one (n, M) array, so a block of offers is compared
-    with all of them at once; objectives must be finite, which
+    the archive's hypervolume never decreases.  The entries are an (n, J)
+    int64 counts matrix beside an (n, M) objective matrix, in insertion
+    order, so a block of offers meets all of them at once; entries are
+    built on read.  Objectives must be finite, which
     :func:`~manpower.objectives.evaluate_bundle` ensures.
     """
 
     def __init__(self):
-        self._entries: list[ArchiveEntry] = []
-        self._objectives: np.ndarray | None = None
-        self._seen: set[tuple[int, ...]] = set()
+        self._counts = np.empty((0, 0), dtype=np.int64)
+        self._objectives = np.empty((0, 0))
+        self._seen: set[bytes] = set()
 
     def offer(self, counts: HeadcountVector, objectives: tuple[float, ...], violation: float) -> bool:
         """Offer one staffing; True when it enters the archive."""
@@ -196,17 +225,19 @@ class ParetoArchive:
         well: an earlier admitted row (held entries do not dominate one
         another, and a held one would have refused an admitted target),
         which had already removed it.  So refused rows may count as
-        evictors.
+        evictors, and a block that admits nothing evicts nothing.
         """
+        # a row's key is its bytes after the cast, so an int32 row meets its int64 twin
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         fresh = []
-        for i, key in enumerate(map(tuple, counts.tolist())):
+        for i, key in enumerate(counts.view((np.void, 8 * counts.shape[1])).ravel().tolist()):
             if key not in self._seen:
                 self._seen.add(key)
                 fresh.append(i)
         if not fresh:
             return 0
         new = objectives[fresh]
-        held = np.empty((0, new.shape[1])) if self._objectives is None else self._objectives
+        held = self._objectives if len(self) else np.empty((0, new.shape[1]))
         if held.shape[1] != new.shape[1]:
             raise StructuralError(f"objective arity mismatch: {held.shape[1]} vs {new.shape[1]}")
         below = _weakly_below(new, new)  # below[i, k]: row i <= row k
@@ -214,26 +245,27 @@ class ParetoArchive:
         refused = (_weakly_below(held, new).any(axis=0)
                    | np.triu(below, 1).any(axis=0)
                    | np.tril(dominates, -1).any(axis=0))
-        evicted = (_weakly_below(new, held) & ~_weakly_below(held, new).T).any(axis=0)
-        if evicted.any():
-            self._entries = [e for e, out in zip(self._entries, evicted.tolist()) if not out]
         admitted = np.flatnonzero(~refused)
-        keys = counts[fresh][admitted].tolist()
-        self._entries.extend(ArchiveEntry(HeadcountVector(c), tuple(o))
-                             for c, o in zip(keys, new[admitted].tolist()))
-        self._objectives = np.vstack([held[~evicted], new[admitted]])
+        if not admitted.size:
+            return 0
+        stays = ~(_weakly_below(new, held) & ~_weakly_below(held, new).T).any(axis=0)
+        held_counts = self._counts if len(self) else np.empty((0, counts.shape[1]), dtype=np.int64)
+        self._counts = np.vstack([held_counts[stays], counts[fresh][admitted]])
+        self._objectives = np.vstack([held[stays], new[admitted]])
         return len(admitted)
 
     @property
     def objectives(self) -> np.ndarray:
         """The entries' objectives as one (n, M) array, in no fixed order."""
-        return np.empty((0, 0)) if self._objectives is None else self._objectives
+        return self._objectives
 
     def entries(self) -> tuple[ArchiveEntry, ...]:
-        return tuple(sorted(self._entries, key=lambda e: e.objectives))
+        made = [ArchiveEntry(HeadcountVector(c), tuple(o))
+                for c, o in zip(self._counts.tolist(), self._objectives.tolist())]
+        return tuple(sorted(made, key=lambda e: e.objectives))  # ties in insertion order
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._counts)
 
 
 def hypervolume(points: Sequence[Sequence[float]] | np.ndarray, ref: Sequence[float]) -> float:
@@ -340,45 +372,38 @@ def run_moea(
     scorer = _Scorer.staffings(bundle, expr, inst, PenaltyConfig())
     tracker = _Tracker()
 
-    def assess(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def assess(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Objective rows and violations of the (P, n) ``genes``, scored
         with one call; the feasible ones are offered to the archive as one
-        block, in member order."""
+        block, in member order, and the number admitted comes third."""
         counts = _decode_rows(genes, cfg.encoding, box)
         penalized, objective, violations, rows = scorer.rows(counts)
         tracker.record(genes, penalized, objective, violations)
         feasible = violations == 0.0
-        archive.offer_rows(counts[feasible].astype(np.int64), rows[feasible])
-        return rows, violations
+        return rows, violations, archive.offer_rows(counts[feasible], rows[feasible])
 
     genes = _random_genes(rng, size, box, cfg.encoding)
-    objectives, violations = assess(genes)
-    dom = _domination_matrix(objectives, violations)
-
+    objectives, violations, admitted = assess(genes)
     # freeze the hypervolume reference after the first evaluation sweep
     ref = tuple(float(w) + 1.0 for w in objectives.max(axis=0))
+    # the starting population is ranked where it stands
+    order, *ranked = _survivors(objectives, violations, size)
+    ranks, crowd = (x[np.argsort(order)] for x in ranked)
+    hv = 0.0
 
-    def mark(gen: int) -> None:
-        hv = hypervolume(archive.objectives, ref)
+    for gen in range(cfg.generations + 1):
+        if gen:  # generation 0 is the starting population
+            pick = _crowded_pick(ranks, crowd)
+            offspring = _breed(rng, genes, pick, cfg, genes[:0], box if cfg.encoding == "ri" else None)
+            child_objectives, child_violations, admitted = assess(offspring)
+            pool_objectives = np.vstack([objectives, child_objectives])
+            pool_violations = np.concatenate([violations, child_violations])
+            keep, ranks, crowd = _survivors(pool_objectives, pool_violations, size)
+            genes = np.concatenate([genes, offspring])[keep]
+            objectives, violations = pool_objectives[keep], pool_violations[keep]
+        if admitted:  # else the archive, and so its volume, is unchanged
+            hv = hypervolume(archive.objectives, ref)
         tracker.mark(gen, float(len(archive)), best=hv)
-
-    mark(0)
-
-    for gen in range(1, cfg.generations + 1):
-        pick = _crowded_pick(*_rank_and_crowd(objectives, dom))
-        offspring = _breed(rng, genes, pick, cfg, genes[:0], box if cfg.encoding == "ri" else None)
-        child_objectives, child_violations = assess(offspring)
-
-        pool_objectives = np.vstack([objectives, child_objectives])
-        pool_violations = np.concatenate([violations, child_violations])
-        pool_dom = _domination_matrix(pool_objectives, pool_violations)
-        keep = _environmental_selection(pool_objectives, pool_dom, size)
-        # a member's domination of another depends on just the two, so the
-        # kept population's matrix is the pool's, restricted to the kept
-        genes = np.concatenate([genes, offspring])[keep]
-        objectives, violations = pool_objectives[keep], pool_violations[keep]
-        dom = pool_dom[np.ix_(keep, keep)]
-        mark(gen)
 
     return MOEAResult(
         archive=archive.entries(),
@@ -387,16 +412,6 @@ def run_moea(
         seed=cfg.seed,
         reference_point=ref,
     )
-
-
-def _rank_and_crowd(objectives: np.ndarray, dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's front number and crowding distance within its front."""
-    ranks = np.zeros(len(objectives), dtype=np.int64)
-    crowd = np.zeros(len(objectives))
-    for r, front in enumerate(_peel(dom)):
-        ranks[front] = r
-        crowd[front] = crowding(objectives[front])
-    return ranks, crowd
 
 
 def _crowded_pick(ranks: np.ndarray, crowd: np.ndarray) -> _Pick:
@@ -410,19 +425,3 @@ def _crowded_pick(ranks: np.ndarray, crowd: np.ndarray) -> _Pick:
                         np.where(crowd[i] >= crowd[j], i, j))
 
     return _Pick(2, len(ranks), choose)
-
-
-def _environmental_selection(objectives: np.ndarray, dom: np.ndarray, size: int) -> list[int]:
-    """Indices of the best ``size`` members, ranked by their domination
-    matrix ``dom``: whole fronts while they fit, then the most isolated
-    members of the first overflowing front."""
-    keep: list[int] = []
-    for front in _peel(dom):
-        if len(keep) + len(front) <= size:
-            keep.extend(front)
-            continue
-        dists = crowding(objectives[front])
-        order = sorted(range(len(front)), key=lambda k: -dists[k])
-        keep.extend(front[k] for k in order[: size - len(keep)])
-        break
-    return keep

@@ -17,6 +17,11 @@
   NSGA-II ranking, crowding, archive and recursive hypervolume that
   :mod:`manpower.moea` replaced with array code.  Fronts (member order
   included), distances, archive contents and volumes must agree exactly.
+* :func:`environmental_selection` and :func:`rank_and_crowd` — the
+  two-peel selection that :func:`manpower.moea._survivors` replaced with
+  one peel that stops at the cut: the pool's fronts choose the kept
+  members, then the kept members are ranked again on their own.  Kept
+  members, ranks and crowding must agree exactly.
 * :func:`decode` — the gene-by-gene genome decoder that
   :func:`manpower.evolution.decode` replaced with array code.  Counts
   must agree exactly.
@@ -430,6 +435,34 @@ def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
                     continue
                 dist[i] += (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
     return dist
+
+
+def environmental_selection(objectives: Sequence[Sequence[float]], violations: Sequence[float],
+                            size: int) -> list[int]:
+    """Indices of the best ``size`` members: whole fronts while they fit,
+    then the most isolated members of the first overflowing front."""
+    pop = [Scored(tuple(o), v) for o, v in zip(objectives, violations)]
+    keep: list[int] = []
+    for front in non_dominated_sort(pop):
+        if len(keep) + len(front) <= size:
+            keep.extend(front)
+            continue
+        dists = crowding([pop[i].objectives for i in front])
+        order = sorted(range(len(front)), key=lambda k: -dists[k])
+        keep.extend(front[k] for k in order[: size - len(keep)])
+        break
+    return keep
+
+
+def rank_and_crowd(objectives: Sequence[Sequence[float]],
+                   violations: Sequence[float]) -> tuple[list[int], list[float]]:
+    """Each member's front number and crowding distance within its front."""
+    pop = [Scored(tuple(o), v) for o, v in zip(objectives, violations)]
+    ranks, crowd = [0] * len(pop), [0.0] * len(pop)
+    for r, front in enumerate(non_dominated_sort(pop)):
+        for i, dist in zip(front, crowding([pop[i].objectives for i in front]).tolist()):
+            ranks[i], crowd[i] = r, dist
+    return ranks, crowd
 
 
 class ParetoArchive:

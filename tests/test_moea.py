@@ -28,11 +28,13 @@ from manpower import (
     run_moea,
     violation_expr,
 )
+from manpower import moea
 from manpower.instances import micro_instance, random_micro_instance
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 GRID = st.integers(0, 4).map(float)  # a coarse grid, so ties and duplicates are common
 VIOLATION = st.one_of(st.just(0.0), st.integers(1, 3).map(float))  # equal violations too
+INTEGER_TYPES = st.sampled_from([np.int32, np.uint8, np.int64])
 
 
 def brute_force_fronts(pop):
@@ -130,16 +132,73 @@ class TestAgainstLoopOracle:
 
     @PROPERTY
     @given(st.data())
+    def test_survivors(self, data):
+        """One peel that stops at the cut keeps the members, ranks and
+        crowding of the two-peel selection (the pool's fronts choose, then
+        the kept members are ranked on their own).  Sizes are drawn by
+        where they cut: inside front 0, inside a later front, or at the end
+        of a front that more fronts follow.  One objective on a wider grid,
+        under three violation levels, leaves many fronts past the cut; three
+        objectives on a narrower grid tie distinct members of a front, where
+        the kept members' order changes their crowding."""
+        m = data.draw(st.integers(1, 3), label="objectives")
+        coord = st.integers(0, {1: 12, 2: 4, 3: 2}[m]).map(float)
+        rows = data.draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=40), label="rows")
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=5), label="duplicates")
+        violation = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])  # mostly feasible, so fronts are wide
+        violations = data.draw(st.lists(violation, min_size=len(rows), max_size=len(rows)), label="violations")
+        objectives, viol = np.array(rows, dtype=float), np.array(violations)
+
+        ends = np.cumsum([len(f) for f in oracle.non_dominated_sort(
+            [oracle.Scored(r, v) for r, v in zip(rows, violations)])])
+        cuts = {"front 0": [], "later front": [], "front end": []}
+        for size in range(1, len(rows)):
+            k = int(np.searchsorted(ends, size))
+            cuts["front end" if ends[k] == size else "later front" if k else "front 0"].append(size)
+        kinds = [kind for kind, sizes in cuts.items() if sizes]
+        if kinds:
+            size = data.draw(st.sampled_from(cuts[data.draw(st.sampled_from(kinds), label="cut")]),
+                             label="size")
+            keep, ranks, crowd = moea._survivors(objectives, viol, size)
+            want = oracle.environmental_selection(rows, violations, size)
+            assert keep.tolist() == want
+            assert (ranks.tolist(), crowd.tolist()) == oracle.rank_and_crowd(
+                [rows[i] for i in want], [violations[i] for i in want])
+
+        # a starting population is ranked where it stands
+        order, ranks, crowd = moea._survivors(objectives, viol, len(rows))
+        back = np.argsort(order)
+        assert (ranks[back].tolist(), crowd[back].tolist()) == oracle.rank_and_crowd(rows, violations)
+
+    def test_cut_front_is_crowded_in_its_own_order(self):
+        """Front 1 is members 0, 2, 4 and 5, and three of them fit.  Kept
+        most isolated first they are 0, 5, 2; ranked alone they come in
+        the order of their last dominator, 0, 2, 5, so members 2 and 5,
+        tied at the top of the second objective, trade the boundary there
+        and member 2 becomes an interior point."""
+        rows = [(2, 0, 0), (1, 0, 0), (1, 2, 0), (0, 1, 1), (1, 0, 1), (0, 2, 1)]
+        keep, ranks, crowd = moea._survivors(np.array(rows, dtype=float), np.zeros(6), 5)
+        assert keep.tolist() == oracle.environmental_selection(rows, [0.0] * 6, 5) == [1, 3, 0, 5, 2]
+        assert (ranks.tolist(), crowd.tolist()) == oracle.rank_and_crowd([rows[i] for i in keep], [0.0] * 5)
+        assert crowd[-1] == 3.0
+
+    @PROPERTY
+    @given(st.data())
     def test_archive_offer_stream(self, data):
         """One by one through ``offer``, and cut into blocks of feasible
         rows through ``offer_rows``: integer-grid ties, equal objectives
-        under different counts and counts repeated inside a block."""
+        under different counts, counts repeated inside a block, one to
+        three count columns and empty blocks.  A block's counts come as
+        ``int32``, ``uint8`` or ``int64`` rows, and equal rows of another
+        type are the same staffing."""
         m = data.draw(st.integers(1, 3), label="objectives")
-        offers = data.draw(st.lists(st.tuples(st.integers(0, 30), st.tuples(*[GRID] * m), VIOLATION),
+        width = data.draw(st.integers(1, 3), label="count columns")
+        key = st.tuples(*[st.integers(0, 30 if width == 1 else 3)] * width)
+        offers = data.draw(st.lists(st.tuples(key, st.tuples(*[GRID] * m), VIOLATION),
                                     max_size=60), label="offers")
         got, want = ParetoArchive(), oracle.ParetoArchive()
         for key, objs, violation in offers:
-            counts = HeadcountVector((key,))
+            counts = HeadcountVector(key)
             assert got.offer(counts, objs, violation) == want.offer(counts, objs, violation)
         assert got.entries() == want.entries()
         assert len(got) == len(want)
@@ -150,14 +209,23 @@ class TestAgainstLoopOracle:
             rows = [(key, objs) for key, objs, violation in offers[start:stop] if violation == 0.0]
             held = {e.counts for e in want.entries()}
             for key, objs in rows:
-                want.offer(HeadcountVector((key,)), objs, 0.0)
+                want.offer(HeadcountVector(key), objs, 0.0)
             entered = {e.counts for e in want.entries()} - held
-            counts = np.array([key for key, _ in rows], dtype=np.int64).reshape(-1, 1)
+            counts = np.array([key for key, _ in rows], dtype=data.draw(INTEGER_TYPES, label="type"))
+            counts = counts.reshape(-1, width)
             objectives = np.array([objs for _, objs in rows], dtype=float).reshape(-1, m)
-            assert blocks.offer_rows(counts, objectives) == len(entered)
+            before = blocks.entries()
+            admitted = blocks.offer_rows(counts, objectives)
+            assert admitted == len(entered)
+            if not admitted:
+                assert blocks.entries() == before  # nothing admitted, nothing evicted
             assert blocks.entries() == want.entries()
             assert len(blocks) == len(want)
             assert sorted(map(tuple, blocks.objectives.tolist())) == [e.objectives for e in want.entries()]
+            again = counts.astype(data.draw(INTEGER_TYPES, label="type again"))
+            assert blocks.offer_rows(again, objectives) == 0
+            assert blocks.offer_rows(np.empty((0, width), dtype=again.dtype), np.empty((0, m))) == 0
+            assert blocks.entries() == want.entries()
 
     @PROPERTY
     @given(st.data())
