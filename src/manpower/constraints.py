@@ -13,7 +13,7 @@ numbers: the violation (how far the staffing or roster misses the atom,
 region it lies, for interior barrier penalties).  Every solver scores a
 whole generation with one call: :func:`headcount_kernel` compiles an
 expression for an instance over a (P, J) matrix of staffings, and
-:func:`roster_kernel` for a fixed staff over a (P, E, D, 4) stack of
+:func:`roster_kernel` for a fixed staff over a (P, E, D, S) stack of
 rosters.  The public faces read that one measure as its single-row
 case, so the check and the magnitude cannot disagree:
 
@@ -37,7 +37,7 @@ from .domain import (
     ProblemInstance,
 )
 from .errors import ConfigurationError, InfeasibleError, ParseError
-from .objectives import headcount_rows, roster_salary_kernel, row_sums, salary_kernel
+from .objectives import attended_days, headcount_rows, roster_salary_kernel, row_sums, salary_kernel
 
 
 class ConstraintKind(str, Enum):
@@ -178,10 +178,17 @@ def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int
 #
 # Each atom is compiled once per run into a function over a whole
 # generation, returning one violation and one slack per row: a (P, J)
-# matrix of staffings for the staffing solvers, a (P, E, D, 4) stack of
-# rosters of one staff for roster search.  A roster's sums run over its
-# own bits only, in the order one roster's ``.sum()`` adds them, so its
-# score never depends on the other rosters scored with it.
+# matrix of staffings for the staffing solvers, a (P, E, D, S) stack of
+# rosters of one staff for roster search, with S = 4 slot bits per day,
+# or S = 1 day bits in single-shift mode, each standing for its four
+# slots.  The attended days are the day bits themselves, or any slot of
+# the day.  A roster's sums run over its own bits only, in the order one
+# roster's ``.sum()`` adds them, so its score never depends on the other
+# rosters scored with it and is the same for both values of S.  Per-job
+# sums read one slice of the employee axis per job: employees grouped
+# by job, each job's in their own order, which is the order and the
+# contiguous layout in which a boolean mask of the job's employees
+# copies its terms, so a float sum adds the same terms in the same order.
 
 _Rows = tuple[np.ndarray, np.ndarray]
 
@@ -266,42 +273,59 @@ def _headcount_measure(c: AtomicConstraint, inst: ProblemInstance) -> Callable[[
 def _rest_rows(attended: np.ndarray, cap: int) -> _Rows:
     """(violation, slack) of the rest cap per roster of a (P, E, D)
     attendance stack: the rest days past ``cap`` in every run of rest
-    days, and ``cap`` minus the longest run (0.0 past it)."""
-    run = np.zeros(attended.shape[:2])  # each employee's rest days so far in a row
-    excess = np.zeros(len(attended))
-    longest = np.zeros(len(attended))
-    for today in np.moveaxis(attended, 2, 0):
-        run = np.where(today, 0.0, run + 1.0)
-        excess += (run > cap).sum(axis=1)
-        longest = np.maximum(longest, run.max(axis=1, initial=0.0))
-    return excess, np.maximum(cap - longest, 0.0)
+    days, and ``cap`` minus the longest run (0.0 past it).  A run ending
+    on day ``d`` is ``d`` minus the last attended day up to ``d`` (-1
+    before the first): integers, so the float results are exact."""
+    days = np.arange(attended.shape[2])
+    run = days - np.maximum.accumulate(np.where(attended, days, -1), axis=2)
+    longest = run.max(axis=(1, 2), initial=0)
+    return (run > cap).sum(axis=(1, 2)).astype(float), np.maximum(cap - longest, 0.0)
+
+
+def _job_slices(staff: np.ndarray, subset: list[int], n_jobs: int) -> tuple[Callable[[np.ndarray], np.ndarray], list[slice]]:
+    """Employees grouped by job: a function putting axis 1 of a stack in
+    job order (the identity when ``staff`` already numbers each job's
+    employees contiguously, as :func:`employee_jobs` does; else one
+    stable permutation, which keeps each job's employees in their own
+    order) and each ``subset`` job's slice of that axis."""
+    ends = np.cumsum(np.bincount(staff, minlength=n_jobs)).tolist()
+    starts = [0] + ends[:-1]
+    slices = [slice(starts[j], ends[j]) for j in subset]
+    if np.all(staff[:-1] <= staff[1:]):
+        return lambda stack: stack, slices
+    order = np.argsort(staff, kind="stable")
+    return lambda stack: stack[:, order], slices
 
 
 def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> Callable[[np.ndarray], _Rows]:
     """One atom compiled for a fixed staff, employee ``e`` holding job
-    ``staff[e]``: a function from a (P, E, D, 4) stack of own-channel
-    slot bits to each roster's (violation, slack)."""
+    ``staff[e]``: a function from a (P, E, D, S) stack of own-channel
+    bits (:func:`roster_kernel`) to each roster's (violation, slack)."""
     kind = c.kind
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        masks = [staff == j for j in _job_indices(c.jobs, inst)]
+        by_job, slices = _job_slices(staff, _job_indices(c.jobs, inst), inst.n_jobs)
 
         def unstaffed(slots: np.ndarray) -> _Rows:
             # each job's staffed days per roster: integer counts, exact in any order
-            staffed = np.zeros(len(slots))
-            for mask in masks:
-                staffed += slots[:, mask].any(axis=(1, 3)).sum(axis=1)
-            return _count_rows(slots.shape[2] * len(masks) - staffed)
+            attended = by_job(attended_days(slots))
+            staffed = np.zeros(len(slots), dtype=np.int64)
+            for jobs in slices:
+                staffed += attended[:, jobs].any(axis=1).sum(axis=1)
+            return _count_rows(slots.shape[2] * len(slices) - staffed)
 
         return unstaffed
     if kind is ConstraintKind.WORK_TIME_RANGE:
         subset = _job_indices(c.jobs, inst)
-        shifts = [(staff == j, np.array(inst.jobs[j].shift_hours)) for j in subset]
+        by_job, slices = _job_slices(staff, subset, inst.n_jobs)
+        slot_hours = np.array([j.shift_hours for j in inst.jobs], dtype=float)[staff][:, None, :]  # (E, 1, 4)
         lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
 
         def hours(slots: np.ndarray) -> _Rows:
-            worked = [(slots[:, mask] * durations).reshape(len(slots), -1).sum(axis=1)
-                      for mask, durations in shifts]
-            return _windows_rows(np.array(worked).reshape(len(shifts), len(slots)).T, lo, hi)
+            # each job's terms are its employees' (D, 4) hours in employee
+            # order, contiguous in the slice as in a copy made by a mask
+            worked = by_job(slots * slot_hours)
+            totals = [worked[:, jobs].reshape(len(slots), -1).sum(axis=1) for jobs in slices]
+            return _windows_rows(np.array(totals).reshape(len(slices), len(slots)).T, lo, hi)
 
         return hours
     if kind is ConstraintKind.SALARY_RANGE:
@@ -309,11 +333,11 @@ def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarra
         salary = roster_salary_kernel(inst, staff, inst.multi_shift)
         return lambda slots: _window_rows(salary(slots), lo, hi)
     if kind is ConstraintKind.REST_CAP:
-        return lambda slots: _rest_rows(slots.any(axis=3), inst.rest_cap)
+        return lambda slots: _rest_rows(attended_days(slots), inst.rest_cap)
     if kind is ConstraintKind.MULTI_SHIFT:
         if not inst.multi_shift:
             raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-        return lambda slots: _count_rows((~slots.any(axis=3)).sum(axis=(1, 2)))
+        return lambda slots: _count_rows((~attended_days(slots)).sum(axis=(1, 2)))
     # only each employee's own job channel is stored, so k1 cannot fail;
     # k5, y1, y2 and o2 judge the fixed staff's headcounts alone
     counts = np.bincount(staff, minlength=inst.n_jobs).astype(float)
@@ -426,7 +450,11 @@ def headcount_kernel(expr: Expr, inst: ProblemInstance) -> _Kernel:
 
 def roster_kernel(expr: Expr, inst: ProblemInstance, staff: np.ndarray) -> _Kernel:
     """``expr`` compiled for an instance and a fixed staff (employee ``e``
-    holds job ``staff[e]``), over a (P, E, D, 4) stack of rosters."""
+    holds job ``staff[e]``), over a (P, E, D, S) stack of rosters'
+    own-channel bits: S = 4 slot bits per day, or S = 1 day bits of
+    single-shift rosters, each standing for its four slots.  Both give
+    each roster the same violation and slacks, bit for bit, as its
+    ``day_slots()[None]``."""
     return _kernel(expr, [_roster_measure(c, inst, staff) for c in collect_atoms(expr)])
 
 

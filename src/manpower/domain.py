@@ -203,6 +203,11 @@ def _checked_jobs(job_of_employee: Sequence[int], n_emp: int, n_jobs: int) -> np
     return jobs
 
 
+def _job_type(n_jobs: int) -> np.dtype:
+    """The smallest unsigned integer type that holds every index of ``n_jobs`` jobs."""
+    return np.min_scalar_type(max(n_jobs - 1, 0))
+
+
 def _by_day(slot_bits: np.ndarray) -> np.ndarray:
     """Per-slot bits (employees x slots) viewed as (employees, days, 4)."""
     if slot_bits.shape[1] % SLOTS_PER_DAY != 0:
@@ -219,13 +224,15 @@ class AttendanceTensor:
     entries outside that channel must be zero (one job per employee), so
     only each employee's own-channel bits are stored, by day and packed
     eight to a byte, and :attr:`entries` and :meth:`day_slots` are
-    rebuilt from them on access.  Immutable: the stored job map and
-    every array handed out are read-only.
+    rebuilt from them on access.  The job map is stored as bytes, in the
+    smallest unsigned type that holds every job index (one byte per
+    employee up to 256 jobs), and handed out as int64.  Immutable: every
+    array handed out is read-only.
     """
 
     _bits: bytes
     days: int
-    job_of_employee: np.ndarray
+    _jobs: bytes
     n_jobs: int
 
     def __init__(self, entries: np.ndarray, job_of_employee: np.ndarray):
@@ -249,10 +256,9 @@ class AttendanceTensor:
     def _store(self, day_slots: np.ndarray, jobs: np.ndarray, n_jobs: int) -> None:
         if day_slots.size and day_slots.max() > 1:
             raise StructuralError("entries must be binary")
-        jobs.flags.writeable = False
         object.__setattr__(self, "_bits", np.packbits(day_slots).tobytes())
         object.__setattr__(self, "days", day_slots.shape[1])
-        object.__setattr__(self, "job_of_employee", jobs)
+        object.__setattr__(self, "_jobs", jobs.astype(_job_type(n_jobs)).tobytes())
         object.__setattr__(self, "n_jobs", n_jobs)
 
     @property
@@ -292,8 +298,15 @@ class AttendanceTensor:
     # -- views ---------------------------------------------------------
 
     @property
+    def job_of_employee(self) -> np.ndarray:
+        """Each employee's job index, shape (employees,); read-only int64."""
+        jobs = np.frombuffer(self._jobs, dtype=_job_type(self.n_jobs)).astype(np.int64)
+        jobs.flags.writeable = False
+        return jobs
+
+    @property
     def n_employees(self) -> int:
-        return len(self.job_of_employee)
+        return len(self._jobs) // _job_type(self.n_jobs).itemsize
 
     def slot_attendance(self) -> np.ndarray:
         """Each employee's own-channel bits, shape (employees, slots); read-only."""
@@ -334,10 +347,8 @@ class AttendanceTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttendanceTensor):
             return NotImplemented
-        return (
-            (self.n_jobs, self.days, self._bits) == (other.n_jobs, other.days, other._bits)
-            and np.array_equal(self.job_of_employee, other.job_of_employee)
-        )
+        return (self.n_jobs, self.days, self._bits, self._jobs) == (
+            other.n_jobs, other.days, other._bits, other._jobs)
 
 
 def daily_work_hours(job: Job) -> float:

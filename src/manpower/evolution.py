@@ -848,7 +848,8 @@ def solve_assignment(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     jobs_map = employee_jobs(hc)
     n_emp = jobs_map.shape[0]
-    per_emp = inst.slots if inst.multi_shift else inst.horizon_days
+    per_day = SLOTS_PER_DAY if inst.multi_shift else 1
+    per_emp = inst.horizon_days * per_day
     n_bits = n_emp * per_emp
     salary = roster_salary_kernel(inst, jobs_map, inst.multi_shift)
     scorer = _Scorer(lambda slots: salary(slots)[:, None], roster_kernel(expr, inst, jobs_map), cfg.penalty)
@@ -860,9 +861,8 @@ def solve_assignment(
         return AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
 
     def score_rows(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (P, E, D, 4) slot bits; in single-shift mode a day's bit stands for its four slots
-        bits = genes.reshape(len(genes), n_emp, inst.horizon_days, -1)
-        return scorer.rows(np.broadcast_to(bits, bits.shape[:3] + (SLOTS_PER_DAY,)))[:3]
+        # (P, E, D, S) bits: S = 1 in single-shift mode, where a day's bit stands for its four slots
+        return scorer.rows(genes.reshape(len(genes), n_emp, inst.horizon_days, per_day))[:3]
 
     # warm start: full attendance is feasible whenever the counts are,
     # so keep one all-ones roster among the random initial rosters

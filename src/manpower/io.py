@@ -168,12 +168,13 @@ def tensor_to_csv(tensor: AttendanceTensor, inst: ProblemInstance) -> str:
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["employee", "day", "shift", "job", "attend"])
-    slot_bits = tensor.slot_attendance()
-    for e in range(tensor.n_employees):
-        code = inst.jobs[int(tensor.job_of_employee[e])].code
-        for day in range(tensor.days):
-            for s, shift in enumerate(SHIFT_NAMES):
-                w.writerow([e, day, shift, code, int(slot_bits[e, day * SLOTS_PER_DAY + s])])
+    codes = [inst.jobs[j].code for j in tensor.job_of_employee.tolist()]
+    w.writerows(
+        (e, day, shift, code, bit)
+        for e, (code, days) in enumerate(zip(codes, tensor.day_slots().tolist()))
+        for day, slots in enumerate(days)
+        for shift, bit in zip(SHIFT_NAMES, slots)
+    )
     return buf.getvalue()
 
 

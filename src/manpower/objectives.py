@@ -139,16 +139,25 @@ def f2_total_salary(hc: HeadcountVector, inst: ProblemInstance) -> float:
     return float(salary_kernel(inst)(headcount_rows(hc))[0])
 
 
+def attended_days(slots: np.ndarray) -> np.ndarray:
+    """Attended days of a (P, E, D, S) stack of own-channel bits, as
+    bools of shape (P, E, D): the day bits themselves when S = 1, where
+    a day's bit stands for its four slots; any attended slot when S = 4."""
+    return slots[..., 0] != 0 if slots.shape[3] == 1 else slots.any(axis=3)
+
+
 def roster_salary_kernel(inst: ProblemInstance, staff: np.ndarray, per_slot: bool) -> _Rows:
-    """Wage bill of each roster of a (P, E, D, 4) stack of own-channel
-    slot bits, employee ``e`` holding job ``staff[e]``: paid per attended
+    """Wage bill of each roster of a (P, E, D, S) stack of own-channel
+    bits (S = 4 slots per day, or S = 1 day bits standing for their four
+    slots), employee ``e`` holding job ``staff[e]``: paid per attended
     slot when ``per_slot``, else the daily wage per attended day.  Each
-    bill adds its own roster's terms, as one roster's ``.sum()`` would."""
+    bill adds its own roster's terms in employee order, as one roster's
+    ``.sum()`` would, and the terms do not depend on S."""
     if per_slot:
         wages = np.array([j.wage_per_shift for j in inst.jobs], dtype=float)[staff]  # (E, 4)
         return lambda slots: (slots * wages[:, None, :]).reshape(len(slots), -1).sum(axis=1)
     daily = np.array([j.daily_wage for j in inst.jobs], dtype=float)[staff]
-    return lambda slots: (slots.any(axis=3).sum(axis=2) * daily).sum(axis=1)
+    return lambda slots: (attended_days(slots).sum(axis=2) * daily).sum(axis=1)
 
 
 def f3_multishift_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:

@@ -29,6 +29,12 @@
   — the child-by-child breeding loop that :func:`manpower.evolution._breed`
   replaced with one draw loop and whole-array variation.  Children must
   agree byte for byte, and the generator must end in the same state.
+* :func:`roster_measure` and :func:`rest_rows` — the mask-and-loop roster
+  measures of k2, k3 and k6 over a (P, E, D, 4) stack of slot bits, which
+  :func:`manpower.constraints._roster_measure` replaced with one slice per
+  job and a running maximum over the days.  Violations and slacks must
+  agree bit for bit, on the (P, E, D, 1) day-bit stack of single-shift
+  rosters too.
 """
 
 from __future__ import annotations
@@ -40,7 +46,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from manpower.constraints import And, Atom, AtomicConstraint, ConstraintKind, Not, Or
+from manpower.constraints import (
+    And,
+    Atom,
+    AtomicConstraint,
+    ConstraintKind,
+    Not,
+    Or,
+    _count_rows,
+    _job_indices,
+    _roster_measure,
+    _windows_rows,
+)
 from manpower.domain import SLOTS_PER_DAY, AttendanceTensor, HeadcountVector, ProblemInstance
 from manpower.errors import ConfigurationError, StructuralError
 from manpower.evolution import EAConfig, Genome, _box
@@ -635,3 +652,50 @@ def crowded_pick(rng: np.random.Generator, ranks: Sequence[int], crowd: Sequence
     if ranks[i] != ranks[j]:
         return i if ranks[i] < ranks[j] else j
     return i if crowd[i] >= crowd[j] else j
+
+
+def rest_rows(attended: np.ndarray, cap: int):
+    """(violation, slack) of the rest cap per roster of a (P, E, D)
+    attendance stack: the rest days past ``cap`` in every run of rest
+    days, and ``cap`` minus the longest run (0.0 past it)."""
+    run = np.zeros(attended.shape[:2])  # each employee's rest days so far in a row
+    excess = np.zeros(len(attended))
+    longest = np.zeros(len(attended))
+    for today in np.moveaxis(attended, 2, 0):
+        run = np.where(today, 0.0, run + 1.0)
+        excess += (run > cap).sum(axis=1)
+        longest = np.maximum(longest, run.max(axis=1, initial=0.0))
+    return excess, np.maximum(cap - longest, 0.0)
+
+
+def roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> Callable:
+    """One atom compiled for a fixed staff, over a (P, E, D, 4) stack of
+    own-channel slot bits: k2 and k3 through one boolean employee mask
+    per job, k6 through :func:`rest_rows`; the other atoms, whose code
+    the day-bit stack did not change, through the package's measure."""
+    kind = c.kind
+    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
+        masks = [staff == j for j in _job_indices(c.jobs, inst)]
+
+        def unstaffed(slots: np.ndarray):
+            # each job's staffed days per roster: integer counts, exact in any order
+            staffed = np.zeros(len(slots))
+            for mask in masks:
+                staffed += slots[:, mask].any(axis=(1, 3)).sum(axis=1)
+            return _count_rows(slots.shape[2] * len(masks) - staffed)
+
+        return unstaffed
+    if kind is ConstraintKind.WORK_TIME_RANGE:
+        subset = _job_indices(c.jobs, inst)
+        shifts = [(staff == j, np.array(inst.jobs[j].shift_hours)) for j in subset]
+        lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
+
+        def hours(slots: np.ndarray):
+            worked = [(slots[:, mask] * durations).reshape(len(slots), -1).sum(axis=1)
+                      for mask, durations in shifts]
+            return _windows_rows(np.array(worked).reshape(len(shifts), len(slots)).T, lo, hi)
+
+        return hours
+    if kind is ConstraintKind.REST_CAP:
+        return lambda slots: rest_rows(slots.any(axis=3), inst.rest_cap)
+    return _roster_measure(c, inst, staff)

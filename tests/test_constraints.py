@@ -7,6 +7,7 @@ full-attendance tensor), and the cell-by-cell oracle in ``oracle.py``
 exactly when it is zero).
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -43,11 +44,15 @@ from manpower import (
     violation_atom,
     violation_expr,
 )
-from manpower.constraints import roster_kernel
+from manpower.constraints import _kernel, roster_kernel
+from manpower.domain import SLOTS_PER_DAY
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
+import oracle
 from oracle import violation_atom as oracle_violation
+from test_golden import fractional_week
 
 ALL_KINDS = list(ConstraintKind)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def build(inst, day_rows, jobs_map):
@@ -464,6 +469,88 @@ class TestPairedOracle:
                 format_expr(tree), route is None)
         # one roster_kernel call combines the atoms as they read one by one
         assert violation_expr(tree, tensor, counts, inst) == combined(tree), format_expr(tree)
+
+
+def _loop_oracle_check(inst, staff, bits, subset=None, kinds=ALL_KINDS):
+    """The roster kernel of the AND of ``kinds`` (each over ``subset``)
+    on rosters of day or slot ``bits`` (P, E, D, S) must equal, float.hex
+    for float.hex, the mask-and-loop oracle's violation and every slack:
+    on the (P, E, D, 4) slot stack, and on the day-bit stack too when
+    S = 1.  Returns that violation and those slacks."""
+    atoms = [AtomicConstraint(kind, subset, 2) for kind in kinds
+             if inst.multi_shift or kind is not ConstraintKind.MULTI_SHIFT]
+    expr = functools.reduce(And, map(Atom, atoms))
+    slots = np.broadcast_to(bits, bits.shape[:3] + (SLOTS_PER_DAY,))
+    ref_violation, ref_slacks = _kernel(expr, [oracle.roster_measure(c, inst, staff) for c in atoms])(slots)
+    expected = [float.hex(v) for v in ref_violation], [[float.hex(v) for v in s] for s in ref_slacks]
+    for stack in [np.ascontiguousarray(slots)] + ([bits] if bits.shape[3] == 1 else []):
+        violation, slacks = roster_kernel(expr, inst, staff)(stack)
+        got = [float.hex(v) for v in violation], [[float.hex(v) for v in s] for s in slacks]
+        assert got == expected, f"{stack.shape[3]} bits per day"
+    return ref_violation, ref_slacks
+
+
+class TestRosterKernelAgainstLoopOracle:
+    """The roster kernel reads a (P, E, D, S) stack: one slice per job
+    and a running maximum over the days, where the oracle masks each
+    job's employees and walks the days."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_random_rosters(self, data):
+        """Micro instances and the fractional week, single and multi
+        shift, job maps grouped by job or shuffled, one to four rosters
+        from empty to full."""
+        multi = data.draw(st.booleans(), label="multi_shift")
+        if data.draw(st.booleans(), label="fractional week"):
+            inst = replace(fractional_week(), multi_shift=multi)
+        else:
+            seed = data.draw(st.integers(0, 2**32 - 1), label="instance seed")
+            inst = random_micro_instance(
+                np.random.Generator(np.random.PCG64(seed)), with_emergency=True, multi_shift=multi)
+        staff = employee_jobs(tuple(
+            data.draw(st.integers(0, job.headcount_max + 1), label=f"count {job.code}")
+            for job in inst.jobs))
+        rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1), label="roster seed")))
+        if data.draw(st.booleans(), label="shuffled job map"):
+            staff = rng.permutation(staff)
+        density = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="attendance")
+        shape = (data.draw(st.integers(1, 4), label="rosters"), len(staff), inst.horizon_days,
+                 SLOTS_PER_DAY if multi else 1)
+        bits = (rng.random(shape) < density).astype(np.uint8)
+        codes = [job.code for job in inst.jobs]
+        subset = data.draw(st.none() | st.lists(st.sampled_from(codes), max_size=4), label="jobs")
+        _loop_oracle_check(inst, staff, bits, subset)
+
+    WEEK = (2, 3, 1, 2, 1, 1)
+
+    @pytest.mark.parametrize("multi", [False, True])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("counts, days, rest_cap, attendance, subset, pinned", [
+        # pinned: each roster's k2 violation, k6 violation and k6 slack
+        pytest.param(WEEK, 7, 3, 0.0, None, (42.0, 40.0, 0.0), id="nobody attends"),
+        pytest.param(WEEK, 7, 3, 1.0, None, (0.0, 0.0, 3.0), id="everyone attends"),
+        pytest.param(WEEK, 7, 0, 0.5, None, None, id="rest_cap 0"),
+        pytest.param(WEEK, 1, 3, 0.5, None, None, id="one-day horizon"),
+        pytest.param(WEEK, 1, 0, 0.0, None, (6.0, 10.0, 0.0), id="one day, rest_cap 0, nobody attends"),
+        pytest.param((0,) * 6, 7, 3, 0.5, None, (42.0, 0.0, 3.0), id="zero employees"),
+        pytest.param((2, 0, 1, 2, 0, 1), 7, 3, 1.0, ("b", "a", "e", "b"), (21.0, 0.0, 3.0),
+                     id="subset with empty jobs"),
+        pytest.param((2, 0, 1, 2, 0, 1), 7, 3, 0.5, ("e", "c"), None, id="subset with an empty job"),
+    ])
+    def test_edges(self, counts, days, rest_cap, attendance, subset, pinned, shuffled, multi):
+        inst = replace(reference_instance(multi_shift=multi), horizon_days=days, rest_cap=rest_cap)
+        rng = np.random.Generator(np.random.PCG64(7))
+        staff = employee_jobs(counts)
+        if shuffled:
+            staff = rng.permutation(staff)
+        bits = (rng.random((3, len(staff), days, SLOTS_PER_DAY if multi else 1)) < attendance).astype(np.uint8)
+        kinds = [ConstraintKind.EVERY_JOB_OCCUPIED, ConstraintKind.WORK_TIME_RANGE, ConstraintKind.REST_CAP]
+        _loop_oracle_check(inst, staff, bits, subset, kinds)
+        if pinned is not None:
+            unstaffed, _ = _loop_oracle_check(inst, staff, bits, subset, kinds[:1])
+            excess, (rest,) = _loop_oracle_check(inst, staff, bits, subset, kinds[2:])
+            assert [unstaffed.tolist(), excess.tolist(), rest.tolist()] == [[x] * 3 for x in pinned]
 
 
 class TestEmergencyArithmetic:

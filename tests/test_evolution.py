@@ -769,6 +769,15 @@ class TestAssignment:
         res = solve_assignment(hc, inst, conjunction("k2"), EAConfig(seed=1, population_size=20, generations=10))
         assert res.tensor.entries.shape[1] == inst.slots
 
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_empty_staff_gets_the_empty_roster(self, multi):
+        # the genome has no bits; every roster of no one is the same roster
+        inst = micro_instance(multi_shift=multi)
+        res = solve_assignment(HeadcountVector((0, 0)), inst, conjunction("k1", "k2", "k6"),
+                               EAConfig(seed=2, population_size=6, generations=3))
+        assert res.tensor.entries.shape == (0, inst.slots, inst.n_jobs)
+        assert (res.value, res.feasible, res.violation) == (0.0, False, 2.0 * inst.horizon_days)
+
     def test_internal_penalty_rejected(self):
         inst = micro_instance()
         cfg = EAConfig(penalty=PenaltyConfig(method="internal"))
