@@ -189,6 +189,8 @@ def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int
 # by job, each job's in their own order, which is the order and the
 # contiguous layout in which a boolean mask of the job's employees
 # copies its terms, so a float sum adds the same terms in the same order.
+# k3 takes a single-shift roster's slot hours from a table, row 2e + bit
+# for employee e, holding the products the four-slot stack would make.
 
 _Rows = tuple[np.ndarray, np.ndarray]
 
@@ -282,19 +284,18 @@ def _rest_rows(attended: np.ndarray, cap: int) -> _Rows:
     return (run > cap).sum(axis=(1, 2)).astype(float), np.maximum(cap - longest, 0.0)
 
 
-def _job_slices(staff: np.ndarray, subset: list[int], n_jobs: int) -> tuple[Callable[[np.ndarray], np.ndarray], list[slice]]:
+def _job_slices(staff: np.ndarray, n_jobs: int) -> tuple[Callable[[np.ndarray], np.ndarray], list[int], list[int]]:
     """Employees grouped by job: a function putting axis 1 of a stack in
     job order (the identity when ``staff`` already numbers each job's
     employees contiguously, as :func:`employee_jobs` does; else one
     stable permutation, which keeps each job's employees in their own
-    order) and each ``subset`` job's slice of that axis."""
+    order), and where each job's employees start and end on that axis."""
     ends = np.cumsum(np.bincount(staff, minlength=n_jobs)).tolist()
     starts = [0] + ends[:-1]
-    slices = [slice(starts[j], ends[j]) for j in subset]
     if np.all(staff[:-1] <= staff[1:]):
-        return lambda stack: stack, slices
+        return lambda stack: stack, starts, ends
     order = np.argsort(staff, kind="stable")
-    return lambda stack: stack[:, order], slices
+    return lambda stack: stack[:, order], starts, ends
 
 
 def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> Callable[[np.ndarray], _Rows]:
@@ -303,27 +304,41 @@ def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarra
     bits (:func:`roster_kernel`) to each roster's (violation, slack)."""
     kind = c.kind
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        by_job, slices = _job_slices(staff, _job_indices(c.jobs, inst), inst.n_jobs)
+        subset = _job_indices(c.jobs, inst)
+        by_job, starts, ends = _job_slices(staff, inst.n_jobs)
+        # one OR over each job's employees that has any; a job with none
+        # is unstaffed every day (reduceat would read its neighbour's row)
+        held = [j for j in range(inst.n_jobs) if starts[j] < ends[j]]
+        column = {j: k for k, j in enumerate(held)}
+        columns = [column[j] for j in subset if j in column]
+        firsts = [starts[j] for j in held]
 
         def unstaffed(slots: np.ndarray) -> _Rows:
             # each job's staffed days per roster: integer counts, exact in any order
-            attended = by_job(attended_days(slots))
             staffed = np.zeros(len(slots), dtype=np.int64)
-            for jobs in slices:
-                staffed += attended[:, jobs].any(axis=1).sum(axis=1)
-            return _count_rows(slots.shape[2] * len(slices) - staffed)
+            if columns:
+                staffed += np.logical_or.reduceat(by_job(attended_days(slots)), firsts, axis=1)[
+                    :, columns].sum(axis=(1, 2))
+            return _count_rows(slots.shape[2] * len(subset) - staffed)
 
         return unstaffed
     if kind is ConstraintKind.WORK_TIME_RANGE:
         subset = _job_indices(c.jobs, inst)
-        by_job, slices = _job_slices(staff, subset, inst.n_jobs)
+        by_job, starts, ends = _job_slices(staff, inst.n_jobs)
+        slices = [slice(starts[j], ends[j]) for j in subset]
         slot_hours = np.array([j.shift_hours for j in inst.jobs], dtype=float)[staff][:, None, :]  # (E, 1, 4)
+        # row 2e + b: employee e's four slot hours times the day bit b
+        day_hours = np.stack([0 * slot_hours[:, 0], slot_hours[:, 0]], axis=1).reshape(2 * len(staff), slot_hours.shape[2])
+        rows = 2 * np.arange(len(staff))[:, None]
         lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
 
         def hours(slots: np.ndarray) -> _Rows:
             # each job's terms are its employees' (D, 4) hours in employee
             # order, contiguous in the slice as in a copy made by a mask
-            worked = by_job(slots * slot_hours)
+            if slots.shape[3] == 1:
+                worked = by_job(np.take(day_hours, rows + slots[..., 0], axis=0))
+            else:
+                worked = by_job(slots * slot_hours)
             totals = [worked[:, jobs].reshape(len(slots), -1).sum(axis=1) for jobs in slices]
             return _windows_rows(np.array(totals).reshape(len(slices), len(slots)).T, lo, hi)
 

@@ -21,14 +21,8 @@ use the single-row case behind a small memo.
 
 A generational population is one (P, n) gene matrix, and a starting
 population, or a block of the barrier's samples, is drawn with one
-generator call.  A generation is bred from one block of the generator's
-raw words (:class:`_Words`): a loop walks the draws of breeding one
-child at a time (parent picks, crossover gate, cut point, one mutation
-draw per child) and notes only where each draw reads the block;
-whole-array operations then turn the positions into numpy's values,
-pick the parents, cross them over and mutate them, and the generator is
-left where numpy's own calls would leave it.  The child-by-child loop
-is the reference in ``tests/oracle.py``.
+generator call.  Each run breeds its generations through one breeder
+(:mod:`manpower.breeding`).
 """
 
 from __future__ import annotations
@@ -42,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .breeding import _Breeder, _selector
 # perfbench's tracer patches boundary_distance, violation_expr, evaluate_bundle, tensor_salary here
 from .constraints import (
     Expr,
@@ -476,239 +471,6 @@ class _Tracker:
         return RunTrace(tuple(self._points))
 
 
-class _Words:
-    """numpy's draws from a PCG64 generator, read off one block of its raw
-    64-bit words, so that many draws cost one generator call.
-
-    numpy's draws are fixed functions of the word stream (O'Neill 2014).
-    ``rng.random()`` reads the next word ``w`` as ``(w >> 11) * 2**-53``.
-    ``rng.integers(0, b)``, ``b <= 2**32``, reads 32-bit halves: the low
-    half of the next word, or the high half the generator kept from the
-    last word it split (doubles pass a kept half by).  A half ``x`` gives
-    ``(x * b) >> 32``, unless ``(x * b) mod 2**32 < 2**32 mod b``; then
-    the draw reads another half (Lemire 2019).  ``b == 1`` reads nothing.
-
-    A walk hands out the positions of its draws in numpy's order: word
-    indices from :meth:`doubles`, half indices (``2 * word``, plus 1 for a
-    high half) from :meth:`bounded`.  Word 0 holds the half the generator
-    kept before the block.  :meth:`units` and :meth:`below` then read the
-    values with array operations (:meth:`unit` reads one double a walk
-    decides on), and :meth:`close` leaves the generator where numpy's
-    calls would leave it.
-    """
-
-    def __init__(self, rng: np.random.Generator, count: int):
-        self._bitgen = rng.bit_generator
-        state = self._bitgen.state
-        self._kept_before = 1 if state["has_uint32"] else 0
-        self.words = np.array([state["uinteger"] << 32], dtype=np.uint64)
-        self._draw(count)
-
-    def _draw(self, count: int) -> None:
-        """Append ``count`` words and start the walk over."""
-        self.words = np.concatenate([self.words, self._bitgen.random_raw(count)])
-        self._halves = np.asarray(self.words, dtype="<u8").view("<u4")  # low, high, low, ...
-        self._rejected: dict[int, set[int]] = {}
-        # the next word, the kept half (0: none), the last half kept (numpy's uinteger)
-        self.pos, self.kept, self.last = 1, self._kept_before, 1
-
-    def read(self, walk: Callable[["_Words"], object]):
-        """``walk(self)``, walked again over more words while it ends past
-        the block (rejected halves can make it read more than the block
-        was drawn for)."""
-        out = walk(self)
-        while self.pos > len(self.words):
-            self._draw(len(self.words))
-            out = walk(self)
-        return out
-
-    def doubles(self, count: int) -> int:
-        """The first of the word indices of ``count`` ``rng.random()`` draws."""
-        self.pos += count
-        return self.pos - count
-
-    def bounded(self, bound: int, count: int) -> list[int]:
-        """The half indices of ``count`` ``rng.integers(0, bound)`` draws;
-        half 0, whose value is 0, for each when ``bound`` is 1."""
-        if bound == 1:
-            return [0] * count
-        rejected = self._rejected.get(bound)
-        if rejected is None:
-            if bound > 2**32:
-                raise ConfigurationError(f"bound {bound} needs 64-bit draws")
-            # (x * bound) mod 2**32 < 2**32 mod bound, over every half but
-            # word 0's low half, which no draw reads
-            threshold = 2**32 % bound
-            rejected = self._rejected[bound] = set((1 + np.flatnonzero(
-                self._halves[1:] * np.uint32(bound) < threshold)).tolist()) if threshold else set()
-        pos, kept, last = self.pos, self.kept, self.last
-        out: list[int] = []
-        if rejected:
-            while len(out) < count:
-                if kept:
-                    h, kept = kept, 0
-                else:
-                    h = 2 * pos
-                    kept = last = h + 1
-                    pos += 1
-                if h not in rejected:
-                    out.append(h)
-        else:
-            if kept and count:
-                out.append(kept)
-                count, kept = count - 1, 0
-            if count:
-                start = 2 * pos
-                out += range(start, start + count)
-                pos += (count + 1) // 2
-                last = (start + count - 1) | 1
-                kept = last if count % 2 else 0
-        self.pos, self.kept, self.last = pos, kept, last
-        return out
-
-    def unit(self, word: int) -> float:
-        """The ``rng.random()`` value of the draw at ``word``; 0.0 past the
-        block, where :meth:`read` walks again."""
-        return (int(self.words[word]) >> 11) * 2.0**-53 if word < len(self.words) else 0.0
-
-    def units(self, words) -> np.ndarray:
-        """The ``rng.random()`` values of the draws at ``words``."""
-        return (self.words[words] >> 11) * 2.0**-53
-
-    def below(self, halves, bound: int) -> np.ndarray:
-        """The ``rng.integers(0, bound)`` values of the draws at ``halves``."""
-        return ((self._halves[halves].astype(np.uint64) * bound) >> 32).astype(np.intp)
-
-    def close(self) -> None:
-        """Leave the generator after the words read, keeping the half the
-        walk's draws would keep."""
-        self._bitgen.advance((self.pos - len(self.words)) % 2**128)  # back over the words not read
-        state = self._bitgen.state
-        state["has_uint32"] = int(self.kept != 0)
-        state["uinteger"] = int(self._halves[self.last])
-        self._bitgen.state = state
-
-
-@dataclass(frozen=True)
-class _Pick:
-    """How breeding picks a parent: ``draws`` draws of
-    ``rng.integers(0, bound)`` (``rng.random()`` when ``bound`` is 0), and
-    ``choose``, which maps the (picks, draws) values of many picks to the
-    rows picked."""
-
-    draws: int
-    bound: int
-    choose: Callable[[np.ndarray], np.ndarray]
-
-
-def _selector(scores: np.ndarray, cfg: EAConfig) -> _Pick:
-    """The parent pick of one generation, lower penalized ``scores`` being
-    fitter."""
-    n = scores.shape[0]
-    if cfg.selection == "tournament":
-        # the first least score among the k entrants wins, as argmin does
-        # (scores are finite or +inf, never NaN)
-        return _Pick(cfg.tournament_k, n, lambda entrants: entrants[
-            np.arange(len(entrants)), scores[entrants].argmin(axis=1)])
-    # fitness-proportional on min-oriented scores
-    finite = np.isfinite(scores)
-    if finite.any():
-        worst = scores[finite].max()
-        weights = np.where(finite, worst - scores + 1e-9, 0.0)
-        total = weights.sum()
-        if total > 0:
-            # rng.choice(n, p=p): one double searched in the normalized cumulative sums
-            cdf = (weights / total).cumsum()
-            cdf /= cdf[-1]
-            return _Pick(1, 0, lambda u: cdf.searchsorted(u[:, 0], side="right"))
-    return _Pick(1, n, lambda drawn: drawn[:, 0])
-
-
-def _breed(
-    rng: np.random.Generator,
-    genes: np.ndarray,
-    pick: _Pick,
-    cfg: EAConfig,
-    elite: np.ndarray,
-    ri_box: _Box | None = None,
-) -> np.ndarray:
-    """The next generation's (P, n) gene matrix: the rows of ``elite``,
-    then mutated children of parent pairs (rows of ``genes`` chosen by
-    ``pick``), crossed over at the crossover rate.  ``ri_box`` is the box
-    of real genes; None for bit genes.
-
-    The draws are those of breeding one child at a time: per pair, the
-    two picks, the crossover gate, the cut point when the gate passes
-    (``rng.integers(1, n)``, or a blend weight for a lone real gene;
-    nothing for a lone bit), then one mutation draw per child, none for
-    the pair's second child when it does not fit.  A loop walks them over
-    one block of raw words; array operations then read their values and
-    build the children.
-    """
-    size = cfg.population_size - len(elite)
-    n = genes.shape[1]
-    blends = ri_box is not None and n == 1
-    crosses = blends or n >= 2
-    per_child = n if ri_box is None else 4 * n   # mutation doubles
-    pairs = -(-size // 2)
-    picks = 2 * pick.draws
-    words = _Words(rng, pairs * (picks + 2 + 2 * per_child) + 8)
-
-    def walk(w: _Words) -> tuple[list[int], list[int], list[int], list[int]]:
-        bound, bounded, doubles = pick.bound, w.bounded, w.doubles
-        drawn: list[int] = []
-        crossed: list[int] = []
-        cuts: list[int] = []
-        mutations: list[int] = []
-        for pair in range(pairs):
-            if bound:
-                drawn += bounded(bound, picks)
-            else:
-                start = doubles(picks)
-                drawn += range(start, start + picks)
-            gate = doubles(1)
-            if crosses and w.unit(gate) < cfg.crossover_rate:
-                crossed.append(pair)
-                cuts += [doubles(1)] if blends else bounded(n - 1, 1)
-            mutations.append(doubles(2 * per_child))
-        w.pos -= size % 2 * per_child   # an odd last pair breeds one child
-        return drawn, crossed, cuts, mutations
-
-    drawn, crossed, cuts, mutations = words.read(walk)
-    values = words.below(drawn, pick.bound) if pick.bound else words.units(drawn)
-    parents = pick.choose(values.reshape(2 * pairs, pick.draws))
-    starts = np.array(mutations)[:, None] + np.arange(2 * per_child)
-    draws = words.units(starts.ravel()[:size * per_child])
-    if blends:
-        mix = np.full((pairs, 1), np.nan)   # the blend weight (nan: none)
-        mix[crossed, 0] = words.units(cuts)
-    else:
-        mix = np.full((pairs, 1), n)        # the cut point (n: no crossover)
-        if crossed:
-            mix[crossed, 0] = 1 + words.below(cuts, n - 1)
-    words.close()
-
-    a, b = genes[parents[0::2]], genes[parents[1::2]]
-    if blends:
-        blended = ~np.isnan(mix)
-        a, b = (np.where(blended, mix * a + (1 - mix) * b, a),
-                np.where(blended, mix * b + (1 - mix) * a, b))
-    else:
-        first = np.arange(n) < mix
-        a, b = np.where(first, a, b), np.where(first, b, a)
-    children = np.stack([a, b], axis=1).reshape(2 * pairs, n)[:size]
-    if ri_box is None:
-        children ^= draws.reshape(size, n) < cfg.mutation_rate
-    else:
-        # half the mutations nudge a gene by one step, half resample it
-        hit, up, fresh, nudge = draws.reshape(size, 4, n).transpose(1, 0, 2)
-        low, high = ri_box.low, ri_box.high
-        local = np.minimum(np.maximum(children + np.where(up < 0.5, 1.0, -1.0), low), high)
-        mutated = np.where(nudge < 0.5, local, low + ri_box.span * fresh)
-        children = np.where(hit < cfg.mutation_rate, mutated, children)
-    return np.concatenate([elite, children])
-
-
 # (P, n) genes -> (penalized, objective, violation), one entry per row
 _ScoreRows = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -723,12 +485,14 @@ def _evolve(
     tracker = _Tracker()
     scores = tracker.record(genes, *score_rows(genes))
     tracker.mark(0, float(np.mean(scores)))
+    breeder = _Breeder(rng, cfg, genes.shape[1], cfg.generations, ri_box)
     for gen in range(1, cfg.generations + 1):
         # elitism: carry the best penalized genome forward untouched
         elite = genes[:0] if tracker.best_genome is None else tracker.best_genome[None]
-        genes = _breed(rng, genes, _selector(scores, cfg), cfg, elite, ri_box)
+        genes = breeder.breed(genes, _selector(scores, cfg), elite)
         scores = tracker.record(genes, *score_rows(genes))
         tracker.mark(gen, float(np.mean(scores)))
+    breeder.close()
     return tracker
 
 

@@ -163,19 +163,25 @@ def validate_instance(path: str) -> list[str]:
 # attendance CSV
 
 
-def tensor_to_csv(tensor: AttendanceTensor, inst: ProblemInstance) -> str:
-    """One row per employee-day-shift on the employee's own channel."""
+def _csv_field(text: str) -> str:
+    """``text`` as a field of a row of several that :func:`csv.writer`
+    writes: quoted when it holds a comma, a quote or a line break."""
     buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["employee", "day", "shift", "job", "attend"])
-    codes = [inst.jobs[j].code for j in tensor.job_of_employee.tolist()]
-    w.writerows(
-        (e, day, shift, code, bit)
-        for e, (code, days) in enumerate(zip(codes, tensor.day_slots().tolist()))
-        for day, slots in enumerate(days)
-        for shift, bit in zip(SHIFT_NAMES, slots)
-    )
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def tensor_to_csv(tensor: AttendanceTensor, inst: ProblemInstance) -> str:
+    """One row per employee-day-shift on the employee's own channel, as
+    :func:`csv.writer` writes them; each job code and shift name is
+    quoted once."""
+    codes = [_csv_field(job.code) for job in inst.jobs]
+    slots = [f"{day},{_csv_field(shift)}," for day in range(tensor.days) for shift in SHIFT_NAMES]
+    employees = zip([codes[j] for j in tensor.job_of_employee.tolist()], tensor.slot_attendance().tolist())
+    # one string per employee, so only one employee's rows are alive at a time
+    return "employee,day,shift,job,attend\n" + "".join([
+        "".join([f"{e},{slot}{code},{bit}\n" for slot, bit in zip(slots, bits)])
+        for e, (code, bits) in enumerate(employees)])
 
 
 def write_tensor_csv(tensor: AttendanceTensor, inst: ProblemInstance, path: str) -> None:

@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .breeding import _Breeder, _Pick
 # perfbench's tracer patches violation_expr, evaluate_bundle, decode and random_genome here
 from .constraints import Expr, violation_expr
 from .domain import HeadcountVector, ProblemInstance
@@ -42,10 +43,8 @@ from .evolution import (
     PenaltyConfig,
     RunTrace,
     _box,
-    _breed,
     _decode_rows,
     _Packed,
-    _Pick,
     _random_genes,
     _Scorer,
     _Tracker,
@@ -390,11 +389,11 @@ def run_moea(
     order, *ranked = _survivors(objectives, violations, size)
     ranks, crowd = (x[np.argsort(order)] for x in ranked)
     hv = 0.0
+    breeder = _Breeder(rng, cfg, genes.shape[1], cfg.generations, box if cfg.encoding == "ri" else None)
 
     for gen in range(cfg.generations + 1):
         if gen:  # generation 0 is the starting population
-            pick = _crowded_pick(ranks, crowd)
-            offspring = _breed(rng, genes, pick, cfg, genes[:0], box if cfg.encoding == "ri" else None)
+            offspring = breeder.breed(genes, _crowded_pick(ranks, crowd), genes[:0])
             child_objectives, child_violations, admitted = assess(offspring)
             pool_objectives = np.vstack([objectives, child_objectives])
             pool_violations = np.concatenate([violations, child_violations])
@@ -404,6 +403,7 @@ def run_moea(
         if admitted:  # else the archive, and so its volume, is unchanged
             hv = hypervolume(archive.objectives, ref)
         tracker.mark(gen, float(len(archive)), best=hv)
+    breeder.close()
 
     return MOEAResult(
         archive=archive.entries(),

@@ -26,13 +26,16 @@
   :func:`manpower.evolution.decode` replaced with array code.  Counts
   must agree exactly.
 * :func:`_select`, :func:`_crossover`, :func:`_mutate` and :func:`_breed`
-  — the child-by-child breeding loop that :func:`manpower.evolution._breed`
-  replaced with one draw loop and whole-array variation.  Children must
-  agree byte for byte, and the generator must end in the same state.
+  — the child-by-child breeding loop that
+  :class:`manpower.breeding._Breeder` replaced with draws planned a
+  block of generations at a time and whole-array variation.  Children
+  must agree byte for byte, generation after generation, and the
+  generator must end in the same state.
 * :func:`roster_measure` and :func:`rest_rows` — the mask-and-loop roster
   measures of k2, k3 and k6 over a (P, E, D, 4) stack of slot bits, which
-  :func:`manpower.constraints._roster_measure` replaced with one slice per
-  job and a running maximum over the days.  Violations and slacks must
+  :func:`manpower.constraints._roster_measure` replaced with one OR per
+  job's slice of employees (k2), a table of each employee's day-bit hours
+  (k3) and a running maximum over the days (k6).  Violations and slacks must
   agree bit for bit, on the (P, E, D, 1) day-bit stack of single-shift
   rosters too.
 """

@@ -3,6 +3,7 @@ determinism, and roster search on enumerable cases."""
 
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,9 +43,10 @@ from manpower import (
     tensor_salary,
     violation_expr,
 )
-from manpower import evolution, moea
+from manpower import breeding, evolution, moea
 from manpower.constraints import headcount_kernel
-from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _random_genes, _Scorer, _selector, _Words
+from manpower.breeding import _selector, _Words
+from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _random_genes, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
@@ -297,10 +299,23 @@ class TestTrackerRecordsBlocksLikeAssess:
         assert seq == rec
 
 
+def _generation_scores(draw, size: int, selection: str):
+    """One generation's scores to pick parents by, tied and infinite ones
+    included: penalized scores, or for ``"crowded"`` run_moea's front
+    numbers and crowding distances, tied in both."""
+    if selection == "crowded":
+        ranks = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        crowd = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, np.inf]), min_size=size, max_size=size))
+        return np.array(ranks), np.array(crowd)
+    return np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 40.0, np.inf]),
+                                  min_size=size, max_size=size)))
+
+
 @st.composite
-def generations(draw):
-    """A generation to breed from: (encoding, bounds, genes, scores, config,
-    elite row or None, generator seed), with tied and infinite scores."""
+def runs(draw):
+    """Generations to breed one after another: (encoding, bounds, starting
+    genes, config, per generation (scores, elite row or None, whether to
+    close the breeder after it), generator seed)."""
     encoding = draw(st.sampled_from(["ri", "bg"]))
     # genes: jobs for ri, bits for bg (none when every box is one point)
     n = draw(st.integers(1 if encoding == "ri" else 0, 9))
@@ -313,20 +328,14 @@ def generations(draw):
         bounds = ((0, 1),) * n
     rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
     genes = np.stack([random_genome(rng, bounds, encoding).data for _ in range(size)])
-    scores = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 40.0, np.inf]),
-                                    min_size=size, max_size=size)))
     rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     selection = draw(st.sampled_from(["tournament", "proportional", "crowded"]))
-    if selection == "crowded":
-        # run_moea's pick, on front numbers and crowding distances tied in both
-        ranks = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
-        crowd = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, np.inf]), min_size=size, max_size=size))
-        scores = (np.array(ranks), np.array(crowd))
-        selection = "tournament"
     cfg = EAConfig(population_size=size, crossover_rate=draw(rate), mutation_rate=draw(rate),
-                   selection=selection, tournament_k=draw(st.integers(2, 4)), encoding=encoding)
-    elite = draw(st.none() | st.integers(0, size - 1))
-    return encoding, bounds, genes, scores, cfg, elite, seed
+                   selection="tournament" if selection == "crowded" else selection,
+                   tournament_k=draw(st.integers(2, 4)), encoding=encoding)
+    steps = [(_generation_scores(draw, size, selection), draw(st.none() | st.integers(0, size - 1)),
+              draw(st.booleans())) for _ in range(draw(st.integers(1, 5)))]
+    return encoding, bounds, genes, cfg, steps, seed
 
 
 def _generator_whose_next_word_is(word: int, seed: int = 0) -> np.random.Generator:
@@ -348,53 +357,156 @@ def _generator_whose_next_word_is(word: int, seed: int = 0) -> np.random.Generat
     return np.random.Generator(bitgen)
 
 
+def _counting_walks(monkeypatch) -> list:
+    """Record the generations bred by walking their draws one at a time."""
+    walked = []
+    walk = breeding._breed_walk
+
+    def spy(*args, **kwargs):
+        walked.append(args[1])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(breeding, "_breed_walk", spy)
+    return walked
+
+
 class TestBreedAgainstLoopOracle:
-    """A generation bred in whole arrays from one block of raw words is the
-    per-child loop's, byte for byte, and leaves the generator where the
-    loop's numpy calls leave it."""
+    """Generations bred one after another through one breeder, from plans
+    of a block of raw words, are the per-child loop's, byte for byte, and
+    a closed breeder leaves the generator where the loop's numpy calls
+    leave it."""
 
     @staticmethod
-    def _both(case, ours, loop):
-        encoding, bounds, genes, scores, cfg, elite, seed = case
-        population = [Genome(encoding, row, bounds) for row in genes]
-        first = [] if elite is None else [population[elite]]
-        if isinstance(scores, tuple):
-            ranks, crowd = scores
-            pick = moea._crowded_pick(ranks, crowd)
-            want = oracle._breed(loop, first, lambda: population[oracle.crowded_pick(loop, ranks, crowd)], cfg)
-        else:
-            pick = evolution._selector(scores, cfg)
-            want = oracle._breed(loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
-        got = evolution._breed(ours, genes, pick, cfg, genes[:0] if elite is None else genes[elite][None],
-                               _box(bounds) if encoding == "ri" else None)
-        assert got.dtype == genes.dtype and got.shape == genes.shape
-        assert got.tobytes() == np.stack([g.data for g in want]).tobytes()
+    def _both(run, ours, loop, plan_words=breeding.PLAN_WORDS) -> list:
+        """Breed the run's generations both ways; the gene matrices bred from."""
+        encoding, bounds, genes, cfg, steps, seed = run
+        bred_from = []
+        box = _box(bounds) if encoding == "ri" else None
+        with mock.patch.object(breeding, "PLAN_WORDS", plan_words):
+            breeder = breeding._Breeder(ours, cfg, genes.shape[1], len(steps), box)
+            for scores, elite, close in steps:
+                bred_from.append(genes)
+                population = [Genome(encoding, row, bounds) for row in genes]
+                first = [] if elite is None else [population[elite]]
+                if isinstance(scores, tuple):
+                    ranks, crowd = scores
+                    pick = moea._crowded_pick(ranks, crowd)
+                    want = oracle._breed(
+                        loop, first, lambda: population[oracle.crowded_pick(loop, ranks, crowd)], cfg)
+                else:
+                    pick = breeding._selector(scores, cfg)
+                    want = oracle._breed(
+                        loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
+                got = breeder.breed(genes, pick, genes[:0] if elite is None else genes[elite][None])
+                assert got.dtype == genes.dtype and got.shape == genes.shape
+                assert got.tobytes() == np.stack([g.data for g in want]).tobytes()
+                if close:
+                    breeder.close()
+                    assert ours.bit_generator.state == loop.bit_generator.state
+                genes = got
+            breeder.close()
         assert ours.bit_generator.state == loop.bit_generator.state
+        return bred_from
 
     @PROPERTY
-    @given(generations(), st.booleans())
-    def test_children_and_generator_state(self, case, primed):
-        seed = case[-1]
+    @given(runs(), st.booleans(), st.sampled_from([1, 60, 400, breeding.PLAN_WORDS]))
+    def test_children_and_generator_state(self, run, primed, plan_words):
+        # plans of 1 to 400 words hold one generation or a few; the
+        # default holds every generation of these small runs
+        seed = run[-1]
         ours = np.random.Generator(np.random.PCG64(seed))
         loop = np.random.Generator(np.random.PCG64(seed))
         if primed:
             # breeding starts with a 32-bit half kept by the generator
             assert ours.integers(0, 3) == loop.integers(0, 3)
-        self._both(case, ours, loop)
+        self._both(run, ours, loop, plan_words)
 
-    @pytest.mark.parametrize("selection", ["tournament", "crowded"])
-    def test_rejected_halves_are_skipped(self, selection):
-        # both halves of the first word are 0, which Lemire's method
-        # rejects for the bound 6: the first two parent draws read past it
+    @staticmethod
+    def _seven_jobs(selection: str, generations: int, crossover_rate: float = 0.8):
+        """A bg run on 18 bits over seven jobs, population 6, with scores
+        tied and infinite, or run_moea's crowded pick."""
         rng = np.random.Generator(np.random.PCG64(4))
         bounds = tuple((0, w) for w in (3, 6, 2, 9, 1, 5, 7))
         genes = np.stack([random_genome(rng, bounds, "bg").data for _ in range(6)])
         scores = np.array([3.0, 1.0, 2.0, np.inf, 0.5, 1.0])
         if selection == "crowded":
             scores = (np.array([1, 0, 0, 2, 1, 0]), np.array([0.5, np.inf, 1.0, 0.0, 0.5, 1.0]))
-        cfg = EAConfig(population_size=6, encoding="bg", crossover_rate=0.8, mutation_rate=0.1)
+        cfg = EAConfig(population_size=6, encoding="bg", crossover_rate=crossover_rate, mutation_rate=0.1)
+        return "bg", bounds, genes, cfg, [(scores, None, False)] * generations, 0
+
+    @pytest.mark.parametrize("selection", ["tournament", "crowded"])
+    def test_rejected_halves_are_skipped(self, selection, monkeypatch):
+        # both halves of the first word are 0, which Lemire's method
+        # rejects for the bound 6: the first two parent draws read past it
+        walked = _counting_walks(monkeypatch)
         ours, loop = _generator_whose_next_word_is(0), _generator_whose_next_word_is(0)
-        self._both(("bg", bounds, genes, scores, cfg, None, 0), ours, loop)
+        self._both(self._seven_jobs(selection, 1), ours, loop)
+        assert len(walked) == 1
+
+    @pytest.mark.parametrize("selection", ["tournament", "crowded"])
+    @pytest.mark.parametrize("crossover_rate,word,ahead,generation", [
+        # without crossovers a generation of three pairs reads 3 * (2 + 1 + 2 * 18)
+        # words, so the third generation's first parent draws read word 235 first
+        (0.0, 0, 234, 2),
+        # when every pair crosses over, every other cut point splits a word:
+        # the second generation's second pair splits word 162 for its cut
+        # point, whose low half (0) the bound 17 rejects; the high half is 1
+        (1.0, 2**32, 161, 1),
+    ])
+    def test_a_rejected_half_mid_plan_walks_that_generation_only(
+            self, selection, crossover_rate, word, ahead, generation, monkeypatch):
+        walked = _counting_walks(monkeypatch)
+        ours, loop = _generator_whose_next_word_is(word), _generator_whose_next_word_is(word)
+        for rng in (ours, loop):
+            rng.bit_generator.advance(-ahead)
+        bred_from = self._both(self._seven_jobs(selection, 5, crossover_rate), ours, loop)
+        assert len(walked) == 1 and walked[0] is bred_from[generation]
+
+    @PROPERTY
+    @given(st.sampled_from(["tournament", "crowded"]), st.integers(0, 600), st.floats(0.0, 1.0),
+           st.sampled_from([1, 400, breeding.PLAN_WORDS]))
+    def test_a_rejected_half_anywhere(self, selection, ahead, crossover_rate, plan_words):
+        # a word of two rejected halves ``ahead`` words into five
+        # generations of about 120 words each: a parent draw or a cut
+        # point reads it, or a double passes it by
+        ours, loop = _generator_whose_next_word_is(0), _generator_whose_next_word_is(0)
+        for rng in (ours, loop):
+            rng.bit_generator.advance(-ahead)
+        self._both(self._seven_jobs(selection, 5, crossover_rate), ours, loop, plan_words)
+
+    @pytest.mark.parametrize("encoding,n", [("bg", 0), ("bg", 1), ("ri", 1), ("bg", 2), ("ri", 2)])
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_few_genes(self, encoding, n, size):
+        # no gene, a lone bit (no crossover), a lone real gene (blends),
+        # two genes (the cut point reads nothing); odd and even sizes; the
+        # elite appears in the third generation and proportional selection
+        # meets all-+inf scores in the fourth
+        bounds = ((0, 1),) * n if encoding == "bg" else ((2, 7),) * n
+        rng = np.random.Generator(np.random.PCG64(n))
+        genes = np.stack([random_genome(rng, bounds, encoding).data for _ in range(size)])
+        scores = np.array([3.0, 1.0, np.inf, 0.5, 1.0, 2.0][:size])
+        steps = [(scores, None, False), (scores, None, True), (scores, 1, False),
+                 (np.full(size, np.inf), 1, False), (scores, 0, False)]
+        cfg = EAConfig(population_size=size, encoding=encoding, selection="proportional",
+                       crossover_rate=0.7, mutation_rate=0.3)
+        for seed in range(4):
+            ours = np.random.Generator(np.random.PCG64(seed))
+            loop = np.random.Generator(np.random.PCG64(seed))
+            self._both((encoding, bounds, genes, cfg, steps, seed), ours, loop, plan_words=400)
+
+
+def test_default_runs_never_walk_their_draws(monkeypatch):
+    # a rejected half is rare (below bound / 2**32 a draw): every
+    # generation of these runs is bred by plan
+    walked = _counting_walks(monkeypatch)
+    week = reference_instance()
+    run_ea(week, SALARY, BASIC, EAConfig())
+    run_ea(week, SALARY, BASIC, EAConfig(encoding="bg"))
+    solve_assignment(HeadcountVector((5, 10, 6, 9, 6, 4)), week, BASIC, EAConfig(encoding="bg"))
+    trade_off = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),
+                                 Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE)))
+    run_moea(week, trade_off, BASIC, EAConfig())
+    assert walked == []
 
 
 def test_box_draw_is_rng_uniform_bit_for_bit():

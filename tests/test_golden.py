@@ -6,12 +6,17 @@ change in the last bit shows; trace ``millis`` (wall time) is left out.
 A change that alters these results on purpose regenerates the file with
 ``python tests/test_golden.py --write`` and says why in CHANGES.md.
 
+``python tests/test_golden.py --digest N`` prints one SHA-256 per solver
+config of :func:`configs` over the golden forms of seeds 0..N-1, so
+"byte-identical over N seeds" is the same output from two checkouts.
+
 The ``frac/*`` cases run on a copy of the week with non-integer wages and
 shift hours, where summing the jobs, or a roster's bits, in another
 order changes the last bits of a wage bill or an hour total.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -49,6 +54,8 @@ TRADE_OFF = ObjectiveBundle((
 STAFFING = parse_constraint_string("k1&k2&k3&k4&k5&k6&y1&y2")
 ROSTER = parse_constraint_string("k1&k2&k3&k4&k5&k6")
 NINE = HeadcountVector((1, 2, 1, 2, 1, 2))
+# a staff of the size perfbench's roster requests draw (36 to 44)
+FORTY = HeadcountVector((5, 10, 6, 9, 6, 4))
 # maximized hours are not monotone, so the exact search prunes nothing
 # on its bound: 21 leaves on the micro instance
 LONGEST = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE),))
@@ -85,77 +92,111 @@ def _plain(x):
     raise TypeError(f"no golden form for {type(x).__name__}")
 
 
-def snapshot() -> dict:
+def configs() -> dict:
+    """Every seeded solver config of the golden file and the digests, by
+    name, as a function of the seed (``ip`` ones ignore it)."""
     week = reference_instance()
     multi = reference_instance(multi_shift=True)
-    small = dict(population_size=30, generations=15)
-    cases = {}
-    for seed in (0, 1):
-        barrier = PenaltyConfig(method="internal")
-        cases[f"ea_ri/{seed}"] = run_ea(week, SALARY, STAFFING, EAConfig(**small, seed=seed))
-        cases[f"ea_bg/{seed}"] = run_ea(
-            week, SALARY, STAFFING, EAConfig(**small, encoding="bg", seed=seed))
-        cases[f"ea_barrier/{seed}"] = run_ea(
-            week, SALARY, STAFFING, EAConfig(**small, penalty=barrier, seed=seed))
-        cases[f"pso/{seed}"] = pso_solve(
-            week, SALARY, STAFFING, PSOConfig(swarm_size=20, iterations=30, seed=seed))
-        cases[f"sa/{seed}"] = sa_solve(week, SALARY, STAFFING, SAConfig(seed=seed))
-        cases[f"ip/{seed}"] = ip_solve(week, SALARY, STAFFING)
-    cases["ip/non_monotone"] = ip_solve(micro_instance(), LONGEST, NON_MONOTONE)
-    cases["ea_proportional"] = run_ea(
-        week, SALARY, STAFFING, EAConfig(**small, selection="proportional"))
-    # the breeding paths: an odd population leaves the last pair's second
-    # child undrawn; crossover always and mutation never; a lone ri gene
-    # crosses over by arithmetic blend
-    cases["ea_ri/odd_k3"] = run_ea(
-        week, SALARY, STAFFING, EAConfig(population_size=31, generations=15, tournament_k=3, seed=6))
-    cases["ea_bg/cross_only"] = run_ea(
-        week, SALARY, STAFFING,
-        EAConfig(**small, encoding="bg", crossover_rate=1.0, mutation_rate=0.0, seed=7))
-    one_job = random_micro_instance(np.random.default_rng(1), n_jobs=1)
-    cases["ea_ri/one_job"] = run_ea(one_job, SALARY, ROSTER, EAConfig(**small, seed=8))
-    roster_cfg = EAConfig(population_size=20, generations=10, encoding="bg", seed=3)
-    cases["roster/single"] = solve_assignment(NINE, week, ROSTER, roster_cfg)
-    cases["roster/multi"] = solve_assignment(
-        NINE, multi, ROSTER & parse_constraint_string("o1"), roster_cfg)
-    cases["roster/odd"] = solve_assignment(
-        NINE, week, ROSTER, EAConfig(population_size=21, generations=10, encoding="bg", seed=9))
-    cases["moea"] = run_moea(week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15))
-    cases["moea_bg"] = run_moea(
-        week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, encoding="bg"))
-    for seed in range(1, 10):
-        cases[f"moea/{seed}"] = run_moea(
-            week, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=seed))
-    # the workload's scale: 40 generations of archive evictions and
-    # ranking over several fronts
-    cases["moea/60x40"] = run_moea(
-        week, TRADE_OFF, ROSTER, EAConfig(population_size=60, generations=40, seed=4))
-    cases["moea/31x10"] = run_moea(
-        week, TRADE_OFF, ROSTER, EAConfig(population_size=31, generations=10, seed=10))
-    # a generated instance: few distinct staffings, so the pool holds
-    # many duplicates and ties, and its fronts are cut in many places
-    cases["moea/random_micro_bg_40x20"] = run_moea(
-        random_micro_instance(np.random.default_rng(4), n_jobs=4), TRADE_OFF, ROSTER,
-        EAConfig(population_size=40, generations=20, encoding="bg", seed=11))
     frac = fractional_week()
-    cases["frac/ea_ri"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, seed=2))
-    cases["frac/ea_bg"] = run_ea(frac, SALARY, STAFFING, EAConfig(**small, encoding="bg", seed=2))
-    cases["frac/ea_barrier"] = run_ea(
-        frac, SALARY, STAFFING, EAConfig(**small, penalty=PenaltyConfig(method="internal"), seed=2))
-    cases["frac/pso"] = pso_solve(
-        frac, SALARY, STAFFING, PSOConfig(swarm_size=20, iterations=30, seed=2))
-    cases["frac/sa"] = sa_solve(frac, SALARY, STAFFING, SAConfig(seed=2))
-    cases["frac/ip"] = ip_solve(frac, SALARY, STAFFING)
-    cases["frac/moea"] = run_moea(
-        frac, TRADE_OFF, ROSTER, EAConfig(population_size=30, generations=15, seed=2))
-    cases["frac/moea_bg_60x40"] = run_moea(
-        frac, TRADE_OFF, ROSTER,
-        EAConfig(population_size=60, generations=40, encoding="bg", seed=5))
-    cases["frac/roster/single"] = solve_assignment(NINE, frac, ROSTER, roster_cfg)
-    cases["frac/roster/multi"] = solve_assignment(
-        NINE, dataclasses.replace(frac, multi_shift=True), ROSTER & parse_constraint_string("o1"),
-        roster_cfg)
-    return {name: _plain(result) for name, result in cases.items()}
+    one_job = random_micro_instance(np.random.default_rng(1), n_jobs=1)
+    micro4 = random_micro_instance(np.random.default_rng(4), n_jobs=4)
+    small = dict(population_size=30, generations=15)
+    barrier = PenaltyConfig(method="internal")
+    roster = dict(population_size=20, generations=10, encoding="bg")
+    o1 = ROSTER & parse_constraint_string("o1")
+
+    def ea(inst, **kw):
+        return lambda seed: run_ea(inst, SALARY, STAFFING, EAConfig(**kw, seed=seed))
+
+    def moea(inst, **kw):
+        return lambda seed: run_moea(inst, TRADE_OFF, ROSTER, EAConfig(**kw, seed=seed))
+
+    def assign(inst, expr, staff=NINE, **kw):
+        return lambda seed: solve_assignment(staff, inst, expr, EAConfig(**kw, seed=seed))
+
+    return {
+        "ea_ri": ea(week, **small),
+        "ea_bg": ea(week, **small, encoding="bg"),
+        "ea_barrier": ea(week, **small, penalty=barrier),
+        "pso": lambda seed: pso_solve(week, SALARY, STAFFING, PSOConfig(swarm_size=20, iterations=30, seed=seed)),
+        "sa": lambda seed: sa_solve(week, SALARY, STAFFING, SAConfig(seed=seed)),
+        "ip": lambda seed: ip_solve(week, SALARY, STAFFING),
+        "ip/non_monotone": lambda seed: ip_solve(micro_instance(), LONGEST, NON_MONOTONE),
+        "ea_proportional": ea(week, **small, selection="proportional"),
+        # the breeding paths: an odd population leaves the last pair's second
+        # child undrawn; crossover always and mutation never; a lone ri gene
+        # crosses over by arithmetic blend
+        "ea_ri/odd_k3": ea(week, population_size=31, generations=15, tournament_k=3),
+        "ea_bg/cross_only": ea(week, **small, encoding="bg", crossover_rate=1.0, mutation_rate=0.0),
+        "ea_ri/one_job": lambda seed: run_ea(one_job, SALARY, ROSTER, EAConfig(**small, seed=seed)),
+        "roster/single": assign(week, ROSTER, **roster),
+        "roster/multi": assign(multi, o1, **roster),
+        "roster/odd": assign(week, ROSTER, population_size=21, generations=10, encoding="bg"),
+        "moea": moea(week, **small),
+        "moea_bg": moea(week, **small, encoding="bg"),
+        # the workload's scale: 40 generations of archive evictions and
+        # ranking over several fronts
+        "moea/60x40": moea(week, population_size=60, generations=40),
+        "moea/31x10": moea(week, population_size=31, generations=10),
+        # a generated instance: few distinct staffings, so the pool holds
+        # many duplicates and ties, and its fronts are cut in many places
+        "moea/random_micro_bg_40x20": lambda seed: run_moea(
+            micro4, TRADE_OFF, ROSTER, EAConfig(population_size=40, generations=20, encoding="bg", seed=seed)),
+        "frac/ea_ri": ea(frac, **small),
+        "frac/ea_bg": ea(frac, **small, encoding="bg"),
+        "frac/ea_barrier": ea(frac, **small, penalty=barrier),
+        "frac/pso": lambda seed: pso_solve(frac, SALARY, STAFFING, PSOConfig(swarm_size=20, iterations=30, seed=seed)),
+        "frac/sa": lambda seed: sa_solve(frac, SALARY, STAFFING, SAConfig(seed=seed)),
+        "frac/ip": lambda seed: ip_solve(frac, SALARY, STAFFING),
+        "frac/moea": moea(frac, **small),
+        "frac/moea_bg_60x40": moea(frac, population_size=60, generations=40, encoding="bg"),
+        "frac/roster/single": assign(frac, ROSTER, **roster),
+        "frac/roster/multi": assign(dataclasses.replace(frac, multi_shift=True), o1, **roster),
+        # digests only: the default configs and a workload-sized staff
+        "ea_ri/100x50": ea(week),
+        "ea_bg/100x50": ea(week, encoding="bg"),
+        "ea_barrier/100x50": ea(week, penalty=barrier),
+        "roster/40_staff": assign(week, ROSTER, staff=FORTY, **roster),
+    }
+
+
+# golden case: (config, seed)
+GOLDEN_CASES = {
+    **{f"{name}/{seed}": (name, seed)
+       for seed in (0, 1) for name in ("ea_ri", "ea_bg", "ea_barrier", "pso", "sa", "ip")},
+    "ip/non_monotone": ("ip/non_monotone", 0),
+    "ea_proportional": ("ea_proportional", 0),
+    "ea_ri/odd_k3": ("ea_ri/odd_k3", 6),
+    "ea_bg/cross_only": ("ea_bg/cross_only", 7),
+    "ea_ri/one_job": ("ea_ri/one_job", 8),
+    "roster/single": ("roster/single", 3),
+    "roster/multi": ("roster/multi", 3),
+    "roster/odd": ("roster/odd", 9),
+    "moea": ("moea", 0),
+    "moea_bg": ("moea_bg", 0),
+    **{f"moea/{seed}": ("moea", seed) for seed in range(1, 10)},
+    "moea/60x40": ("moea/60x40", 4),
+    "moea/31x10": ("moea/31x10", 10),
+    "moea/random_micro_bg_40x20": ("moea/random_micro_bg_40x20", 11),
+    **{f"frac/{name}": (f"frac/{name}", 2) for name in ("ea_ri", "ea_bg", "ea_barrier", "pso", "sa", "ip", "moea")},
+    "frac/moea_bg_60x40": ("frac/moea_bg_60x40", 5),
+    "frac/roster/single": ("frac/roster/single", 3),
+    "frac/roster/multi": ("frac/roster/multi", 3),
+}
+
+
+def snapshot() -> dict:
+    run = configs()
+    return {name: _plain(run[config](seed)) for name, (config, seed) in GOLDEN_CASES.items()}
+
+
+def digests(seeds: int) -> dict[str, str]:
+    """One SHA-256 per config over its golden forms at seeds 0..seeds-1."""
+    out = {}
+    for name, run in configs().items():
+        form = json.dumps([_plain(run(seed)) for seed in range(seeds)], sort_keys=True)
+        out[name] = hashlib.sha256(form.encode()).hexdigest()
+    return out
 
 
 def test_seeded_results_match_golden_file():
@@ -168,9 +209,14 @@ def test_seeded_results_match_golden_file():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    rows = [f"{json.dumps(name)}: {json.dumps(result, sort_keys=True)}"
-            for name, result in sorted(snapshot().items())]
-    with open(GOLDEN, "w") as fh:
-        fh.write("{\n" + ",\n".join(rows) + "\n}\n")
+    args = sys.argv[1:]
+    if args == ["--write"]:
+        rows = [f"{json.dumps(name)}: {json.dumps(result, sort_keys=True)}"
+                for name, result in sorted(snapshot().items())]
+        with open(GOLDEN, "w") as fh:
+            fh.write("{\n" + ",\n".join(rows) + "\n}\n")
+    elif len(args) == 2 and args[0] == "--digest" and args[1].isdigit():
+        for name, digest in digests(int(args[1])).items():
+            print(f"{digest}  {name}")
+    else:
+        sys.exit("usage: python tests/test_golden.py --write | --digest N")

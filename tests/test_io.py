@@ -1,5 +1,8 @@
 """File-format round-trips and validation diagnostics."""
 
+import csv
+import dataclasses
+import io
 import json
 import os
 
@@ -22,7 +25,23 @@ from manpower import (
     write_tensor_csv,
 )
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
-from manpower.io import atomic_write, instance_from_dict, instance_to_dict
+from manpower.domain import SHIFT_NAMES
+from manpower.io import atomic_write, instance_from_dict, instance_to_dict, tensor_to_csv
+
+
+def csv_writer_form(tensor, inst) -> str:
+    """The attendance CSV written row by row through ``csv.writer``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["employee", "day", "shift", "job", "attend"])
+    codes = [inst.jobs[j].code for j in tensor.job_of_employee.tolist()]
+    w.writerows(
+        (e, day, shift, code, bit)
+        for e, (code, days) in enumerate(zip(codes, tensor.day_slots().tolist()))
+        for day, slots in enumerate(days)
+        for shift, bit in zip(SHIFT_NAMES, slots)
+    )
+    return buf.getvalue()
 
 
 class TestInstanceJSON:
@@ -109,6 +128,25 @@ class TestTensorCSV:
         # 2 employees x 2 days x 4 shifts
         assert len(lines) == 1 + 16
         assert lines[1] == "0,0,MOR,a,1"
+
+    @pytest.mark.parametrize("codes", [None, ("a,b", 'say "hi"'), ('"', "x y,"), ("plain", "line\nbreak")])
+    def test_bytes_are_the_csv_writers(self, codes, tmp_path):
+        # job codes holding a comma, a quote or a line break are quoted
+        week = reference_instance()
+        inst = micro_instance(multi_shift=True)
+        if codes is not None:
+            inst = dataclasses.replace(inst, jobs=tuple(
+                dataclasses.replace(job, code=code) for job, code in zip(inst.jobs, codes)))
+        rng = np.random.Generator(np.random.PCG64(5))
+        for counts, case in [((2, 3), inst), ((1, 0), inst), ((0, 0), inst), ((5, 10, 6, 9, 6, 4), week)]:
+            jobs_map = employee_jobs(HeadcountVector(counts))
+            grid = rng.integers(0, 2, size=(len(jobs_map), case.slots), dtype=np.uint8)
+            t = AttendanceTensor.from_slot_attendance(grid, jobs_map, case.n_jobs)
+            assert tensor_to_csv(t, case) == csv_writer_form(t, case)
+            if len(jobs_map):
+                path = str(tmp_path / "t.csv")
+                write_tensor_csv(t, case, path)
+                assert read_tensor_csv(path, case) == t
 
     def test_conflicting_jobs_rejected(self, tmp_path):
         inst = micro_instance()
