@@ -8,7 +8,10 @@ draw reads a block depends only on the words and on the generation's
 geometry, so one plan places the draws of several generations in whole
 arrays, and a generation only picks its parents, crosses them over and
 mutates them; the generator is left where numpy's own calls would leave
-it.  The child-by-child loop is the reference in ``tests/oracle.py``.
+it.  The rare generation whose draws read a 32-bit half that Lemire's
+method rejects is bred with numpy's own calls instead
+(:func:`_breed_calls`).  The child-by-child loop is the reference in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 if TYPE_CHECKING:
     from .evolution import EAConfig, _Box
 
@@ -30,126 +31,47 @@ PLAN_WORDS = 16384
 
 
 class _Words:
-    """numpy's draws from a PCG64 generator, read off one block of its raw
-    64-bit words, so that many draws cost one generator call.
+    """One block of a PCG64 generator's raw 64-bit words, drawn in one
+    call, off which a breeding plan (:class:`_Breeder`) reads numpy's
+    draws.
 
     numpy's draws are fixed functions of the word stream (O'Neill 2014).
-    ``rng.random()`` reads the next word ``w`` as ``(w >> 11) * 2**-53``.
-    ``rng.integers(0, b)``, ``b <= 2**32``, reads 32-bit halves: the low
-    half of the next word, or the high half the generator kept from the
-    last word it split (doubles pass a kept half by).  A half ``x`` gives
-    ``(x * b) >> 32``, unless ``(x * b) mod 2**32 < 2**32 mod b``; then
-    the draw reads another half (Lemire 2019).  ``b == 1`` reads nothing.
+    ``rng.random()`` reads the next word ``w`` as ``(w >> 11) * 2**-53``
+    (:meth:`units`).  ``rng.integers(0, b)``, ``b <= 2**32``, reads 32-bit
+    halves: the low half of the next word, or the high half the generator
+    kept from the last word it split (doubles pass a kept half by).  A
+    half ``x`` gives ``(x * b) >> 32``, unless ``(x * b) mod 2**32 <
+    2**32 mod b``; then the draw reads another half (Lemire 2019).
+    ``b == 1`` reads nothing.
 
     Word 0 holds the half the generator kept before the block, as its
-    high half (half 1); ``halves`` views the words as 32-bit halves, low
-    then high.  A breeding plan (:class:`_Breeder`) computes the
-    positions of its draws itself, reading doubles with :meth:`units`
-    and halves off ``halves``.  A walk hands them out one draw at a time, in numpy's
-    order: word indices from :meth:`doubles`, half indices (``2 * word``,
-    plus 1 for a high half) from :meth:`bounded`, which skips rejected
-    halves; :meth:`unit` reads one double a walk decides on.  Either way
-    :meth:`close` leaves the generator after the words read (``pos``),
-    keeping the half ``kept`` (0: none) and with ``last`` as numpy's
-    last kept half.
+    high half (half 1; ``kept`` is 1 when there is one, else 0);
+    ``halves`` views the words as 32-bit halves, low then high.
     """
 
     def __init__(self, rng: np.random.Generator, count: int):
         self._bitgen = rng.bit_generator
         state = self._bitgen.state
-        self._kept_before = 1 if state["has_uint32"] else 0
+        self.kept = 1 if state["has_uint32"] else 0
         # word 0 is the word before the block, drawn again and overwritten,
         # so the block is drawn straight into place
         self._bitgen.advance(2**128 - 1)
         self.words = self._bitgen.random_raw(count + 1)
         self.words[0] = state["uinteger"] << 32
-        self._start()
-
-    def _draw(self, count: int) -> None:
-        """Append ``count`` words and start the walk over."""
-        self.words = np.concatenate([self.words, self._bitgen.random_raw(count)])
-        self._start()
-
-    def _start(self) -> None:
         self.halves = np.asarray(self.words, dtype="<u8").view("<u4")  # low, high, low, ...
-        self._rejected: dict[int, set[int]] = {}
-        # the next word, the kept half (0: none), the last half kept (numpy's uinteger)
-        self.pos, self.kept, self.last = 1, self._kept_before, 1
-
-    def read(self, walk: Callable[["_Words"], object]):
-        """``walk(self)``, walked again over more words while it ends past
-        the block (rejected halves can make it read more than the block
-        was drawn for)."""
-        out = walk(self)
-        while self.pos > len(self.words):
-            self._draw(len(self.words))
-            out = walk(self)
-        return out
-
-    def doubles(self, count: int) -> int:
-        """The first of the word indices of ``count`` ``rng.random()`` draws."""
-        self.pos += count
-        return self.pos - count
-
-    def bounded(self, bound: int, count: int) -> list[int]:
-        """The half indices of ``count`` ``rng.integers(0, bound)`` draws;
-        half 0, whose value is 0, for each when ``bound`` is 1."""
-        if bound == 1:
-            return [0] * count
-        rejected = self._rejected.get(bound)
-        if rejected is None:
-            if bound > 2**32:
-                raise ConfigurationError(f"bound {bound} needs 64-bit draws")
-            # (x * bound) mod 2**32 < 2**32 mod bound, over every half but
-            # word 0's low half, which no draw reads
-            threshold = 2**32 % bound
-            rejected = self._rejected[bound] = set((1 + np.flatnonzero(
-                self.halves[1:] * np.uint32(bound) < threshold)).tolist()) if threshold else set()
-        pos, kept, last = self.pos, self.kept, self.last
-        out: list[int] = []
-        if rejected:
-            while len(out) < count:
-                if kept:
-                    h, kept = kept, 0
-                else:
-                    h = 2 * pos
-                    kept = last = h + 1
-                    pos += 1
-                if h not in rejected:
-                    out.append(h)
-        else:
-            if kept and count:
-                out.append(kept)
-                count, kept = count - 1, 0
-            if count:
-                start = 2 * pos
-                out += range(start, start + count)
-                pos += (count + 1) // 2
-                last = (start + count - 1) | 1
-                kept = last if count % 2 else 0
-        self.pos, self.kept, self.last = pos, kept, last
-        return out
-
-    def unit(self, word: int) -> float:
-        """The ``rng.random()`` value of the draw at ``word``; 0.0 past the
-        block, where :meth:`read` walks again."""
-        return (int(self.words[word]) >> 11) * 2.0**-53 if word < len(self.words) else 0.0
 
     def units(self, words) -> np.ndarray:
         """The ``rng.random()`` values of the draws at ``words``."""
         return (self.words[words] >> 11) * 2.0**-53
 
-    def below(self, halves, bound: int) -> np.ndarray:
-        """The ``rng.integers(0, bound)`` values of the draws at ``halves``."""
-        return ((self.halves[halves].astype(np.uint64) * bound) >> 32).astype(np.intp)
-
-    def close(self) -> None:
-        """Leave the generator after the words read, keeping the half the
-        walk's draws would keep."""
-        self._bitgen.advance((self.pos - len(self.words)) % 2**128)  # back over the words not read
+    def close(self, pos: int, kept: int, last: int) -> None:
+        """Leave the generator before word ``pos``, keeping the half
+        ``kept`` (0: none) and with half ``last`` as numpy's last kept
+        half."""
+        self._bitgen.advance((pos - len(self.words)) % 2**128)  # back over the words not read
         state = self._bitgen.state
-        state["has_uint32"] = int(self.kept != 0)
-        state["uinteger"] = int(self.halves[self.last])
+        state["has_uint32"] = int(kept != 0)
+        state["uinteger"] = int(self.halves[last])
         self._bitgen.state = state
 
 
@@ -226,7 +148,7 @@ def _offspring(
     return np.concatenate([elite, children])
 
 
-def _breed_walk(
+def _breed_calls(
     rng: np.random.Generator,
     genes: np.ndarray,
     pick: _Pick,
@@ -234,51 +156,24 @@ def _breed_walk(
     elite: np.ndarray,
     ri_box: _Box | None = None,
 ) -> np.ndarray:
-    """One generation bred by walking its draws one at a time over a
-    block of raw words (:class:`_Words`), for the generation of a plan
-    that reads a rejected half (see :class:`_Breeder`)."""
+    """One generation bred with numpy's own calls, pair by pair as the
+    child-by-child loop makes them, for the generation of a plan that
+    reads a rejected half (see :class:`_Breeder`)."""
     size = cfg.population_size - len(elite)
     n = genes.shape[1]
     blends = ri_box is not None and n == 1
-    crosses = blends or n >= 2
     per_child = n if ri_box is None else 4 * n   # mutation doubles
     pairs = -(-size // 2)
     picks = 2 * pick.draws
-    words = _Words(rng, pairs * (picks + 2 + 2 * per_child) + 8)
-
-    def walk(w: _Words) -> tuple[list[int], list[int], list[int], list[int]]:
-        bound, bounded, doubles = pick.bound, w.bounded, w.doubles
-        drawn: list[int] = []
-        crossed: list[int] = []
-        cuts: list[int] = []
-        mutations: list[int] = []
-        for pair in range(pairs):
-            if bound:
-                drawn += bounded(bound, picks)
-            else:
-                start = doubles(picks)
-                drawn += range(start, start + picks)
-            gate = doubles(1)
-            if crosses and w.unit(gate) < cfg.crossover_rate:
-                crossed.append(pair)
-                cuts += [doubles(1)] if blends else bounded(n - 1, 1)
-            mutations.append(doubles(2 * per_child))
-        w.pos -= size % 2 * per_child   # an odd last pair breeds one child
-        return drawn, crossed, cuts, mutations
-
-    drawn, crossed, cuts, mutations = words.read(walk)
-    values = words.below(drawn, pick.bound) if pick.bound else words.units(drawn)
+    values = np.empty((pairs, picks), dtype=np.intp if pick.bound else float)
+    mix = np.full((pairs, 1), np.nan if blends else n)   # nan / n: no crossover
+    draws = np.empty(size * per_child)
+    for pair in range(pairs):
+        values[pair] = rng.integers(0, pick.bound, picks) if pick.bound else rng.random(picks)
+        if rng.random() < cfg.crossover_rate and (blends or n >= 2):
+            mix[pair] = rng.random() if blends else rng.integers(1, n)
+        rng.random(out=draws[2 * pair * per_child:2 * (pair + 1) * per_child])
     parents = pick.choose(values.reshape(2 * pairs, pick.draws))
-    starts = np.array(mutations)[:, None] + np.arange(2 * per_child)
-    draws = words.units(starts.ravel()[:size * per_child])
-    if blends:
-        mix = np.full((pairs, 1), np.nan)   # the blend weight (nan: none)
-        mix[crossed, 0] = words.units(cuts)
-    else:
-        mix = np.full((pairs, 1), n)        # the cut point (n: no crossover)
-        if crossed:
-            mix[crossed, 0] = 1 + words.below(cuts, n - 1)
-    words.close()
     return _offspring(genes, parents, mix, draws, cfg, elite, ri_box)
 
 
@@ -316,8 +211,8 @@ class _Breeder:
     meets all-+inf scores) starts a new plan where the last generation
     bred left the generator.  A plan whose draws read a rejected half
     (Lemire 2019; probability below bound / 2**32 a draw) breeds up to
-    that generation, which walks its draws one at a time
-    (:func:`_breed_walk`).  :meth:`close` leaves the generator where
+    that generation, which is bred with numpy's own calls
+    (:func:`_breed_calls`).  :meth:`close` leaves the generator where
     numpy's child-by-child calls would leave it.
     """
 
@@ -338,7 +233,7 @@ class _Breeder:
         self._left -= 1
         if g == self._usable:   # the generation reads a rejected half
             self.close()
-            return _breed_walk(self._rng, genes, pick, self._cfg, elite, self._ri_box)
+            return _breed_calls(self._rng, genes, pick, self._cfg, elite, self._ri_box)
         self._gen = g + 1
         pairs = self._pairs
         rows = slice(g * pairs, (g + 1) * pairs)
@@ -351,8 +246,7 @@ class _Breeder:
         """Leave the generator after the generations bred so far."""
         words = self._words
         if words is not None:
-            words.pos, words.kept, words.last = self._states[self._gen]
-            words.close()
+            words.close(*self._states[self._gen])
             self._words = None
 
     def _plan(self, draws: int, bound: int, size: int) -> None:
@@ -366,7 +260,7 @@ class _Breeder:
         stride = lead + 1 + 2 * per_child    # a pair's words but its cut's
         gens = max(1, min(self._left, PLAN_WORDS // (pairs * (stride + 1))))
         words = self._words = _Words(self._rng, gens * pairs * (stride + 1))
-        raw, halves, s0 = words.words, words.halves, int(words.kept != 0)
+        raw, halves, s0 = words.words, words.halves, words.kept
         self._key, self._gen = (draws, bound, size), 0
 
         # where each pair would start if no cut point read a word

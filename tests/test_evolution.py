@@ -45,7 +45,6 @@ from manpower import (
 )
 from manpower import breeding, evolution, moea
 from manpower.constraints import headcount_kernel
-from manpower.breeding import _selector, _Words
 from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _random_genes, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
@@ -357,33 +356,48 @@ def _generator_whose_next_word_is(word: int, seed: int = 0) -> np.random.Generat
     return np.random.Generator(bitgen)
 
 
-def _counting_walks(monkeypatch) -> list:
-    """Record the generations bred by walking their draws one at a time."""
-    walked = []
-    walk = breeding._breed_walk
+def _counting_fallbacks(monkeypatch) -> list:
+    """Record the generations bred with numpy's own calls, not by plan."""
+    bred = []
+    calls = breeding._breed_calls
 
     def spy(*args, **kwargs):
-        walked.append(args[1])
-        return walk(*args, **kwargs)
+        bred.append(args[1])
+        return calls(*args, **kwargs)
 
-    monkeypatch.setattr(breeding, "_breed_walk", spy)
-    return walked
+    monkeypatch.setattr(breeding, "_breed_calls", spy)
+    return bred
+
+
+class _Calls:
+    """Every generation bred with numpy's own calls
+    (:func:`breeding._breed_calls`), behind the breeder's interface."""
+
+    def __init__(self, rng, cfg, n, generations, ri_box):
+        self._rng, self._cfg, self._ri_box = rng, cfg, ri_box
+
+    def breed(self, genes, pick, elite):
+        return breeding._breed_calls(self._rng, genes, pick, self._cfg, elite, self._ri_box)
+
+    def close(self):
+        pass
 
 
 class TestBreedAgainstLoopOracle:
     """Generations bred one after another through one breeder, from plans
-    of a block of raw words, are the per-child loop's, byte for byte, and
-    a closed breeder leaves the generator where the loop's numpy calls
-    leave it."""
+    of a block of raw words, or each with numpy's own calls, are the
+    per-child loop's, byte for byte, and a closed breeder leaves the
+    generator where the loop's numpy calls leave it."""
 
     @staticmethod
-    def _both(run, ours, loop, plan_words=breeding.PLAN_WORDS) -> list:
-        """Breed the run's generations both ways; the gene matrices bred from."""
+    def _both(run, ours, loop, plan_words=breeding.PLAN_WORDS, breeder=breeding._Breeder) -> list:
+        """Breed the run's generations with ``breeder`` and with the loop;
+        the gene matrices bred from."""
         encoding, bounds, genes, cfg, steps, seed = run
         bred_from = []
         box = _box(bounds) if encoding == "ri" else None
         with mock.patch.object(breeding, "PLAN_WORDS", plan_words):
-            breeder = breeding._Breeder(ours, cfg, genes.shape[1], len(steps), box)
+            ours_breeder = breeder(ours, cfg, genes.shape[1], len(steps), box)
             for scores, elite, close in steps:
                 bred_from.append(genes)
                 population = [Genome(encoding, row, bounds) for row in genes]
@@ -397,29 +411,42 @@ class TestBreedAgainstLoopOracle:
                     pick = breeding._selector(scores, cfg)
                     want = oracle._breed(
                         loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
-                got = breeder.breed(genes, pick, genes[:0] if elite is None else genes[elite][None])
+                got = ours_breeder.breed(genes, pick, genes[:0] if elite is None else genes[elite][None])
                 assert got.dtype == genes.dtype and got.shape == genes.shape
-                assert got.tobytes() == np.stack([g.data for g in want]).tobytes()
+                assert got.tobytes() == np.stack([g.data for g in want]).tobytes(), (
+                    "the bred children are no longer the child-by-child loop's.  A plan reads "
+                    "numpy's draws off PCG64's raw words: doubles (w >> 11) * 2**-53, "
+                    "rng.integers(0, b) by Lemire's method on 32-bit halves (the kept half "
+                    "first), rng.choice by searching the cumulative weights; if a numpy upgrade "
+                    "changed any of these, every seeded run_ea, run_moea and solve_assignment "
+                    "result changes with it")
                 if close:
-                    breeder.close()
+                    ours_breeder.close()
                     assert ours.bit_generator.state == loop.bit_generator.state
                 genes = got
-            breeder.close()
-        assert ours.bit_generator.state == loop.bit_generator.state
+            ours_breeder.close()
+        assert ours.bit_generator.state == loop.bit_generator.state, (
+            "the closed breeder no longer leaves the generator where the loop's numpy calls "
+            "leave it: after the words read, keeping the half the draws would keep, with "
+            "numpy's last kept half (uinteger); every draw after breeding would change, and "
+            "with it every seeded run_ea, run_moea and solve_assignment result")
         return bred_from
 
     @PROPERTY
     @given(runs(), st.booleans(), st.sampled_from([1, 60, 400, breeding.PLAN_WORDS]))
     def test_children_and_generator_state(self, run, primed, plan_words):
         # plans of 1 to 400 words hold one generation or a few; the
-        # default holds every generation of these small runs
+        # default holds every generation of these small runs.  The second
+        # pass breeds every generation with numpy's own calls, as a plan
+        # does a generation that reads a rejected half
         seed = run[-1]
-        ours = np.random.Generator(np.random.PCG64(seed))
-        loop = np.random.Generator(np.random.PCG64(seed))
-        if primed:
-            # breeding starts with a 32-bit half kept by the generator
-            assert ours.integers(0, 3) == loop.integers(0, 3)
-        self._both(run, ours, loop, plan_words)
+        for breeder in (breeding._Breeder, _Calls):
+            ours = np.random.Generator(np.random.PCG64(seed))
+            loop = np.random.Generator(np.random.PCG64(seed))
+            if primed:
+                # breeding starts with a 32-bit half kept by the generator
+                assert ours.integers(0, 3) == loop.integers(0, 3)
+            self._both(run, ours, loop, plan_words, breeder)
 
     @staticmethod
     def _seven_jobs(selection: str, generations: int, crossover_rate: float = 0.8):
@@ -438,10 +465,10 @@ class TestBreedAgainstLoopOracle:
     def test_rejected_halves_are_skipped(self, selection, monkeypatch):
         # both halves of the first word are 0, which Lemire's method
         # rejects for the bound 6: the first two parent draws read past it
-        walked = _counting_walks(monkeypatch)
+        fell_back = _counting_fallbacks(monkeypatch)
         ours, loop = _generator_whose_next_word_is(0), _generator_whose_next_word_is(0)
         self._both(self._seven_jobs(selection, 1), ours, loop)
-        assert len(walked) == 1
+        assert len(fell_back) == 1
 
     @pytest.mark.parametrize("selection", ["tournament", "crowded"])
     @pytest.mark.parametrize("crossover_rate,word,ahead,generation", [
@@ -455,12 +482,12 @@ class TestBreedAgainstLoopOracle:
     ])
     def test_a_rejected_half_mid_plan_walks_that_generation_only(
             self, selection, crossover_rate, word, ahead, generation, monkeypatch):
-        walked = _counting_walks(monkeypatch)
+        fell_back = _counting_fallbacks(monkeypatch)
         ours, loop = _generator_whose_next_word_is(word), _generator_whose_next_word_is(word)
         for rng in (ours, loop):
             rng.bit_generator.advance(-ahead)
         bred_from = self._both(self._seven_jobs(selection, 5, crossover_rate), ours, loop)
-        assert len(walked) == 1 and walked[0] is bred_from[generation]
+        assert len(fell_back) == 1 and fell_back[0] is bred_from[generation]
 
     @PROPERTY
     @given(st.sampled_from(["tournament", "crowded"]), st.integers(0, 600), st.floats(0.0, 1.0),
@@ -490,23 +517,34 @@ class TestBreedAgainstLoopOracle:
         cfg = EAConfig(population_size=size, encoding=encoding, selection="proportional",
                        crossover_rate=0.7, mutation_rate=0.3)
         for seed in range(4):
-            ours = np.random.Generator(np.random.PCG64(seed))
-            loop = np.random.Generator(np.random.PCG64(seed))
-            self._both((encoding, bounds, genes, cfg, steps, seed), ours, loop, plan_words=400)
+            for breeder in (breeding._Breeder, _Calls):
+                ours = np.random.Generator(np.random.PCG64(seed))
+                loop = np.random.Generator(np.random.PCG64(seed))
+                self._both((encoding, bounds, genes, cfg, steps, seed), ours, loop, 400, breeder)
 
 
 def test_default_runs_never_walk_their_draws(monkeypatch):
     # a rejected half is rare (below bound / 2**32 a draw): every
-    # generation of these runs is bred by plan
-    walked = _counting_walks(monkeypatch)
+    # generation of these runs is bred by plan, so a plan that sent
+    # generations to numpy's own (slower) calls fails here
+    fell_back = _counting_fallbacks(monkeypatch)
     week = reference_instance()
+    forty = HeadcountVector((5, 10, 6, 9, 6, 4))
     run_ea(week, SALARY, BASIC, EAConfig())
     run_ea(week, SALARY, BASIC, EAConfig(encoding="bg"))
-    solve_assignment(HeadcountVector((5, 10, 6, 9, 6, 4)), week, BASIC, EAConfig(encoding="bg"))
+    solve_assignment(forty, week, BASIC, EAConfig(encoding="bg"))
     trade_off = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),
                                  Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE)))
     run_moea(week, trade_off, BASIC, EAConfig())
-    assert walked == []
+    # the geometries of the roster and pareto benchmarks: rosters of 40
+    # staff, population 20 over 10 generations; a 60 x 40 trade-off over
+    # 16 jobs (breeding reads only the genes, population and pick)
+    sixteen = random_micro_instance(np.random.Generator(np.random.PCG64(16)), n_jobs=16)
+    for seed in range(3):
+        solve_assignment(forty, week, BASIC,
+                         EAConfig(population_size=20, generations=10, encoding="bg", seed=seed))
+        run_moea(sixteen, trade_off, BASIC, EAConfig(population_size=60, generations=40, seed=seed))
+    assert fell_back == []
 
 
 def test_box_draw_is_rng_uniform_bit_for_bit():
@@ -533,105 +571,6 @@ def test_box_draw_is_rng_uniform_bit_for_bit():
             "calls; the ri mutation draw relies on it, so every seeded ri result would change")
         assert ours.bit_generator.state == numpys.bit_generator.state, (
             "rng.random((4, n)) no longer consumes the same doubles as four rng.random(n) calls")
-
-
-@st.composite
-def draw_scripts(draw):
-    """numpy draws of every kind breeding and sampling read from raw words:
-    doubles, bounded integers (rejecting about half their halves at
-    2**31 + 1), cut points, rows of doubles and fitness-proportional
-    picks, plus a generator seed, a prefix draw that leaves a kept half,
-    and a first guess of the words needed (often short)."""
-    bound = st.sampled_from([3, 100, 2**31 + 1])
-    op = st.one_of(
-        st.tuples(st.just("random"), st.none()),
-        st.tuples(st.just("uniform"), st.none()),
-        st.tuples(st.just("integers"), bound),
-        st.tuples(st.just("cut"), st.sampled_from([2, 3, 100, 2**31 + 1])),   # rng.integers(1, n)
-        st.tuples(st.just("rows"), st.tuples(st.integers(1, 2), st.integers(0, 4), st.integers(1, 3))),
-        st.tuples(st.just("choice"), st.lists(st.sampled_from([0.0, 1.0, 2.5, 40.0, np.inf]),
-                                              min_size=2, max_size=9).filter(lambda s: min(s) < np.inf)),
-    )
-    return (draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
-            draw(st.lists(op, max_size=30)), draw(st.integers(1, 40)))
-
-
-def _numpy_draws(rng: np.random.Generator, script) -> list:
-    """The values of the script's draws made with numpy's own calls: as
-    breeding made them one child at a time."""
-    out = []
-    for kind, arg in script:
-        if kind in ("random", "uniform"):
-            out.append(getattr(rng, kind)())
-        elif kind == "integers":
-            out.append(int(rng.integers(0, arg)))
-        elif kind == "cut":
-            out.append(int(rng.integers(1, arg)))
-        elif kind == "rows":
-            rows = np.empty(arg)
-            rng.random(out=rows)
-            out.append(rows.tolist())
-        else:
-            scores = np.array(arg)
-            finite = np.isfinite(scores)
-            weights = np.where(finite, scores[finite].max() - scores + 1e-9, 0.0)
-            out.append(int(rng.choice(len(scores), p=weights / weights.sum())))
-    return out
-
-
-def _word_draws(rng: np.random.Generator, script, guess: int) -> list:
-    """The values of the same draws read off one block of raw words."""
-    words = _Words(rng, guess)
-
-    def walk(w: _Words) -> list:
-        positions = []
-        for kind, arg in script:
-            if kind in ("random", "uniform", "choice"):
-                positions.append(w.doubles(1))
-            elif kind in ("integers", "cut"):
-                positions.append(w.bounded(arg if kind == "integers" else arg - 1, 1)[0])
-            else:
-                positions.append(w.doubles(int(np.prod(arg))))
-        return positions
-
-    out = []
-    for (kind, arg), at in zip(script, words.read(walk)):
-        if kind in ("random", "uniform"):
-            out.append(float(words.units([at])[0]))
-        elif kind == "integers":
-            out.append(int(words.below([at], arg)[0]))
-        elif kind == "cut":
-            out.append(1 + int(words.below([at], arg - 1)[0]))
-        elif kind == "rows":
-            out.append(words.units(np.arange(at, at + int(np.prod(arg)))).reshape(arg).tolist())
-        else:
-            scores = np.array(arg)
-            cfg = EAConfig(population_size=len(scores), selection="proportional")
-            out.append(int(_selector(scores, cfg).choose(words.units([[at]]))[0]))
-    words.close()
-    return out
-
-
-@PROPERTY
-@given(draw_scripts())
-def test_raw_words_reproduce_numpys_draws(script):
-    seed, primed, draws, guess = script
-    ours = np.random.Generator(np.random.PCG64(seed))
-    numpys = np.random.Generator(np.random.PCG64(seed))
-    if primed:
-        # the generator keeps a 32-bit half for the next bounded draw
-        assert ours.integers(0, 3) == numpys.integers(0, 3)
-    want = _numpy_draws(numpys, draws)
-    got = _word_draws(ours, draws, guess)
-    assert got == want, (
-        "numpy's draws are no longer the functions of PCG64's raw words that _Words reads "
-        "(doubles (w >> 11) * 2**-53, Lemire's method on kept 32-bit halves, choice by "
-        "searching the cumulative weights); breeding reads them that way, so every seeded "
-        "run_ea, run_moea and solve_assignment result would change")
-    assert ours.bit_generator.state == numpys.bit_generator.state, (
-        "_Words.close no longer leaves the generator where numpy's calls leave it (words read, "
-        "kept half, numpy's uinteger); every draw after a generation's breeding would change, "
-        "and with it every seeded run_ea, run_moea and solve_assignment result")
 
 
 @PROPERTY
