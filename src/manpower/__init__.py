@@ -62,7 +62,6 @@ from .domain import (
     HeadcountVector,
     Job,
     ProblemInstance,
-    daily_work_hours,
     employee_jobs,
     full_attendance,
     total_work_time,
@@ -85,7 +84,6 @@ from .evolution import (
     SolveResult,
     TracePoint,
     decode,
-    encode,
     random_genome,
     run_ea,
     solve_assignment,
@@ -105,14 +103,9 @@ from .objectives import (
     Objective,
     ObjectiveBundle,
     ObjectiveKind,
-    evaluate,
     evaluate_bundle,
-    f1_job_time,
     f2_total_salary,
-    f3_multishift_salary,
-    headcount_subset,
     parse_objective_token,
-    signed_value,
     tensor_salary,
     total_time_headcount,
 )

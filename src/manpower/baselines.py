@@ -128,12 +128,14 @@ class PSOConfig:
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
 
     def __post_init__(self):
-        if self.swarm_size < 2 or self.iterations < 0:
-            raise ConfigurationError("swarm_size >= 2 and iterations >= 0 required")
-        if self.cognitive < 0 or self.social < 0:
-            raise ConfigurationError("acceleration coefficients must be nonnegative")
-        if any(w < 0 for w in self.inertia):
-            raise ConfigurationError("inertia weights must be nonnegative")
+        if not (2 <= self.swarm_size < math.inf and 0 <= self.iterations < math.inf):
+            raise ConfigurationError("finite swarm_size >= 2 and iterations >= 0 required")
+        if not all(0 <= c < math.inf for c in (self.cognitive, self.social)):
+            raise ConfigurationError("acceleration coefficients must be finite and nonnegative")
+        if not all(0 <= w < math.inf for w in self.inertia):
+            raise ConfigurationError("inertia weights must be finite and nonnegative")
+        if self.v_max is not None and not 0 < self.v_max < math.inf:
+            raise ConfigurationError("v_max must be positive and finite")
 
 
 def pso_step(
@@ -228,14 +230,14 @@ class SAConfig:
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
 
     def __post_init__(self):
-        if self.initial_temperature <= 0 or self.final_temperature <= 0:
-            raise ConfigurationError("temperatures must be positive")
+        if not all(0 < t < math.inf for t in (self.initial_temperature, self.final_temperature)):
+            raise ConfigurationError("temperatures must be positive and finite")
         if not 0.0 < self.cooling < 1.0:
             raise ConfigurationError("cooling factor must be in (0, 1)")
         if self.initial_temperature < self.final_temperature:
             raise ConfigurationError("initial temperature below final temperature")
-        if self.moves_per_temperature < 1:
-            raise ConfigurationError("moves_per_temperature must be positive")
+        if not 1 <= self.moves_per_temperature < math.inf:
+            raise ConfigurationError("moves_per_temperature must be positive and finite")
 
 
 @dataclass(frozen=True)

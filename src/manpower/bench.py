@@ -24,7 +24,7 @@ import os
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .baselines import PSOConfig, SAConfig, ip_solve, pso_solve, sa_solve
@@ -417,11 +417,7 @@ def _exp3(spec: ExperimentSpec) -> ExperimentReport:
         expr = parse_constraint_string(text)
         runs = _run_trials("ea_ri", inst, bundle, expr, spec.seed, spec.trials)
         # rename so rows keep the composition label
-        trials_by_solver[label] = [
-            TrialResult(label, t.seed, t.value, t.feasible, t.violation,
-                        t.evaluations, t.millis, t.curve, t.counts, t.error)
-            for t in runs
-        ]
+        trials_by_solver[label] = [replace(t, solver=label) for t in runs]
         ok = [t.value for t in runs if t.error is None]
         values[label] = min(ok) if ok else None
     rows = _comparison(trials_by_solver, None)

@@ -12,12 +12,13 @@ day carry the same bit.  In multi-shift mode each slot is independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ConfigurationError, StructuralError
 
 SHIFT_NAMES = ("MOR", "AFT", "EVN", "MID")
 SLOTS_PER_DAY = 4
@@ -30,9 +31,9 @@ DEFAULT_SHIFT_HOURS = (4.0, 4.0, 4.0, 8.0)
 def _as_float4(values: Sequence[float], what: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     if len(out) != SLOTS_PER_DAY:
-        raise ValueError(f"{what} must have {SLOTS_PER_DAY} entries, got {len(out)}")
-    if any(v < 0 for v in out):
-        raise ValueError(f"{what} must be nonnegative")
+        raise ConfigurationError(f"{what} must have {SLOTS_PER_DAY} entries, got {len(out)}")
+    if not all(0 <= v < math.inf for v in out):
+        raise ConfigurationError(f"{what} must be finite and nonnegative")
     return out
 
 
@@ -52,15 +53,15 @@ class Job:
         object.__setattr__(self, "wage_per_shift", _as_float4(self.wage_per_shift, "wage_per_shift"))
         object.__setattr__(self, "shift_hours", _as_float4(self.shift_hours, "shift_hours"))
         if not self.code:
-            raise ValueError("job code must be nonempty")
-        if self.headcount_min < 0:
-            raise ValueError(f"job {self.code}: headcount_min must be nonnegative")
-        if self.headcount_max < 1:
-            raise ValueError(f"job {self.code}: headcount_max must be positive")
+            raise ConfigurationError("job code must be nonempty")
+        if not self.headcount_min >= 0:   # every check here also fails on NaN
+            raise ConfigurationError(f"job {self.code}: headcount_min must be nonnegative")
+        if not self.headcount_max >= 1:
+            raise ConfigurationError(f"job {self.code}: headcount_max must be positive")
         if self.headcount_min > self.headcount_max:
-            raise ValueError(f"job {self.code}: headcount_min > headcount_max")
+            raise ConfigurationError(f"job {self.code}: headcount_min > headcount_max")
         if not any(h > 0 for h in self.shift_hours):
-            raise ValueError(f"job {self.code}: all shift hours are zero")
+            raise ConfigurationError(f"job {self.code}: all shift hours are zero")
 
     @property
     def daily_hours(self) -> float:
@@ -87,12 +88,12 @@ class EmergencySpec:
     jobs: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be a positive integer")
-        if self.time_cost < 0 or self.bonus < 0 or self.punishment < 0:
-            raise ValueError("emergency costs must be nonnegative")
+        if not self.alpha >= 1:   # every check here also fails on NaN
+            raise ConfigurationError("alpha must be a positive integer")
+        if not all(0 <= x < math.inf for x in (self.time_cost, self.bonus, self.punishment)):
+            raise ConfigurationError("emergency costs must be finite and nonnegative")
         if not 0.0 <= self.daily_probability <= 1.0:
-            raise ValueError("daily_probability must be in [0, 1]")
+            raise ConfigurationError("daily_probability must be in [0, 1]")
         if self.jobs is not None:
             object.__setattr__(self, "jobs", tuple(self.jobs))
 
@@ -117,33 +118,33 @@ class ProblemInstance:
         )
         object.__setattr__(self, "salary_bounds", tuple(float(x) for x in self.salary_bounds))
         if not self.jobs:
-            raise ValueError("instance needs at least one job")
-        if self.horizon_days < 1:
-            raise ValueError("horizon_days must be positive")
-        if self.max_total_staff < 1:
-            raise ValueError("max_total_staff must be positive")
-        if self.rest_cap < 0:
-            raise ValueError("rest_cap must be nonnegative")
+            raise ConfigurationError("instance needs at least one job")
+        if not self.horizon_days >= 1:   # every check here also fails on NaN
+            raise ConfigurationError("horizon_days must be positive")
+        if not self.max_total_staff >= 1:
+            raise ConfigurationError("max_total_staff must be positive")
+        if not self.rest_cap >= 0:
+            raise ConfigurationError("rest_cap must be nonnegative")
         if len(self.work_time_bounds) != len(self.jobs):
-            raise ValueError("work_time_bounds must have one (low, high) pair per job")
+            raise ConfigurationError("work_time_bounds must have one (low, high) pair per job")
         for job, (lo, hi) in zip(self.jobs, self.work_time_bounds):
-            if lo > hi:
-                raise ValueError(f"job {job.code}: work time lower bound exceeds upper bound")
+            if not lo <= hi:
+                raise ConfigurationError(f"job {job.code}: work time bounds {lo, hi} need lower <= upper")
         lo, hi = self.salary_bounds
-        if lo > hi:
-            raise ValueError("salary lower bound exceeds upper bound")
+        if not lo <= hi:
+            raise ConfigurationError(f"salary bounds {lo, hi} need lower <= upper")
         if sum(j.headcount_min for j in self.jobs) > self.max_total_staff:
-            raise ValueError("sum of job headcount minimums exceeds max_total_staff")
+            raise ConfigurationError("sum of job headcount minimums exceeds max_total_staff")
         codes = [j.code for j in self.jobs]
         if len(set(codes)) != len(codes):
-            raise ValueError("duplicate job codes")
+            raise ConfigurationError("duplicate job codes")
         if self.emergency is not None:
             if self.emergency.alpha > self.max_total_staff:
-                raise ValueError("emergency alpha exceeds max_total_staff")
+                raise ConfigurationError("emergency alpha exceeds max_total_staff")
             if self.emergency.jobs is not None:
                 unknown = set(self.emergency.jobs) - set(codes)
                 if unknown:
-                    raise ValueError(f"emergency references unknown job codes {sorted(unknown)}")
+                    raise ConfigurationError(f"emergency references unknown job codes {sorted(unknown)}")
 
     @property
     def n_jobs(self) -> int:
@@ -173,7 +174,7 @@ class HeadcountVector:
         counts = tuple(map(int, self.counts))
         object.__setattr__(self, "counts", counts)
         if counts and min(counts) < 0:
-            raise ValueError("headcounts must be nonnegative")
+            raise ConfigurationError("headcounts must be nonnegative")
 
     @property
     def total(self) -> int:
@@ -323,10 +324,6 @@ class AttendanceTensor:
         """1 where the employee attends at least one slot of the day."""
         return (self.day_slots().sum(axis=2) > 0).astype(np.uint8)
 
-    def rest_counts(self) -> np.ndarray:
-        """Per-employee count of days with no attended slot."""
-        return self.days - self.day_attendance().sum(axis=1)
-
     def is_single_shift_consistent(self) -> bool:
         ds = self.day_slots()
         return bool(np.all(ds == ds[:, :, :1]))
@@ -349,11 +346,6 @@ class AttendanceTensor:
             return NotImplemented
         return (self.n_jobs, self.days, self._bits, self._jobs) == (
             other.n_jobs, other.days, other._bits, other._jobs)
-
-
-def daily_work_hours(job: Job) -> float:
-    """Hours of one fully attended day: the sum of the four slot durations."""
-    return float(sum(job.shift_hours))
 
 
 def total_work_time(tensor: AttendanceTensor, inst: ProblemInstance) -> float:

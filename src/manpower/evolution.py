@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -57,8 +58,8 @@ from .domain import (
 )
 from .errors import ConfigurationError, InfeasibleError
 from .objectives import (
+    SCORE_CACHE_SIZE,
     ObjectiveBundle,
-    evaluate,
     evaluate_bundle,
     objective_kernel,
     roster_salary_kernel,
@@ -66,10 +67,6 @@ from .objectives import (
     tensor_salary,
 )
 
-# Distinct staffings one run's scorer remembers for the solvers that
-# score one staffing at a time (annealing revisits most of its
-# neighbours); also the custom objective values it remembers.
-SCORE_CACHE_SIZE = 256
 # The barrier draws at most this many starting genomes per population
 # member; at the reference week's acceptance ratio of 0.026 a member
 # takes about 38.
@@ -87,8 +84,8 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.method not in ("external", "internal"):
             raise ConfigurationError(f"unknown penalty method {self.method!r}")
-        if self.coefficient < 0 or self.barrier_coefficient < 0:
-            raise ConfigurationError("penalty coefficients must be nonnegative")
+        if not all(0 <= c < math.inf for c in (self.coefficient, self.barrier_coefficient)):
+            raise ConfigurationError("penalty coefficients must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,6 @@ class Genome:
     bounds: tuple[tuple[int, int], ...]
 
 
-def _bit_widths(bounds: Sequence[tuple[int, int]]) -> list[int]:
-    return [(hi - lo).bit_length() for lo, hi in bounds]
-
-
 @dataclass(frozen=True)
 class _Box:
     """The arrays of one bounds tuple: its float corners, the ri gene
@@ -156,7 +149,7 @@ class _Box:
 def _box(bounds: tuple[tuple[int, int], ...]) -> _Box:
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    widths = _bit_widths(bounds)
+    widths = [(b[1] - b[0]).bit_length() for b in bounds]
     weights = np.zeros((sum(widths), len(bounds)))
     row = 0
     for j, width in enumerate(widths):
@@ -167,26 +160,6 @@ def _box(bounds: tuple[tuple[int, int], ...]) -> _Box:
     for a in arrays:
         a.flags.writeable = False   # shared by every genome with these bounds
     return _Box(*arrays)
-
-
-def encode(counts: Sequence[int], bounds: Sequence[tuple[int, int]], encoding: str) -> Genome:
-    """Pack integer counts into a genome.  Counts must lie inside the box."""
-    bounds = tuple((int(lo), int(hi)) for lo, hi in bounds)
-    values = [int(c) for c in counts]
-    if len(values) != len(bounds):
-        raise ConfigurationError("counts and bounds must have equal length")
-    for v, (lo, hi) in zip(values, bounds):
-        if not lo <= v <= hi:
-            raise ConfigurationError(f"value {v} outside [{lo}, {hi}]")
-    if encoding == "ri":
-        return Genome("ri", np.asarray(values, dtype=float), bounds)
-    if encoding == "bg":
-        bits: list[int] = []
-        for v, (lo, hi), width in zip(values, bounds, _bit_widths(bounds)):
-            offset = v - lo
-            bits.extend((offset >> (width - 1 - b)) & 1 for b in range(width))
-        return Genome("bg", np.asarray(bits, dtype=np.uint8), bounds)
-    raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
 def _decode_rows(genes: np.ndarray, encoding: str, box: _Box) -> np.ndarray:
@@ -265,11 +238,10 @@ class _Scorer:
     @classmethod
     def staffings(cls, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
                   penalty: PenaltyConfig) -> "_Scorer":
-        """The scorer of (P, J) headcount matrices.  It remembers custom objective
-        values, so every ``Objective.func`` must be a pure function."""
-        custom = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
-            lambda objective, counts: evaluate(objective, HeadcountVector(counts), None, inst))
-        return cls(objective_kernel(bundle, inst, custom), headcount_kernel(expr, inst), penalty)
+        """The scorer of (P, J) headcount matrices.  Its objective kernel
+        remembers custom objective values, so every ``Objective.func``
+        must be a pure function."""
+        return cls(objective_kernel(bundle, inst), headcount_kernel(expr, inst), penalty)
 
     def objective(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's objective, the sum of the bundle's min-oriented

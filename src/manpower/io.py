@@ -86,6 +86,8 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> ProblemInstance:
+    if not isinstance(d, dict):
+        raise StructuralError("top level must be a JSON object")
     version = d.get("format_version")
     if version != FORMAT_VERSION:
         raise StructuralError(f"unsupported format_version {version!r}")
@@ -128,8 +130,14 @@ def save_instance(inst: ProblemInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> ProblemInstance:
+    """The instance in a JSON file.  A file that is not a well-formed
+    instance raises :class:`StructuralError` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return instance_from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise StructuralError(f"invalid instance {path}: {what}") from exc
 
 
 def validate_instance(path: str) -> list[str]:

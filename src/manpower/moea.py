@@ -188,7 +188,7 @@ class ParetoArchive:
     int64 counts matrix beside an (n, M) objective matrix, in insertion
     order, so a block of offers meets all of them at once; entries are
     built on read.  Objectives must be finite, which
-    :func:`~manpower.objectives.evaluate_bundle` ensures.
+    :func:`~manpower.objectives.objective_kernel` ensures.
     """
 
     def __init__(self):

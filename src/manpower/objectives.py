@@ -8,34 +8,34 @@ Three built-in economics are provided:
 * multi-shift salary — pay accrues per attended slot, so partial days
   cost less.
 
-Objectives carry a direction; ``signed_value`` maps everything onto
-minimization so optimizers never need to branch.
+Objectives carry a direction; a bundle's values are signed so that
+maximization is negated and optimizers only ever minimize.
 
 On headcount vectors a bundle is compiled for an instance into one
 function over a whole (P, J) matrix of staffings (:func:`objective_kernel`);
 the one-staffing functions are its single-row case.  Sums over jobs are
 added column by column, left to right, as Python's ``sum`` adds, so a
-staffing's value never depends on the other rows scored with it.
+staffing's value never depends on the other rows scored with it.  A
+roster's wage bill comes from :func:`roster_salary_kernel`, through
+:func:`tensor_salary` for one roster.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .domain import (
-    AttendanceTensor,
-    HeadcountVector,
-    ProblemInstance,
-    daily_work_hours,
-    full_attendance,
-    total_work_time,
-)
+from .domain import AttendanceTensor, HeadcountVector, ProblemInstance
 from .errors import ConfigurationError
+
+# Distinct staffings whose values a compiled custom objective remembers;
+# also the staffings one run's scorer remembers (annealing revisits most
+# of its neighbours).
+SCORE_CACHE_SIZE = 256
 
 
 class ObjectiveKind(str, Enum):
@@ -53,6 +53,11 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class Objective:
+    """One objective: a built-in kind, the sum of the headcounts of
+    ``job_indices``, or a ``CUSTOM`` one valued by ``func``.  A custom
+    ``func`` is called as ``func(headcounts, None, instance)``: it always
+    receives ``tensor=None``."""
+
     kind: ObjectiveKind
     direction: Direction = Direction.MINIMIZE
     job_indices: tuple[int, ...] | None = None
@@ -92,16 +97,6 @@ class ObjectiveBundle:
 # built-in economics
 
 
-def f1_job_time(tensor: AttendanceTensor, job: int | str, inst: ProblemInstance) -> float:
-    """Hours delivered on one job over the horizon: each attended slot
-    contributes its duration.  Summed over all jobs this equals
-    :func:`manpower.domain.total_work_time`."""
-    j = inst.job_index(job) if isinstance(job, str) else int(job)
-    durations = np.asarray(inst.jobs[j].shift_hours, dtype=float)
-    mask = tensor.job_of_employee == j
-    return float((tensor.day_slots()[mask] * durations).sum())
-
-
 def row_sums(values: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right from 0 as Python's ``sum``
     adds (``@`` and ``.sum()`` may add in another order); the final
@@ -130,7 +125,7 @@ def salary_kernel(inst: ProblemInstance) -> _Rows:
 def hours_kernel(inst: ProblemInstance) -> _Rows:
     """Full-attendance working time of each row of a (P, J) headcount
     matrix."""
-    hours, days = np.array([daily_work_hours(j) for j in inst.jobs]), inst.horizon_days
+    hours, days = np.array([j.daily_hours for j in inst.jobs]), inst.horizon_days
     return lambda counts: days * row_sums(counts * hours)
 
 
@@ -160,19 +155,10 @@ def roster_salary_kernel(inst: ProblemInstance, staff: np.ndarray, per_slot: boo
     return lambda slots: (attended_days(slots).sum(axis=2) * daily).sum(axis=1)
 
 
-def f3_multishift_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
-    """Wage bill when pay accrues per attended slot (:func:`roster_salary_kernel` of one roster)."""
-    return float(roster_salary_kernel(inst, tensor.job_of_employee, True)(tensor.day_slots()[None])[0])
-
-
 def tensor_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
     """Salary realized by a tensor: slot-accrued in multi-shift mode,
     attended-day day-rate otherwise (:func:`roster_salary_kernel` of one roster)."""
     return float(roster_salary_kernel(inst, tensor.job_of_employee, inst.multi_shift)(tensor.day_slots()[None])[0])
-
-
-def headcount_subset(hc: HeadcountVector, job_indices: Sequence[int]) -> float:
-    return float(row_sums(headcount_rows(hc)[:, list(job_indices)])[0])
 
 
 def total_time_headcount(hc: HeadcountVector, inst: ProblemInstance) -> float:
@@ -184,38 +170,11 @@ def total_time_headcount(hc: HeadcountVector, inst: ProblemInstance) -> float:
 # evaluation
 
 
-def evaluate(obj: Objective, hc: HeadcountVector, tensor: AttendanceTensor | None, inst: ProblemInstance) -> float:
-    """Raw objective value in its natural units (unsigned)."""
-    if obj.kind is ObjectiveKind.TOTAL_TIME:
-        if tensor is not None:
-            return total_work_time(tensor, inst)
-        return total_time_headcount(hc, inst)
-    if obj.kind is ObjectiveKind.TOTAL_SALARY:
-        if tensor is not None and inst.multi_shift:
-            return tensor_salary(tensor, inst)
-        return f2_total_salary(hc, inst)
-    if obj.kind is ObjectiveKind.MULTISHIFT_SALARY:
-        if tensor is None:
-            # full attendance makes slot pay equal day-rate pay
-            return f2_total_salary(hc, inst)
-        return f3_multishift_salary(tensor, inst)
-    if obj.kind is ObjectiveKind.HEADCOUNT_SUBSET:
-        return headcount_subset(hc, obj.job_indices)
-    return float(obj.func(hc, tensor, inst))
-
-
-def signed_value(obj: Objective, hc: HeadcountVector, tensor: AttendanceTensor | None, inst: ProblemInstance) -> float:
-    """Objective mapped onto minimization (maximization is negated)."""
-    raw = evaluate(obj, hc, tensor, inst)
-    return raw if obj.direction is Direction.MINIMIZE else -raw
-
-
-def _headcount_column(
-    o: Objective,
-    inst: ProblemInstance,
-    custom: Callable[[Objective, tuple[int, ...]], float] | None,
-) -> _Rows:
-    """One objective's raw values over a (P, J) headcount matrix."""
+def _headcount_column(o: Objective, inst: ProblemInstance) -> _Rows:
+    """One objective's raw values over a (P, J) headcount matrix.  A
+    custom objective is called on each staffing not among the last
+    :data:`SCORE_CACHE_SIZE` distinct ones it was called on, so its
+    ``func`` must be a pure function."""
     if o.kind is ObjectiveKind.TOTAL_TIME:
         return hours_kernel(inst)
     if o.kind in (ObjectiveKind.TOTAL_SALARY, ObjectiveKind.MULTISHIFT_SALARY):
@@ -224,25 +183,20 @@ def _headcount_column(
     if o.kind is ObjectiveKind.HEADCOUNT_SUBSET:
         jobs = list(o.job_indices)
         return lambda counts: row_sums(counts[:, jobs])
-    if custom is None:
-        custom = lambda o, key: evaluate(o, HeadcountVector(key), None, inst)  # noqa: E731
-    return lambda counts: np.array([custom(o, tuple(key)) for key in counts.astype(np.int64).tolist()])
+    value = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
+        lambda key: float(o.func(HeadcountVector(key), None, inst)))
+    return lambda counts: np.array([value(tuple(key)) for key in counts.astype(np.int64).tolist()])
 
 
-def objective_kernel(
-    bundle: ObjectiveBundle,
-    inst: ProblemInstance,
-    custom: Callable[[Objective, tuple[int, ...]], float] | None = None,
-) -> _Rows:
+def objective_kernel(bundle: ObjectiveBundle, inst: ProblemInstance) -> _Rows:
     """``bundle`` compiled for an instance: a function from a (P, J)
     headcount matrix to the (P, M) signed values of every objective for
-    each row.  A custom objective is evaluated row by row, through
-    ``custom(objective, counts)`` when given (a run's memo).  A NaN or
-    infinite value raises :class:`ConfigurationError` naming the
-    objective and the first row holding one: no solver can rank it, and
-    it would read as a mere infeasible result."""
-    columns = [(_headcount_column(o, inst, custom), o.direction is Direction.MAXIMIZE)
-               for o in bundle]
+    each row.  A custom objective is evaluated row by row, and
+    remembered per compiled kernel.  A NaN or infinite value raises
+    :class:`ConfigurationError` naming the objective and the first row
+    holding one: no solver can rank it, and it would read as a mere
+    infeasible result."""
+    columns = [(_headcount_column(o, inst), o.direction is Direction.MAXIMIZE) for o in bundle]
 
     def kernel(counts: np.ndarray) -> np.ndarray:
         values = np.empty((len(counts), len(columns)))
@@ -264,17 +218,14 @@ def evaluate_bundle(
     tensor: AttendanceTensor | None,
     inst: ProblemInstance,
 ) -> tuple[float, ...]:
-    """Signed values of every objective in ``bundle``: on a headcount
-    vector (``tensor`` None) the single-row case of
-    :func:`objective_kernel`.  A NaN or infinite value raises
-    :class:`ConfigurationError` naming the objective."""
-    if tensor is None:
-        return tuple(objective_kernel(bundle, inst)(headcount_rows(hc))[0].tolist())
-    values = tuple(signed_value(o, hc, tensor, inst) for o in bundle)
-    if not all(map(math.isfinite, values)):
-        o, v = next((o, v) for o, v in zip(bundle, values) if not math.isfinite(v))
-        raise ConfigurationError(f"objective {o.label!r} is {v} at headcounts {hc.counts}")
-    return values
+    """Signed values of every objective in ``bundle`` on one staffing,
+    the single-row case of :func:`objective_kernel`.  ``tensor`` must be
+    None: a roster's wage bill is :func:`tensor_salary`.  A NaN or
+    infinite value raises :class:`ConfigurationError` naming the
+    objective."""
+    if tensor is not None:
+        raise ConfigurationError("evaluate_bundle scores staffings; price a roster with tensor_salary")
+    return tuple(objective_kernel(bundle, inst)(headcount_rows(hc))[0].tolist())
 
 
 def parse_objective_token(token: str, inst: ProblemInstance) -> Objective:

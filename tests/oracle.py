@@ -24,7 +24,8 @@
   members, ranks and crowding must agree exactly.
 * :func:`decode` — the gene-by-gene genome decoder that
   :func:`manpower.evolution.decode` replaced with array code.  Counts
-  must agree exactly.
+  must agree exactly.  :func:`encode` packs counts into a genome, so a
+  staffing can be scored or decoded back.
 * :func:`_select`, :func:`_crossover`, :func:`_mutate` and :func:`_breed`
   — the child-by-child breeding loop that
   :class:`manpower.breeding._Breeder` replaced with draws planned a
@@ -550,6 +551,26 @@ def hypervolume(points: Sequence[Sequence[float]], ref: Sequence[float]) -> floa
 
 def _bit_widths(bounds: Sequence[tuple[int, int]]) -> list[int]:
     return [(hi - lo).bit_length() for lo, hi in bounds]
+
+
+def encode(counts: Sequence[int], bounds: Sequence[tuple[int, int]], encoding: str) -> Genome:
+    """Pack integer counts into a genome.  Counts must lie inside the box."""
+    bounds = tuple((int(lo), int(hi)) for lo, hi in bounds)
+    values = [int(c) for c in counts]
+    if len(values) != len(bounds):
+        raise ConfigurationError("counts and bounds must have equal length")
+    for v, (lo, hi) in zip(values, bounds):
+        if not lo <= v <= hi:
+            raise ConfigurationError(f"value {v} outside [{lo}, {hi}]")
+    if encoding == "ri":
+        return Genome("ri", np.asarray(values, dtype=float), bounds)
+    if encoding == "bg":
+        bits: list[int] = []
+        for v, (lo, hi), width in zip(values, bounds, _bit_widths(bounds)):
+            offset = v - lo
+            bits.extend((offset >> (width - 1 - b)) & 1 for b in range(width))
+        return Genome("bg", np.asarray(bits, dtype=np.uint8), bounds)
+    raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
 def decode(genome: Genome) -> HeadcountVector:

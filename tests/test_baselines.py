@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from manpower import (
+    ConfigurationError,
     Direction,
     HeadcountVector,
     InfeasibleError,
@@ -233,6 +234,28 @@ class TestSwarmSolve:
         b = pso_solve(inst, SALARY, BASIC, PSOConfig(seed=3, iterations=20))
         assert a.counts == b.counts
         assert [p.best for p in a.trace.points] == [p.best for p in b.trace.points]
+
+
+@pytest.mark.parametrize("make", [
+    # an infinite start temperature never cools, so annealing would never end
+    pytest.param(lambda: SAConfig(initial_temperature=math.inf), id="sa-initial-inf"),
+    pytest.param(lambda: SAConfig(initial_temperature=math.nan), id="sa-initial-nan"),
+    pytest.param(lambda: SAConfig(final_temperature=math.nan), id="sa-final-nan"),
+    pytest.param(lambda: SAConfig(moves_per_temperature=math.nan), id="sa-moves-nan"),
+    pytest.param(lambda: PSOConfig(swarm_size=math.nan), id="pso-swarm-nan"),
+    pytest.param(lambda: PSOConfig(iterations=math.inf), id="pso-iterations-inf"),
+    pytest.param(lambda: PSOConfig(cognitive=math.nan), id="pso-cognitive-nan"),
+    pytest.param(lambda: PSOConfig(social=math.inf), id="pso-social-inf"),
+    pytest.param(lambda: PSOConfig(inertia=(math.nan, 0.4)), id="pso-inertia-nan"),
+    pytest.param(lambda: PSOConfig(inertia=(0.9, math.inf)), id="pso-inertia-inf"),
+    pytest.param(lambda: PSOConfig(v_max=math.nan), id="pso-vmax-nan"),
+    pytest.param(lambda: PSOConfig(v_max=math.inf), id="pso-vmax-inf"),
+    pytest.param(lambda: PSOConfig(v_max=0.0), id="pso-vmax-zero"),
+    pytest.param(lambda: PSOConfig(v_max=-1.0), id="pso-vmax-negative"),
+])
+def test_config_rejects_non_finite_values(make):
+    with pytest.raises(ConfigurationError):
+        make()
 
 
 class TestAnnealing:

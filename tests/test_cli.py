@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from manpower import ConfigurationError, save_instance
 from manpower.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, CliInvocation, main
-from manpower.instances import micro_instance
+from manpower.instances import micro_instance, reference_instance
+from manpower.io import instance_to_dict
 
 
 @pytest.fixture()
@@ -28,6 +30,35 @@ def ms_inst_path(tmp_path):
 
 
 SMALL = ["--population", "20", "--generations", "10", "--seed", "7"]
+
+
+def _week_json(drop=(), **fields):
+    """The reference week's instance JSON, with top-level fields replaced
+    and the ``drop`` keys left out."""
+    d = instance_to_dict(reference_instance())
+    d.update(fields)
+    for key in drop:
+        del d[key]
+    return json.dumps(d)
+
+
+_BOUNDS = [list(b) for b in reference_instance().work_time_bounds]
+# instance files that are not instances; NaN is written as JSON's NaN
+MALFORMED = {
+    "truncated": "{",
+    "top_level_list": "[]",
+    "no_rest_cap": _week_json(drop=("rest_cap",)),
+    "inverted_work_time": _week_json(work_time_bounds=[[600, 100]] + _BOUNDS[1:]),
+    "nan_work_time": _week_json(work_time_bounds=[[math.nan, 500]] + _BOUNDS[1:]),
+    "nan_salary": _week_json(salary_bounds=[3500, math.nan]),
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED))
+def malformed_path(request, tmp_path):
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(MALFORMED[request.param])
+    return str(path)
 
 
 class TestSolve:
@@ -68,6 +99,15 @@ class TestSolve:
 
     def test_missing_instance_is_usage(self, tmp_path):
         assert main(["solve", "--instance", str(tmp_path / "nope.json")]) == EXIT_USAGE
+
+    def test_malformed_instance_is_usage(self, malformed_path, capsys):
+        assert main(["solve", "--instance", malformed_path, "--seed", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_penalty_coefficient_is_usage(self, inst_path, value, capsys):
+        assert main(["solve", "--instance", inst_path, "--penalty-coefficient", value] + SMALL) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_internal_penalty_rejects_disjunction(self, inst_path):
         assert main(["solve", "--instance", inst_path, "--penalty", "internal",
@@ -214,6 +254,10 @@ class TestValidate:
         with open(path, "w") as fh:
             fh.write("[1, 2")
         assert main(["validate", "--instance", path]) == EXIT_USAGE
+        assert "problem:" in capsys.readouterr().out
+
+    def test_malformed_file(self, malformed_path, capsys):
+        assert main(["validate", "--instance", malformed_path]) == EXIT_USAGE
         assert "problem:" in capsys.readouterr().out
 
     def test_constraints_checked_against_instance(self, tmp_path, capsys):

@@ -1,18 +1,21 @@
 """Data-model tests: tensor structure, channel round-trips, and the
 working-time accounting, each checked against plain-loop oracles."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from manpower import (
     AttendanceTensor,
+    ConfigurationError,
     EmergencySpec,
     HeadcountVector,
     Job,
     ProblemInstance,
     SLOTS_PER_DAY,
     StructuralError,
-    daily_work_hours,
     employee_jobs,
     full_attendance,
     total_work_time,
@@ -53,10 +56,36 @@ class TestJobAndInstance:
         with pytest.raises(ValueError):
             Job("a", "x", (1, 1, 1, 1), 0, 2, shift_hours=(0, 0, 0, 0))
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: Job("a", "x", (1, 1, math.nan, 1), 1, 2), id="wage-nan"),
+        pytest.param(lambda: Job("a", "x", (1, 1, 1, math.inf), 1, 2), id="wage-inf"),
+        pytest.param(lambda: Job("a", "x", (1, 1, 1, 1), 1, 2, shift_hours=(4, math.nan, 4, 8)), id="hours-nan"),
+        pytest.param(lambda: Job("a", "x", (1, 1, 1, 1), math.nan, 2), id="headcount-nan"),
+        pytest.param(lambda: EmergencySpec(1, math.nan, 0.0, 0.0), id="time-cost-nan"),
+        pytest.param(lambda: EmergencySpec(1, 0.0, math.inf, 0.0), id="bonus-inf"),
+        pytest.param(lambda: EmergencySpec(1, 0.0, 0.0, math.nan), id="punishment-nan"),
+        pytest.param(lambda: dataclasses.replace(
+            two_job_instance(), work_time_bounds=((math.nan, 500), (0, 10_000))), id="work-time-nan"),
+        pytest.param(lambda: dataclasses.replace(
+            two_job_instance(), work_time_bounds=((600, 100), (0, 10_000))), id="work-time-inverted"),
+        pytest.param(lambda: dataclasses.replace(two_job_instance(), salary_bounds=(3500, math.nan)),
+                     id="salary-nan"),
+        pytest.param(lambda: dataclasses.replace(two_job_instance(), horizon_days=math.nan), id="horizon-nan"),
+        pytest.param(lambda: dataclasses.replace(two_job_instance(), rest_cap=math.nan), id="rest-cap-nan"),
+    ])
+    def test_nan_and_bad_values_are_configuration_errors(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
+
+    def test_infinite_bounds_allowed(self):
+        inst = dataclasses.replace(two_job_instance(), work_time_bounds=((-math.inf, math.inf), (0, math.inf)),
+                                   salary_bounds=(0, math.inf))
+        assert inst.salary_bounds == (0.0, math.inf)
+
     def test_daily_totals(self):
         j = Job("a", "x", (2, 3, 4, 5), 1, 2, shift_hours=(1, 2, 3, 4))
         assert j.daily_wage == 14
-        assert daily_work_hours(j) == 10
+        assert j.daily_hours == 10
 
     def test_instance_validation(self):
         with pytest.raises(ValueError, match="minimums exceeds"):
@@ -121,7 +150,6 @@ class TestTensorStructure:
         day = np.array([[1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)
         t = AttendanceTensor.from_day_attendance(day, [0, 1], inst.n_jobs)
         assert np.array_equal(t.day_attendance(), day)
-        assert list(t.rest_counts()) == [2, 0]
         assert t.is_single_shift_consistent()
         assert t.headcounts().counts == (1, 1)
 

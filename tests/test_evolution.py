@@ -33,7 +33,6 @@ from manpower import (
     atom,
     conjunction,
     decode,
-    encode,
     f2_total_salary,
     parse_constraint_string,
     random_genome,
@@ -70,16 +69,16 @@ class TestGenomeCodec:
         for a in range(1, 7):
             for b in range(2, 16):
                 for c in range(0, 9):
-                    g = encode((a, b, c), self.BOUNDS, "bg")
+                    g = oracle.encode((a, b, c), self.BOUNDS, "bg")
                     assert decode(g).counts == (a, b, c)
 
     def test_round_trip_all_points_ri(self):
         for a in range(1, 7):
-            g = encode((a, 5, 3), self.BOUNDS, "ri")
+            g = oracle.encode((a, 5, 3), self.BOUNDS, "ri")
             assert decode(g).counts == (a, 5, 3)
 
     def test_bit_width_is_span_bits(self):
-        g = encode((1, 2, 0), self.BOUNDS, "bg")
+        g = oracle.encode((1, 2, 0), self.BOUNDS, "bg")
         # spans 5, 13, 8 -> 3 + 4 + 4 bits
         assert g.data.shape[0] == 11
 
@@ -94,12 +93,12 @@ class TestGenomeCodec:
 
     def test_encode_rejects_out_of_box(self):
         with pytest.raises(ConfigurationError):
-            encode((0, 2, 0), self.BOUNDS, "bg")
+            oracle.encode((0, 2, 0), self.BOUNDS, "bg")
 
     def test_round_trip_on_the_six_job_week(self):
         bounds = reference_instance().headcount_bounds()
         for encoding in ("bg", "ri"):
-            g = encode((3, 10, 4, 8, 7, 8), bounds, encoding)
+            g = oracle.encode((3, 10, 4, 8, 7, 8), bounds, encoding)
             assert decode(g).counts == (3, 10, 4, 8, 7, 8)
 
     def test_random_genomes_decode_inside_box(self):
@@ -152,7 +151,7 @@ class TestDecodeAgainstLoopOracle:
         bounds = data.draw(boxes())
         counts = tuple(data.draw(st.integers(lo, hi)) for lo, hi in bounds)
         for encoding in ("ri", "bg"):
-            assert decode(encode(counts, bounds, encoding)).counts == counts
+            assert decode(oracle.encode(counts, bounds, encoding)).counts == counts
 
 
 def _custom_objective(hc, tensor, inst):
@@ -605,7 +604,7 @@ class TestPenalties:
     def test_external_penalty_is_quadratic(self):
         inst = micro_instance()
         cfg = EAConfig(penalty=PenaltyConfig(coefficient=100.0))
-        g = encode((4, 6), inst.headcount_bounds(), "ri")  # staffing 10 > cap 8
+        g = oracle.encode((4, 6), inst.headcount_bounds(), "ri")  # staffing 10 > cap 8
         expr = atom("k5")
         hc = decode(g)
         expected = f2_total_salary(hc, inst) + 100.0 * 2.0**2
@@ -614,20 +613,20 @@ class TestPenalties:
     def test_feasible_point_pays_no_penalty(self):
         inst = micro_instance()
         cfg = EAConfig()
-        g = encode((1, 1), inst.headcount_bounds(), "ri")
+        g = oracle.encode((1, 1), inst.headcount_bounds(), "ri")
         assert fitness(g, SALARY, BASIC, inst, cfg) == f2_total_salary(decode(g), inst)
 
     def test_internal_penalty_infinite_outside(self):
         inst = micro_instance()
         cfg = EAConfig(penalty=PenaltyConfig(method="internal"))
-        over = encode((4, 4), inst.headcount_bounds(), "ri")  # on the k5 boundary
+        over = oracle.encode((4, 4), inst.headcount_bounds(), "ri")  # on the k5 boundary
         assert fitness(over, SALARY, atom("k5"), inst, cfg) == float("inf")
 
     def test_internal_penalty_grows_near_boundary(self):
         inst = micro_instance()
         cfg = EAConfig(penalty=PenaltyConfig(method="internal", barrier_coefficient=1.0))
-        mid = fitness(encode((1, 1), inst.headcount_bounds(), "ri"), SALARY, atom("k5"), inst, cfg)
-        near = fitness(encode((4, 3), inst.headcount_bounds(), "ri"), SALARY, atom("k5"), inst, cfg)
+        mid = fitness(oracle.encode((1, 1), inst.headcount_bounds(), "ri"), SALARY, atom("k5"), inst, cfg)
+        near = fitness(oracle.encode((4, 3), inst.headcount_bounds(), "ri"), SALARY, atom("k5"), inst, cfg)
         mid_obj = f2_total_salary(HeadcountVector((1, 1)), inst)
         near_obj = f2_total_salary(HeadcountVector((4, 3)), inst)
         assert near - near_obj > mid - mid_obj  # larger barrier near the cap
@@ -850,3 +849,10 @@ class TestConfigValidation:
             EAConfig(encoding="gray")
         with pytest.raises(ConfigurationError):
             PenaltyConfig(method="annealed")
+
+    @pytest.mark.parametrize("field", ["coefficient", "barrier_coefficient"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_penalty_coefficient_rejected(self, field, value):
+        # 0 * nan and 0 * inf would make a feasible staffing's score NaN
+        with pytest.raises(ConfigurationError, match="finite"):
+            PenaltyConfig(**{field: value})

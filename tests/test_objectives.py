@@ -13,18 +13,14 @@ from manpower import (
     ObjectiveBundle,
     ObjectiveKind,
     employee_jobs,
-    evaluate,
     evaluate_bundle,
-    f1_job_time,
     f2_total_salary,
-    f3_multishift_salary,
     full_attendance,
     micro_instance,
     parse_objective_token,
     reference_instance,
     run_ea,
     run_moea,
-    signed_value,
     tensor_salary,
     total_time_headcount,
     total_work_time,
@@ -59,13 +55,13 @@ class TestSalary:
         slots[0, 3] = 1          # operator, day 0, MID -> 20
         slots[1, 4 + 2] = 1      # helper, day 1, EVN -> 5
         t = AttendanceTensor.from_slot_attendance(slots, jobs_map, inst.n_jobs)
-        assert f3_multishift_salary(t, inst) == 35
+        assert tensor_salary(t, inst) == 35
 
     def test_full_attendance_makes_slot_pay_equal_day_pay(self):
         inst = micro_instance(multi_shift=True)
         hc = HeadcountVector((2, 3))
         t = full_attendance(hc, inst)
-        assert f3_multishift_salary(t, inst) == f2_total_salary(hc, inst)
+        assert tensor_salary(t, inst) == f2_total_salary(hc, inst)
 
     def test_tensor_salary_single_shift_counts_attended_days(self):
         inst = micro_instance()
@@ -74,6 +70,14 @@ class TestSalary:
         t = AttendanceTensor.from_day_attendance(day, jobs_map, inst.n_jobs)
         # operator one day (50) + helper two days (2 x 15)
         assert tensor_salary(t, inst) == 80
+
+
+def job_hours(t, j, inst):
+    """Hours delivered on one job: the working time of the roster of
+    that job's employees alone."""
+    mine = t.job_of_employee == j
+    own = AttendanceTensor.from_slot_attendance(t.slot_attendance()[mine], t.job_of_employee[mine], inst.n_jobs)
+    return total_work_time(own, inst)
 
 
 class TestWorkingTime:
@@ -89,13 +93,13 @@ class TestWorkingTime:
         day = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
         t = AttendanceTensor.from_day_attendance(day, jobs_map, inst.n_jobs)
         # two operators attend one 20h day each; the helper one 12h day
-        assert f1_job_time(t, 0, inst) == 40
-        assert f1_job_time(t, "b", inst) == 12
+        assert job_hours(t, 0, inst) == 40
+        assert job_hours(t, inst.job_index("b"), inst) == 12
 
     def test_per_job_hours_zero_tensor(self):
         inst = micro_instance()
         t = AttendanceTensor.zeros(HeadcountVector((2, 1)), inst.horizon_days, inst.n_jobs)
-        assert f1_job_time(t, 0, inst) == 0.0
+        assert job_hours(t, 0, inst) == 0.0
 
     def test_per_job_hours_count_slots(self):
         inst = micro_instance(multi_shift=True)
@@ -103,7 +107,7 @@ class TestWorkingTime:
         slots = np.zeros((1, inst.slots), dtype=np.uint8)
         slots[0, :4] = [1, 0, 0, 1]  # 4h + 8h
         t = AttendanceTensor.from_slot_attendance(slots, jobs_map, inst.n_jobs)
-        assert f1_job_time(t, 0, inst) == 12
+        assert job_hours(t, 0, inst) == 12
 
     def test_per_job_hours_sum_to_total(self):
         rng = np.random.Generator(np.random.PCG64(21))
@@ -117,7 +121,7 @@ class TestWorkingTime:
             else:
                 grid = rng.integers(0, 2, size=(4, inst.horizon_days), dtype=np.uint8)
                 t = AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
-            per_job = sum(f1_job_time(t, j, inst) for j in range(inst.n_jobs))
+            per_job = sum(job_hours(t, j, inst) for j in range(inst.n_jobs))
             assert per_job == pytest.approx(total_work_time(t, inst))
 
     def test_per_job_hours_match_loop(self):
@@ -137,7 +141,7 @@ class TestWorkingTime:
                         for s in range(4):
                             if t.day_slots()[emp, day, s]:
                                 expected += job.shift_hours[s]
-                assert f1_job_time(t, j, inst) == pytest.approx(expected)
+                assert job_hours(t, j, inst) == pytest.approx(expected)
 
 
 class TestDirectionsAndBundles:
@@ -145,8 +149,16 @@ class TestDirectionsAndBundles:
         inst = micro_instance()
         hc = HeadcountVector((2, 1))
         mx = Objective(ObjectiveKind.HEADCOUNT_SUBSET, Direction.MAXIMIZE, job_indices=(0,))
-        assert evaluate(mx, hc, None, inst) == 2
-        assert signed_value(mx, hc, None, inst) == -2
+        assert evaluate_bundle(ObjectiveBundle((mx,)), hc, None, inst) == (-2.0,)
+        mn = Objective(ObjectiveKind.HEADCOUNT_SUBSET, Direction.MINIMIZE, job_indices=(0,))
+        assert evaluate_bundle(ObjectiveBundle((mn,)), hc, None, inst) == (2.0,)
+
+    def test_evaluate_bundle_rejects_a_roster(self):
+        inst = micro_instance()
+        hc = HeadcountVector((1, 1))
+        with pytest.raises(ConfigurationError, match="tensor_salary"):
+            evaluate_bundle(ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY),)), hc,
+                            full_attendance(hc, inst), inst)
 
     def test_bundle_order_preserved(self):
         inst = micro_instance()
