@@ -507,29 +507,30 @@ def _initial_population(
     if cfg.penalty.method == "external":
         return _random_genes(rng, size, box, cfg.encoding)
     # interior barrier: start strictly inside the feasible region, drawing
-    # and scoring a population's worth of samples at a time
+    # and scoring blocks of samples that double from a population's worth
     population: list[np.ndarray] = []
-    rejected: collections.deque[np.ndarray] = collections.deque(maxlen=size)
-    cap = INITIAL_SAMPLES_PER_MEMBER * size
-    for drawn in range(0, cap, size):
+    rejected: list[np.ndarray] = []
+    need, drawn, rows, cap = size, 0, size, INITIAL_SAMPLES_PER_MEMBER * size
+    while drawn < cap:
         before = rng.bit_generator.state
-        block = _random_genes(rng, min(size, cap - drawn), box, cfg.encoding)
-        for k, (row, inside) in enumerate(zip(block, np.isfinite(score_rows(block)[0]).tolist())):
-            if not inside:
-                rejected.append(row)
-                continue
-            population.append(row)
-            if len(population) == size:
-                # leave the generator where the sample-by-sample loop would
-                rng.bit_generator.state = before
-                _random_genes(rng, k + 1, box, cfg.encoding)
-                return np.stack(population)
-    counts = _decode_rows(np.stack(rejected), cfg.encoding, box)
+        block = _random_genes(rng, min(rows, cap - drawn), box, cfg.encoding)
+        drawn, rows = drawn + len(block), 2 * rows
+        inside = np.isfinite(score_rows(block)[0])
+        kept = np.flatnonzero(inside)[:need]
+        population.append(block[kept])
+        need -= len(kept)
+        if not need:
+            # leave the generator where the sample-by-sample loop would
+            rng.bit_generator.state = before
+            _random_genes(rng, int(kept[-1]) + 1, box, cfg.encoding)
+            return np.concatenate(population)
+        rejected.append(block[~inside])
+    last = np.concatenate(rejected)[-size:]
     raise InfeasibleError(
-        f"could not sample a strictly feasible starting population ({len(population)} "
+        f"could not sample a strictly feasible starting population ({size - need} "
         f"of {cfg.population_size} members in {cap} samples); atoms at or past their "
-        f"boundary in the last {len(rejected)} rejected samples: "
-        + _blocking_atoms(counts, expr, inst)
+        f"boundary in the last {len(last)} rejected samples: "
+        + _blocking_atoms(_decode_rows(last, cfg.encoding, box), expr, inst)
     )
 
 
