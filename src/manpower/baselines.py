@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def ip_solve(inst: ProblemInstance, bundle: ObjectiveBundle, expr: Expr) -> Solv
     n = len(bounds)
     prefix: list[int] = []
 
-    def walk(j: int) -> None:
+    def walk(j: int, descend: Callable[[int, Callable], None]) -> None:
         if j == n:
             # the tracker keeps the first strictly best feasible leaf
             tracker.assess(tuple(prefix))
@@ -101,10 +101,12 @@ def ip_solve(inst: ProblemInstance, bundle: ObjectiveBundle, expr: Expr) -> Solv
                 if scorer.objective(completion)[0][0] >= tracker.best_feasible_obj:
                     skip = True
             if not skip:
-                walk(j + 1)
+                descend(j + 1, descend)
             prefix.pop()
 
-    walk(0)
+    # walk is handed itself rather than closing over its own name, which
+    # would make a reference cycle that only the cyclic collector frees
+    walk(0, walk)
     if tracker.best_feasible is None:
         raise InfeasibleError("no feasible headcount vector in the search box")
     best = tracker.best_feasible_obj

@@ -230,10 +230,11 @@ class _Scorer:
     """
 
     def __init__(self, objectives: Callable, constraints: Callable, penalty: PenaltyConfig):
-        self._objectives = objectives
-        self._constraints = constraints
-        self._penalty = penalty
-        self.score = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(self._score)
+        self._kernels = (objectives, constraints, penalty)
+        # memoized over the kernels, not over ``self``, which would make a
+        # reference cycle that only the cyclic collector frees
+        self.score = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
+            functools.partial(_score_one, *self._kernels))
 
     @classmethod
     def staffings(cls, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
@@ -246,33 +247,41 @@ class _Scorer:
     def objective(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's objective, the sum of the bundle's min-oriented
         values, and the (P, M) values it sums."""
-        values = self._objectives(counts)
+        values = self._kernels[0](counts)
         return row_sums(values), values
 
     def rows(self, block: np.ndarray) -> _Scores:
         """(penalized fitness, objective, violation, objective values)
         of each row of a block."""
-        objective, values = self.objective(block)
-        violation, slacks = self._constraints(block)
-        penalty = self._penalty
-        if penalty.method == "external":
-            # float_power is the C library's pow, as Python's ``**``;
-            # ``violation**2`` on an array may round the last bit otherwise
-            return (objective + penalty.coefficient * np.float_power(violation, 2.0),
-                    objective, violation, values)
-        # interior barrier: +inf unless strictly inside every atom
-        outside = violation > 0.0
-        barrier = np.zeros(len(block))
-        for slack in slacks:
-            outside |= slack <= 0.0
-            barrier += np.divide(1.0, slack, out=np.zeros(len(block)),
-                                 where=np.isfinite(slack) & (slack > 0.0))
-        penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
-        return penalized, objective, violation, values
+        return _score_rows(*self._kernels, block)
 
-    def _score(self, counts: tuple[int, ...]) -> _Score:
-        penalized, objective, violation, values = self.rows(np.array([counts], dtype=float))
-        return float(penalized[0]), float(objective[0]), float(violation[0]), tuple(values[0].tolist())
+
+def _score_rows(objectives: Callable, constraints: Callable, penalty: PenaltyConfig,
+                block: np.ndarray) -> _Scores:
+    values = objectives(block)
+    objective = row_sums(values)
+    violation, slacks = constraints(block)
+    if penalty.method == "external":
+        # float_power is the C library's pow, as Python's ``**``;
+        # ``violation**2`` on an array may round the last bit otherwise
+        return (objective + penalty.coefficient * np.float_power(violation, 2.0),
+                objective, violation, values)
+    # interior barrier: +inf unless strictly inside every atom
+    outside = violation > 0.0
+    barrier = np.zeros(len(block))
+    for slack in slacks:
+        outside |= slack <= 0.0
+        barrier += np.divide(1.0, slack, out=np.zeros(len(block)),
+                             where=np.isfinite(slack) & (slack > 0.0))
+    penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
+    return penalized, objective, violation, values
+
+
+def _score_one(objectives: Callable, constraints: Callable, penalty: PenaltyConfig,
+               counts: tuple[int, ...]) -> _Score:
+    penalized, objective, violation, values = _score_rows(
+        objectives, constraints, penalty, np.array([counts], dtype=float))
+    return float(penalized[0]), float(objective[0]), float(violation[0]), tuple(values[0].tolist())
 
 
 def _check_internal_applicable(expr: Expr, penalty: PenaltyConfig) -> None:

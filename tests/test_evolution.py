@@ -2,6 +2,7 @@
 determinism, and roster search on enumerable cases."""
 
 import dataclasses
+import gc
 import pickle
 from unittest import mock
 
@@ -28,16 +29,21 @@ from manpower import (
     ObjectiveKind,
     Or,
     PenaltyConfig,
+    PSOConfig,
     RunTrace,
+    SAConfig,
     TracePoint,
     atom,
     conjunction,
     decode,
     f2_total_salary,
+    ip_solve,
     parse_constraint_string,
+    pso_solve,
     random_genome,
     run_ea,
     run_moea,
+    sa_solve,
     solve_assignment,
     tensor_salary,
     violation_expr,
@@ -48,6 +54,8 @@ from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _random_genes, 
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
+TRADE_OFF = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),
+                             Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE)))
 BASIC = conjunction("k1", "k2", "k3", "k4", "k5", "k6")
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -775,6 +783,30 @@ class TestRunEA:
         res = run_ea(inst, SALARY, impossible, EAConfig(population_size=10, generations=3, seed=1))
         assert not res.feasible
         assert res.violation > 0.0
+
+
+@pytest.mark.parametrize("solve", [
+    lambda week: run_ea(week, SALARY, BASIC, EAConfig(generations=3)),
+    lambda week: run_ea(week, SALARY, BASIC, EAConfig(generations=3, encoding="bg")),
+    lambda week: run_ea(week, SALARY, BASIC, EAConfig(generations=3, penalty=PenaltyConfig(method="internal"))),
+    lambda week: pso_solve(week, SALARY, BASIC, PSOConfig(iterations=3)),
+    lambda week: sa_solve(week, SALARY, BASIC, SAConfig()),
+    lambda week: ip_solve(week, SALARY, BASIC),
+    lambda week: run_moea(week, TRADE_OFF, BASIC, EAConfig(generations=3)),
+    lambda week: solve_assignment(HeadcountVector((1, 2, 1, 2, 1, 2)), week, BASIC,
+                                  EAConfig(generations=3, encoding="bg")),
+], ids=["ea_ri", "ea_bg", "ea_barrier", "pso", "sa", "ip", "moea", "roster"])
+def test_runs_leave_no_reference_cycles(solve):
+    # a run's scorer, kernels and memo are freed by reference counting the
+    # moment the run returns, not left for the cyclic collector
+    week = reference_instance()
+    gc.collect()
+    gc.disable()
+    try:
+        solve(week)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestAssignment:
