@@ -24,7 +24,6 @@ import importlib
 from .baselines import (
     PSOConfig,
     SAConfig,
-    SAState,
     ip_solve,
     pso_solve,
     pso_step,

@@ -242,32 +242,18 @@ class SAConfig:
             raise ConfigurationError("moves_per_temperature must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SAState:
-    """One annealing state: a candidate staffing and its energy, the
-    penalized objective value."""
-
-    candidate: HeadcountVector
-    energy: float
-
-
-def sa_accept(
-    energy_a: float,
-    energy_b: float,
-    temperature: float,
-    rng: np.random.Generator,
-) -> bool:
+def sa_accept(energy_a: float, energy_b: float, temperature: float, u: float) -> bool:
     """Metropolis rule for moving from energy ``energy_a`` to
     ``energy_b``: a drop always passes; otherwise the move passes with
     probability exp(-(energy_b - energy_a) / temperature), judged
-    against a fresh uniform draw (a zero change therefore always
-    passes)."""
+    against the move's uniform draw ``u`` in [0, 1) (a zero change
+    therefore always passes)."""
     delta = energy_b - energy_a
     if delta < 0.0:
         return True
     if temperature <= 0.0:
         return delta == 0.0
-    return float(rng.random()) < math.exp(-delta / temperature)
+    return u < math.exp(-delta / temperature)
 
 
 def sa_solve(
@@ -277,35 +263,43 @@ def sa_solve(
     cfg: SAConfig,
 ) -> SolveResult:
     """Annealing over the headcount box with single-coordinate +/-1
-    moves and geometric cooling; the best state ever visited wins."""
+    moves and geometric cooling; the best state ever visited wins.
+
+    The start is one ``rng.integers(lo, hi + 1)`` draw on the box.  Each
+    temperature level then draws its whole walk up front: the coordinate
+    of every move (``rng.integers(J, size=moves)``), its direction
+    (``rng.random(moves)``, up below 0.5) and its acceptance uniform
+    (``rng.random(moves)``, drawn whether or not it is used).  A move
+    that would leave the box is skipped."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    bounds = inst.headcount_bounds()
+    box = np.array(inst.headcount_bounds(), dtype=np.int64).reshape(-1, 2)
+    lows, highs = box.T.tolist()
     tracker = _Tracker(_Scorer.staffings(bundle, expr, inst, cfg.penalty).score)
     assess = tracker.assess
 
-    counts = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in bounds)
-    current = SAState(HeadcountVector(counts), assess(counts)[0])
-    tracker.mark(0, current.energy)
+    here = tuple(rng.integers(box[:, 0], box[:, 1] + 1).tolist())
+    energy = assess(here)[0]
+    tracker.mark(0, energy)
 
     temperature = cfg.initial_temperature
     level = 0
+    moves = cfg.moves_per_temperature
     while temperature >= cfg.final_temperature:
         level += 1
+        coordinates = rng.integers(len(lows), size=moves).tolist()
+        ups = (rng.random(moves) < 0.5).tolist()
+        uniforms = rng.random(moves).tolist()
         walk_energies = []
-        for _ in range(cfg.moves_per_temperature):
-            j = int(rng.integers(len(bounds)))
-            step = 1 if rng.random() < 0.5 else -1
-            lo, hi = bounds[j]
-            here = current.candidate.counts
-            moved = min(hi, max(lo, here[j] + step))
-            if moved == here[j]:
+        for j, up, u in zip(coordinates, ups, uniforms):
+            moved = here[j] + 1 if up else here[j] - 1
+            if not lows[j] <= moved <= highs[j]:
                 continue
-            cand_counts = here[:j] + (moved,) + here[j + 1 :]
-            cand = SAState(HeadcountVector(cand_counts), assess(cand_counts)[0])
-            if sa_accept(current.energy, cand.energy, temperature, rng):
-                current = cand
-            walk_energies.append(current.energy)
-        mean_e = float(np.mean(walk_energies)) if walk_energies else current.energy
+            candidate = here[:j] + (moved,) + here[j + 1:]
+            candidate_energy = assess(candidate)[0]
+            if sa_accept(energy, candidate_energy, temperature, u):
+                here, energy = candidate, candidate_energy
+            walk_energies.append(energy)
+        mean_e = float(np.mean(walk_energies)) if walk_energies else energy
         tracker.mark(level, mean_e)
         temperature *= cfg.cooling
     return _result(SolveResult, tracker, cfg.seed, HeadcountVector)

@@ -239,8 +239,8 @@ def _headcount_measure(c: AtomicConstraint, inst: ProblemInstance) -> Callable[[
     kind = c.kind
     if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
         raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT):
-        # no duty slots without a roster: never violated, no geometry
+    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT, ConstraintKind.REST_CAP):
+        # no duty slots or rest days without a roster: never violated, no geometry
         return lambda counts: (np.zeros(len(counts)), np.full(len(counts), _INF))
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
         subset, days = _job_indices(c.jobs, inst), inst.horizon_days
@@ -255,9 +255,6 @@ def _headcount_measure(c: AtomicConstraint, inst: ProblemInstance) -> Callable[[
         return lambda counts: _window_rows(salary(counts), lo, hi)
     if kind is ConstraintKind.STAFF_CAP:
         return lambda counts: _window_rows(counts.sum(axis=1), -_INF, inst.max_total_staff)
-    if kind is ConstraintKind.REST_CAP:
-        # no rest geometry without a roster: the cap itself is the slack
-        return lambda counts: (np.zeros(len(counts)), np.full(len(counts), float(inst.rest_cap)))
     if kind is ConstraintKind.EMERGENCY:
         spec = inst.emergency
         if spec is None:
@@ -412,7 +409,8 @@ def boundary_distance(
     """Distance from the feasible boundary: positive strictly inside,
     0.0 on the boundary or outside.  Counting atoms report +inf when
     satisfied; the rest cap reports ``rest_cap`` minus the longest rest
-    run (``rest_cap`` itself on a headcount vector)."""
+    run on a roster, and +inf on a headcount vector, which has no rest
+    days."""
     return _measure(c, tensor, hc, inst)[1]
 
 

@@ -22,8 +22,8 @@ use the single-row case behind a small memo.
 
 A generational population is one (P, n) gene matrix, and a starting
 population, or a block of the barrier's samples, is drawn with one
-generator call.  Each run breeds its generations through one breeder
-(:mod:`manpower.breeding`).
+generator call.  Each generation is bred from four whole-array draws
+(:func:`manpower.breeding.breed`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .breeding import _Breeder, _selector
+from .breeding import _selector, breed
 # perfbench's tracer patches boundary_distance, violation_expr, evaluate_bundle, tensor_salary here
 from .constraints import (
     Expr,
@@ -135,7 +135,7 @@ class Genome:
 class _Box:
     """The arrays of one bounds tuple: its float corners, the ri gene
     interval ``[low, high)`` with ``span = high - low``, and the bg bit
-    weights (``bits @ weights`` is each gene's offset from ``lo``)."""
+    weights (``floor(bits @ weights)`` is each gene's offset from ``lo``)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -153,7 +153,9 @@ def _box(bounds: tuple[tuple[int, int], ...]) -> _Box:
     weights = np.zeros((sum(widths), len(bounds)))
     row = 0
     for j, width in enumerate(widths):
-        weights[row:row + width, j] = 2.0 ** np.arange(width - 1, -1, -1)
+        # bit k of a big-endian code v weighs (span + 1) * 2**-(k + 1), so
+        # bits @ weights is v * (span + 1) / 2**width, exactly
+        weights[row:row + width, j] = (hi[j] - lo[j] + 1) * 2.0 ** np.arange(-1, -width - 1, -1)
         row += width
     low, high = lo - 0.5, hi + 0.5
     arrays = (lo, hi, low, high, high - low, weights)
@@ -164,12 +166,14 @@ def _box(bounds: tuple[tuple[int, int], ...]) -> _Box:
 
 def _decode_rows(genes: np.ndarray, encoding: str, box: _Box) -> np.ndarray:
     """The integer counts of a (P, n) gene matrix of one encoding and box,
-    as a (P, J) float matrix, clamped into the box: ri genes round half to
-    even, bg genes are big-endian offsets from the lower bound."""
+    as a (P, J) float matrix, inside the box: ri genes round half to even
+    and clamp; a job's bg gene, a big-endian code ``v`` of ``w`` bits, is
+    ``lo + floor(v * (hi - lo + 1) / 2**w)``, so every count of the box
+    gets an equal share of the codes, give or take one."""
     if encoding == "ri":
         return np.minimum(np.maximum(np.rint(genes), box.lo), box.hi)
     if encoding == "bg":
-        return np.minimum(box.lo + genes @ box.weights, box.hi)
+        return box.lo + np.floor(genes @ box.weights)
     raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
@@ -467,14 +471,12 @@ def _evolve(
     tracker = _Tracker()
     scores = tracker.record(genes, *score_rows(genes))
     tracker.mark(0, float(np.mean(scores)))
-    breeder = _Breeder(rng, cfg, genes.shape[1], cfg.generations, ri_box)
     for gen in range(1, cfg.generations + 1):
         # elitism: carry the best penalized genome forward untouched
         elite = genes[:0] if tracker.best_genome is None else tracker.best_genome[None]
-        genes = breeder.breed(genes, _selector(scores, cfg), elite)
+        genes = breed(rng, genes, _selector(scores, cfg), cfg, elite, ri_box)
         scores = tracker.record(genes, *score_rows(genes))
         tracker.mark(gen, float(np.mean(scores)))
-    breeder.close()
     return tracker
 
 
@@ -544,7 +546,7 @@ def _initial_population(
 
 
 def _blocking_atoms(counts: np.ndarray, expr: Expr, inst: ProblemInstance) -> str:
-    """``"k6 in 100, k3 in 12"``: for each atom, how many rows of the
+    """``"k3 in 100, k5 in 12"``: for each atom, how many rows of the
     (P, J) ``counts`` give it a slack of zero or less, most often first;
     an atom named twice counts once per row."""
     _, slacks = headcount_kernel(expr, inst)(counts)

@@ -18,10 +18,10 @@ pairwise-loop versions are the reference in ``tests/oracle.py``.  The
 population is one gene matrix, decoded into one headcount matrix and
 scored with one call of the scorer of :mod:`~manpower.evolution`, and
 the starting population is drawn with one generator call.  Offspring
-are bred by the single-objective solver's generation breeder, from one
-block of raw generator words, with a rank-and-crowding tournament
-(:func:`_crowded_pick`, chosen for all pairs at once) in place of its
-selection.  The pool of parents and offspring is peeled once per
+are bred by the single-objective solver's :func:`~manpower.breeding.breed`,
+from four whole-array draws a generation, with a rank-and-crowding
+tournament (:func:`_crowded_pick`, chosen for all pairs at once) in
+place of its selection.  The pool of parents and offspring is peeled once per
 generation, up to the cut, and the kept members' ranks and crowding
 are read off that one peel.
 """
@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .breeding import _Breeder, _Pick
+from .breeding import _Pick, breed
 # perfbench's tracer patches violation_expr, evaluate_bundle, decode and random_genome here
 from .constraints import Expr, violation_expr
 from .domain import HeadcountVector, ProblemInstance
@@ -389,11 +389,11 @@ def run_moea(
     order, *ranked = _survivors(objectives, violations, size)
     ranks, crowd = (x[np.argsort(order)] for x in ranked)
     hv = 0.0
-    breeder = _Breeder(rng, cfg, genes.shape[1], cfg.generations, box if cfg.encoding == "ri" else None)
+    ri_box = box if cfg.encoding == "ri" else None
 
     for gen in range(cfg.generations + 1):
         if gen:  # generation 0 is the starting population
-            offspring = breeder.breed(genes, _crowded_pick(ranks, crowd), genes[:0])
+            offspring = breed(rng, genes, _crowded_pick(ranks, crowd), cfg, genes[:0], ri_box)
             child_objectives, child_violations, admitted = assess(offspring)
             pool_objectives = np.vstack([objectives, child_objectives])
             pool_violations = np.concatenate([violations, child_violations])
@@ -403,7 +403,6 @@ def run_moea(
         if admitted:  # else the archive, and so its volume, is unchanged
             hv = hypervolume(archive.objectives, ref)
         tracker.mark(gen, float(len(archive)), best=hv)
-    breeder.close()
 
     return MOEAResult(
         archive=archive.entries(),

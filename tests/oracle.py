@@ -26,12 +26,14 @@
   :func:`manpower.evolution.decode` replaced with array code.  Counts
   must agree exactly.  :func:`encode` packs counts into a genome, so a
   staffing can be scored or decoded back.
-* :func:`_select`, :func:`_crossover`, :func:`_mutate` and :func:`_breed`
-  — the child-by-child breeding loop that
-  :class:`manpower.breeding._Breeder` replaced with draws planned a
-  block of generations at a time and whole-array variation.  Children
-  must agree byte for byte, generation after generation, and the
-  generator must end in the same state.
+* :func:`_select`, :func:`crowded_pick`, :func:`_crossover`,
+  :func:`_mutate` and :func:`_breed` — the child-by-child breeding loop
+  that :func:`manpower.breeding.breed` replaced with whole-array
+  variation.  The loop makes the same four whole-array generator calls,
+  in the same order, and then picks, crosses and mutates one pair and
+  one child at a time from its share of the draws.  Children must agree
+  byte for byte, generation after generation, and the generator must end
+  in the same state.
 * :func:`roster_measure` and :func:`rest_rows` — the mask-and-loop roster
   measures of k2, k3 and k6 over a (P, E, D, 4) stack of slot bits, which
   :func:`manpower.constraints._roster_measure` replaced with one OR per
@@ -268,16 +270,16 @@ def _loop_salary(tensor: AttendanceTensor | None, hc: HeadcountVector | None, in
 
 def slack_atom(c: AtomicConstraint, hc: HeadcountVector, inst: ProblemInstance) -> float:
     """Distance of a staffing from the atom's feasible boundary: 0.0 when
-    the atom fails; otherwise +inf for counting atoms, ``rest_cap`` for
-    the rest cap, and the least distance to an end of a window."""
+    the atom fails; otherwise +inf for counting atoms and for the rest
+    cap (a staffing has no rest days), and the least distance to an end
+    of a window."""
     if violation_atom(c, None, hc, inst) > 0.0:
         return 0.0
     kind = c.kind
     counts = hc.counts
-    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.EVERY_JOB_OCCUPIED, ConstraintKind.MULTI_SHIFT):
+    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.EVERY_JOB_OCCUPIED, ConstraintKind.MULTI_SHIFT,
+                ConstraintKind.REST_CAP):
         return math.inf
-    if kind is ConstraintKind.REST_CAP:
-        return float(inst.rest_cap)
     if kind is ConstraintKind.STAFF_CAP:
         return float(inst.max_total_staff - sum(counts))
     if kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
@@ -567,14 +569,16 @@ def encode(counts: Sequence[int], bounds: Sequence[tuple[int, int]], encoding: s
     if encoding == "bg":
         bits: list[int] = []
         for v, (lo, hi), width in zip(values, bounds, _bit_widths(bounds)):
-            offset = v - lo
-            bits.extend((offset >> (width - 1 - b)) & 1 for b in range(width))
+            # the least code that decodes to v
+            code = -(-((v - lo) << width) // (hi - lo + 1))
+            bits.extend((code >> (width - 1 - b)) & 1 for b in range(width))
         return Genome("bg", np.asarray(bits, dtype=np.uint8), bounds)
     raise ConfigurationError(f"unknown encoding {encoding!r}")
 
 
 def decode(genome: Genome) -> HeadcountVector:
-    """Unpack a genome into integer counts, clamping into the box."""
+    """Unpack a genome into integer counts: ri genes round and clamp into
+    the box; a bg code v of w bits maps to lo + v * (hi - lo + 1) // 2**w."""
     if genome.encoding == "ri":
         values = []
         for x, (lo, hi) in zip(genome.data, genome.bounds):
@@ -589,56 +593,90 @@ def decode(genome: Genome) -> HeadcountVector:
             for b in range(width):
                 v = (v << 1) | int(genome.data[pos + b])
             pos += width
-            values.append(min(hi, lo + v))
+            values.append(lo + (v * (hi - lo + 1) >> width))
         return HeadcountVector(tuple(values))
     raise ConfigurationError(f"unknown encoding {genome.encoding!r}")
 
 
-def _select(rng: np.random.Generator, scores: np.ndarray, cfg: EAConfig) -> int:
+# a generation's parent pick: (draws, bound, choose); each pick draws
+# ``draws`` values of ``rng.integers(0, bound)`` (``rng.random()`` when
+# ``bound`` is 0), and ``choose`` maps one pick's values to a member
+_Pick = tuple[int, int, Callable[[np.ndarray], int]]
+
+
+def _select(scores: np.ndarray, cfg: EAConfig) -> _Pick:
+    """:func:`manpower.run_ea`'s parent pick, one member at a time."""
     n = scores.shape[0]
     if cfg.selection == "tournament":
-        picks = rng.integers(0, n, size=cfg.tournament_k)
-        return int(picks[scores[picks].argmin()])
-    # fitness-proportional on min-oriented scores
+        def tournament(entrants: np.ndarray) -> int:
+            # the first least score wins
+            best = int(entrants[0])
+            for e in entrants[1:].tolist():
+                if scores[e] < scores[best]:
+                    best = e
+            return best
+
+        return cfg.tournament_k, n, tournament
+    # fitness-proportional on min-oriented scores, as rng.choice(n, p=p)
+    # picks with a uniform u: the first member whose normalized
+    # cumulative weight exceeds u
+    uniform_pick = (1, n, lambda drawn: int(drawn[0]))
     finite = np.isfinite(scores)
     if not finite.any():
-        return int(rng.integers(0, n))
+        return uniform_pick
     worst = scores[finite].max()
     weights = np.where(finite, worst - scores + 1e-9, 0.0)
     total = weights.sum()
     if total <= 0:
-        return int(rng.integers(0, n))
-    return int(rng.choice(n, p=weights / total))
+        return uniform_pick
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+
+    return 1, 0, lambda u: next(i for i, edge in enumerate(cdf.tolist()) if u[0] < edge)
 
 
-def _crossover(rng: np.random.Generator, a: Genome, b: Genome) -> tuple[Genome, Genome]:
+def crowded_pick(ranks: Sequence[int], crowd: Sequence[float]) -> _Pick:
+    """:func:`manpower.run_moea`'s parent pick, one member at a time: of
+    two members drawn, the one in the better front, else the less crowded
+    one, the first on a tie."""
+
+    def choose(drawn: np.ndarray) -> int:
+        i, j = int(drawn[0]), int(drawn[1])
+        if ranks[i] != ranks[j]:
+            return i if ranks[i] < ranks[j] else j
+        return i if crowd[i] >= crowd[j] else j
+
+    return 2, len(ranks), choose
+
+
+def _crossover(mix, a: Genome, b: Genome) -> tuple[Genome, Genome]:
+    """One-point crossover at the cut point ``mix``, or for a lone real
+    gene the arithmetic blend of weight ``mix``; a lone bit is left as is."""
     n = a.data.shape[0]
     if a.encoding == "bg" or n >= 2:
         if n < 2:
             return a, b
-        point = int(rng.integers(1, n))
+        point = int(mix)
         c1 = np.concatenate([a.data[:point], b.data[point:]])
         c2 = np.concatenate([b.data[:point], a.data[point:]])
     else:
-        # single real gene: arithmetic blend
-        w = float(rng.uniform())
+        w = float(mix)
         c1 = np.array([w * a.data[0] + (1 - w) * b.data[0]])
         c2 = np.array([w * b.data[0] + (1 - w) * a.data[0]])
     return Genome(a.encoding, c1, a.bounds), Genome(b.encoding, c2, b.bounds)
 
 
-def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
+def _mutate(draws: np.ndarray, g: Genome, rate: float) -> Genome:
+    """Mutate a child by its own doubles: one per bit, or four per real gene."""
     n = g.data.shape[0]
     if g.encoding == "bg":
-        flips = rng.random(n) < rate
+        flips = draws < rate
         if not flips.any():
             return g
         data = g.data.copy()
         data[flips] ^= 1
         return Genome("bg", data, g.bounds)
-    # every draw is made, hit or not, so the generator advances the same;
-    # one (4, n) draw gives the same doubles as four rng.random(n) calls
-    hit, up, fresh, nudge = rng.random((4, n))
+    hit, up, fresh, nudge = draws.reshape(4, n)
     hits = hit < rate
     if not hits.any():
         return g
@@ -652,30 +690,36 @@ def _mutate(rng: np.random.Generator, g: Genome, rate: float) -> Genome:
 def _breed(
     rng: np.random.Generator,
     offspring: list[Genome],
-    pick: Callable[[], Genome],
+    population: Sequence[Genome],
+    pick: _Pick,
     cfg: EAConfig,
 ) -> list[Genome]:
     """Fill ``offspring`` up to the population size with mutated children
-    of parent pairs drawn by ``pick``, crossed over at the crossover rate."""
-    while len(offspring) < cfg.population_size:
-        pa, pb = pick(), pick()
-        if rng.random() < cfg.crossover_rate:
-            pa, pb = _crossover(rng, pa, pb)
-        offspring.append(_mutate(rng, pa, cfg.mutation_rate))
-        if len(offspring) < cfg.population_size:
-            offspring.append(_mutate(rng, pb, cfg.mutation_rate))
+    of parent pairs of ``population`` chosen by ``pick``, crossed over at
+    the crossover rate.  The generation's draws come first, the calls of
+    :func:`manpower.breeding.breed` in its order; then each pair and each
+    child is made from its own share of them, one at a time."""
+    draws, bound, choose = pick
+    size = cfg.population_size - len(offspring)
+    pairs = -(-size // 2)
+    n = population[0].data.shape[0]
+    ri = population[0].encoding == "ri"
+    shape = (2 * pairs, draws)
+    picks = rng.integers(0, bound, shape) if bound else rng.random(shape)
+    gates = rng.random(pairs)
+    if ri and n == 1:
+        mixes = rng.random(pairs)
+    else:
+        mixes = rng.integers(1, n, pairs) if n >= 2 else [None] * pairs
+    mutations = iter(rng.random((size, 4 * n if ri else n)))
+    for q in range(pairs):
+        pa, pb = population[choose(picks[2 * q])], population[choose(picks[2 * q + 1])]
+        if gates[q] < cfg.crossover_rate:
+            pa, pb = _crossover(mixes[q], pa, pb)
+        for child in (pa, pb):
+            if len(offspring) < cfg.population_size:
+                offspring.append(_mutate(next(mutations), child, cfg.mutation_rate))
     return offspring
-
-
-def crowded_pick(rng: np.random.Generator, ranks: Sequence[int], crowd: Sequence[float]) -> int:
-    """:func:`manpower.run_moea`'s parent pick, one scalar draw at a time:
-    of two members drawn, the one in the better front, else the less
-    crowded one, the first on a tie."""
-    size = len(ranks)
-    i, j = int(rng.integers(size)), int(rng.integers(size))
-    if ranks[i] != ranks[j]:
-        return i if ranks[i] < ranks[j] else j
-    return i if crowd[i] >= crowd[j] else j
 
 
 def rest_rows(attended: np.ndarray, cap: int):

@@ -18,7 +18,6 @@ from manpower import (
     ObjectiveKind,
     PSOConfig,
     SAConfig,
-    SAState,
     SearchSpaceError,
     atom,
     conjunction,
@@ -260,25 +259,20 @@ def test_config_rejects_non_finite_values(make):
 
 class TestAnnealing:
     def test_downhill_and_level_moves_always_accepted(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert all(sa_accept(10.0, 5.0, 0.5, rng) for _ in range(100))
-        assert all(sa_accept(5.0, 5.0, 0.5, rng) for _ in range(100))
+        uniforms = np.random.Generator(np.random.PCG64(0)).random(100).tolist() + [0.0, 1 - 2**-53]
+        assert all(sa_accept(10.0, 5.0, 0.5, u) for u in uniforms)
+        assert all(sa_accept(5.0, 5.0, 0.5, u) for u in uniforms)
 
     def test_acceptance_probability_matches_boltzmann(self):
         n = 100_000
         for ratio in (0.5, 1.0, 2.0):
-            rng = np.random.Generator(np.random.PCG64(1234))
-            accepted = sum(sa_accept(0.0, ratio * 2.0, 2.0, rng) for _ in range(n))
+            uniforms = np.random.Generator(np.random.PCG64(1234)).random(n).tolist()
+            accepted = sum(sa_accept(0.0, ratio * 2.0, 2.0, u) for u in uniforms)
             assert accepted / n == pytest.approx(math.exp(-ratio), abs=0.02)
 
     def test_frozen_system_rejects_uphill(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        assert not sa_accept(0.0, 1.0, 1e-12, rng)
-
-    def test_state_carries_candidate_and_energy(self):
-        s = SAState(HeadcountVector((1, 2)), 42.0)
-        assert s.candidate.counts == (1, 2)
-        assert s.energy == 42.0
+        # not even the least uniform passes
+        assert not sa_accept(0.0, 1.0, 1e-12, 0.0)
 
     def test_finds_optimum_on_micro(self):
         inst = micro_instance()

@@ -4,7 +4,6 @@ determinism, and roster search on enumerable cases."""
 import dataclasses
 import gc
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ from manpower import (
 )
 from manpower import breeding, evolution, moea
 from manpower.constraints import headcount_kernel
-from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _random_genes, _Scorer
+from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _decode_rows, _random_genes, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
@@ -91,9 +90,23 @@ class TestGenomeCodec:
         assert g.data.shape[0] == 11
 
     def test_bg_decode_clamps_overflow(self):
-        # all-ones bits decode beyond the upper bound and must clamp
+        # all-ones bits, the top code, decode to the upper bound: no code
+        # lands outside the box
         g = Genome("bg", np.ones(11, dtype=np.uint8), self.BOUNDS)
         assert decode(g).counts == (6, 15, 8)
+
+    @pytest.mark.parametrize("lo", [0, 3])
+    def test_bg_codes_spread_evenly_over_the_box(self, lo):
+        # each count of a box of span s gets floor or ceil of 2**w / (s + 1)
+        # of the 2**w codes of w = s.bit_length() bits
+        for span in range(71):
+            width = span.bit_length()
+            codes = np.arange(2**width)
+            bits = (codes[:, None] >> np.arange(width - 1, -1, -1)) & 1
+            counts = _decode_rows(bits.astype(np.uint8), "bg", _box(((lo, lo + span),)))[:, 0]
+            shares = np.bincount(counts.astype(int) - lo, minlength=span + 1)
+            assert len(shares) == span + 1, span
+            assert set(shares.tolist()) <= {2**width // (span + 1), -(-2**width // (span + 1))}, span
 
     def test_ri_decode_rounds_and_clamps(self):
         g = Genome("ri", np.array([0.2, 15.4, 4.5]), self.BOUNDS)
@@ -147,7 +160,7 @@ class TestDecodeAgainstLoopOracle:
         bits = ""
         for lo, hi in bounds:
             width = (hi - lo).bit_length()
-            # offsets past hi - lo overflow the box and must clamp to hi
+            # every code of the width, those past hi - lo included
             offset = data.draw(st.integers(0, 2**width - 1))
             bits += format(offset, f"0{width}b") if width else ""
         g = Genome("bg", np.array([int(b) for b in bits], dtype=np.uint8), bounds)
@@ -320,8 +333,8 @@ def _generation_scores(draw, size: int, selection: str):
 @st.composite
 def runs(draw):
     """Generations to breed one after another: (encoding, bounds, starting
-    genes, config, per generation (scores, elite row or None, whether to
-    close the breeder after it), generator seed)."""
+    genes, config, per generation (scores, elite row or None), generator
+    seed)."""
     encoding = draw(st.sampled_from(["ri", "bg"]))
     # genes: jobs for ri, bits for bg (none when every box is one point)
     n = draw(st.integers(1 if encoding == "ri" else 0, 9))
@@ -339,219 +352,118 @@ def runs(draw):
     cfg = EAConfig(population_size=size, crossover_rate=draw(rate), mutation_rate=draw(rate),
                    selection="tournament" if selection == "crowded" else selection,
                    tournament_k=draw(st.integers(2, 4)), encoding=encoding)
-    steps = [(_generation_scores(draw, size, selection), draw(st.none() | st.integers(0, size - 1)),
-              draw(st.booleans())) for _ in range(draw(st.integers(1, 5)))]
+    steps = [(_generation_scores(draw, size, selection), draw(st.none() | st.integers(0, size - 1)))
+             for _ in range(draw(st.integers(1, 5)))]
     return encoding, bounds, genes, cfg, steps, seed
 
 
-def _generator_whose_next_word_is(word: int, seed: int = 0) -> np.random.Generator:
-    """A PCG64 generator whose next raw word is ``word``: the state before
-    the step whose XSL-RR output (O'Neill 2014) is ``word``."""
-    inc = np.random.PCG64(seed).state["state"]["inc"]
-    hi = 0xB123456789ABCDEF
-    rot = hi >> 58
-    xored = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1)
-    after = (hi << 64) | (xored ^ hi)
-    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
-    before = (after - inc) * pow(multiplier, -1, 2**128) % 2**128
-    bitgen = np.random.PCG64()
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-    check = np.random.PCG64()
-    check.state = bitgen.state
-    assert int(check.random_raw()) == word
-    return np.random.Generator(bitgen)
-
-
-def _counting_fallbacks(monkeypatch) -> list:
-    """Record the generations bred with numpy's own calls, not by plan."""
-    bred = []
-    calls = breeding._breed_calls
-
-    def spy(*args, **kwargs):
-        bred.append(args[1])
-        return calls(*args, **kwargs)
-
-    monkeypatch.setattr(breeding, "_breed_calls", spy)
-    return bred
-
-
-class _Calls:
-    """Every generation bred with numpy's own calls
-    (:func:`breeding._breed_calls`), behind the breeder's interface."""
-
-    def __init__(self, rng, cfg, n, generations, ri_box):
-        self._rng, self._cfg, self._ri_box = rng, cfg, ri_box
-
-    def breed(self, genes, pick, elite):
-        return breeding._breed_calls(self._rng, genes, pick, self._cfg, elite, self._ri_box)
-
-    def close(self):
-        pass
-
-
 class TestBreedAgainstLoopOracle:
-    """Generations bred one after another through one breeder, from plans
-    of a block of raw words, or each with numpy's own calls, are the
-    per-child loop's, byte for byte, and a closed breeder leaves the
-    generator where the loop's numpy calls leave it."""
+    """Generations bred one after another are the child-by-child loop's,
+    byte for byte, and each leaves the generator where the loop's calls
+    leave it."""
 
     @staticmethod
-    def _both(run, ours, loop, plan_words=breeding.PLAN_WORDS, breeder=breeding._Breeder) -> list:
-        """Breed the run's generations with ``breeder`` and with the loop;
-        the gene matrices bred from."""
+    def _both(run) -> None:
         encoding, bounds, genes, cfg, steps, seed = run
-        bred_from = []
+        ours = np.random.Generator(np.random.PCG64(seed))
+        loop = np.random.Generator(np.random.PCG64(seed))
         box = _box(bounds) if encoding == "ri" else None
-        with mock.patch.object(breeding, "PLAN_WORDS", plan_words):
-            ours_breeder = breeder(ours, cfg, genes.shape[1], len(steps), box)
-            for scores, elite, close in steps:
-                bred_from.append(genes)
-                population = [Genome(encoding, row, bounds) for row in genes]
-                first = [] if elite is None else [population[elite]]
-                if isinstance(scores, tuple):
-                    ranks, crowd = scores
-                    pick = moea._crowded_pick(ranks, crowd)
-                    want = oracle._breed(
-                        loop, first, lambda: population[oracle.crowded_pick(loop, ranks, crowd)], cfg)
-                else:
-                    pick = breeding._selector(scores, cfg)
-                    want = oracle._breed(
-                        loop, first, lambda: population[oracle._select(loop, scores, cfg)], cfg)
-                got = ours_breeder.breed(genes, pick, genes[:0] if elite is None else genes[elite][None])
-                assert got.dtype == genes.dtype and got.shape == genes.shape
-                assert got.tobytes() == np.stack([g.data for g in want]).tobytes(), (
-                    "the bred children are no longer the child-by-child loop's.  A plan reads "
-                    "numpy's draws off PCG64's raw words: doubles (w >> 11) * 2**-53, "
-                    "rng.integers(0, b) by Lemire's method on 32-bit halves (the kept half "
-                    "first), rng.choice by searching the cumulative weights; if a numpy upgrade "
-                    "changed any of these, every seeded run_ea, run_moea and solve_assignment "
-                    "result changes with it")
-                if close:
-                    ours_breeder.close()
-                    assert ours.bit_generator.state == loop.bit_generator.state
-                genes = got
-            ours_breeder.close()
-        assert ours.bit_generator.state == loop.bit_generator.state, (
-            "the closed breeder no longer leaves the generator where the loop's numpy calls "
-            "leave it: after the words read, keeping the half the draws would keep, with "
-            "numpy's last kept half (uinteger); every draw after breeding would change, and "
-            "with it every seeded run_ea, run_moea and solve_assignment result")
-        return bred_from
+        for scores, elite in steps:
+            population = [Genome(encoding, row, bounds) for row in genes]
+            first = [] if elite is None else [population[elite]]
+            if isinstance(scores, tuple):
+                pick, rule = moea._crowded_pick(*scores), oracle.crowded_pick(*scores)
+            else:
+                pick, rule = breeding._selector(scores, cfg), oracle._select(scores, cfg)
+            want = oracle._breed(loop, first, population, rule, cfg)
+            got = breeding.breed(ours, genes, pick, cfg, genes[:0] if elite is None else genes[elite][None], box)
+            assert got.dtype == genes.dtype and got.shape == genes.shape
+            assert got.tobytes() == np.stack([g.data for g in want]).tobytes(), (
+                "the bred children are no longer the child-by-child loop's")
+            assert ours.bit_generator.state == loop.bit_generator.state, (
+                "breeding no longer makes the loop's draws: the picks, gates, cut points "
+                "and mutation doubles, each one whole-array call, in that order")
+            genes = got
 
     @PROPERTY
-    @given(runs(), st.booleans(), st.sampled_from([1, 60, 400, breeding.PLAN_WORDS]))
-    def test_children_and_generator_state(self, run, primed, plan_words):
-        # plans of 1 to 400 words hold one generation or a few; the
-        # default holds every generation of these small runs.  The second
-        # pass breeds every generation with numpy's own calls, as a plan
-        # does a generation that reads a rejected half
-        seed = run[-1]
-        for breeder in (breeding._Breeder, _Calls):
-            ours = np.random.Generator(np.random.PCG64(seed))
-            loop = np.random.Generator(np.random.PCG64(seed))
-            if primed:
-                # breeding starts with a 32-bit half kept by the generator
-                assert ours.integers(0, 3) == loop.integers(0, 3)
-            self._both(run, ours, loop, plan_words, breeder)
-
-    @staticmethod
-    def _seven_jobs(selection: str, generations: int, crossover_rate: float = 0.8):
-        """A bg run on 18 bits over seven jobs, population 6, with scores
-        tied and infinite, or run_moea's crowded pick."""
-        rng = np.random.Generator(np.random.PCG64(4))
-        bounds = tuple((0, w) for w in (3, 6, 2, 9, 1, 5, 7))
-        genes = np.stack([random_genome(rng, bounds, "bg").data for _ in range(6)])
-        scores = np.array([3.0, 1.0, 2.0, np.inf, 0.5, 1.0])
-        if selection == "crowded":
-            scores = (np.array([1, 0, 0, 2, 1, 0]), np.array([0.5, np.inf, 1.0, 0.0, 0.5, 1.0]))
-        cfg = EAConfig(population_size=6, encoding="bg", crossover_rate=crossover_rate, mutation_rate=0.1)
-        return "bg", bounds, genes, cfg, [(scores, None, False)] * generations, 0
-
-    @pytest.mark.parametrize("selection", ["tournament", "crowded"])
-    def test_rejected_halves_are_skipped(self, selection, monkeypatch):
-        # both halves of the first word are 0, which Lemire's method
-        # rejects for the bound 6: the first two parent draws read past it
-        fell_back = _counting_fallbacks(monkeypatch)
-        ours, loop = _generator_whose_next_word_is(0), _generator_whose_next_word_is(0)
-        self._both(self._seven_jobs(selection, 1), ours, loop)
-        assert len(fell_back) == 1
-
-    @pytest.mark.parametrize("selection", ["tournament", "crowded"])
-    @pytest.mark.parametrize("crossover_rate,word,ahead,generation", [
-        # without crossovers a generation of three pairs reads 3 * (2 + 1 + 2 * 18)
-        # words, so the third generation's first parent draws read word 235 first
-        (0.0, 0, 234, 2),
-        # when every pair crosses over, every other cut point splits a word:
-        # the second generation's second pair splits word 162 for its cut
-        # point, whose low half (0) the bound 17 rejects; the high half is 1
-        (1.0, 2**32, 161, 1),
-    ])
-    def test_a_rejected_half_mid_plan_walks_that_generation_only(
-            self, selection, crossover_rate, word, ahead, generation, monkeypatch):
-        fell_back = _counting_fallbacks(monkeypatch)
-        ours, loop = _generator_whose_next_word_is(word), _generator_whose_next_word_is(word)
-        for rng in (ours, loop):
-            rng.bit_generator.advance(-ahead)
-        bred_from = self._both(self._seven_jobs(selection, 5, crossover_rate), ours, loop)
-        assert len(fell_back) == 1 and fell_back[0] is bred_from[generation]
-
-    @PROPERTY
-    @given(st.sampled_from(["tournament", "crowded"]), st.integers(0, 600), st.floats(0.0, 1.0),
-           st.sampled_from([1, 400, breeding.PLAN_WORDS]))
-    def test_a_rejected_half_anywhere(self, selection, ahead, crossover_rate, plan_words):
-        # a word of two rejected halves ``ahead`` words into five
-        # generations of about 120 words each: a parent draw or a cut
-        # point reads it, or a double passes it by
-        ours, loop = _generator_whose_next_word_is(0), _generator_whose_next_word_is(0)
-        for rng in (ours, loop):
-            rng.bit_generator.advance(-ahead)
-        self._both(self._seven_jobs(selection, 5, crossover_rate), ours, loop, plan_words)
+    @given(runs())
+    def test_children_and_generator_state(self, run):
+        self._both(run)
 
     @pytest.mark.parametrize("encoding,n", [("bg", 0), ("bg", 1), ("ri", 1), ("bg", 2), ("ri", 2)])
     @pytest.mark.parametrize("size", [5, 6])
     def test_few_genes(self, encoding, n, size):
         # no gene, a lone bit (no crossover), a lone real gene (blends),
-        # two genes (the cut point reads nothing); odd and even sizes; the
-        # elite appears in the third generation and proportional selection
-        # meets all-+inf scores in the fourth
+        # two genes (one cut point); odd and even sizes; the elite appears
+        # in the third generation and proportional selection meets
+        # all-+inf scores in the fourth
         bounds = ((0, 1),) * n if encoding == "bg" else ((2, 7),) * n
         rng = np.random.Generator(np.random.PCG64(n))
         genes = np.stack([random_genome(rng, bounds, encoding).data for _ in range(size)])
         scores = np.array([3.0, 1.0, np.inf, 0.5, 1.0, 2.0][:size])
-        steps = [(scores, None, False), (scores, None, True), (scores, 1, False),
-                 (np.full(size, np.inf), 1, False), (scores, 0, False)]
+        steps = [(scores, None), (scores, None), (scores, 1), (np.full(size, np.inf), 1), (scores, 0)]
         cfg = EAConfig(population_size=size, encoding=encoding, selection="proportional",
                        crossover_rate=0.7, mutation_rate=0.3)
         for seed in range(4):
-            for breeder in (breeding._Breeder, _Calls):
-                ours = np.random.Generator(np.random.PCG64(seed))
-                loop = np.random.Generator(np.random.PCG64(seed))
-                self._both((encoding, bounds, genes, cfg, steps, seed), ours, loop, 400, breeder)
+            self._both((encoding, bounds, genes, cfg, steps, seed))
 
 
-def test_default_runs_never_walk_their_draws(monkeypatch):
-    # a rejected half is rare (below bound / 2**32 a draw): every
-    # generation of these runs is bred by plan, so a plan that sent
-    # generations to numpy's own (slower) calls fails here
-    fell_back = _counting_fallbacks(monkeypatch)
-    week = reference_instance()
-    forty = HeadcountVector((5, 10, 6, 9, 6, 4))
-    run_ea(week, SALARY, BASIC, EAConfig())
-    run_ea(week, SALARY, BASIC, EAConfig(encoding="bg"))
-    solve_assignment(forty, week, BASIC, EAConfig(encoding="bg"))
-    trade_off = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),
-                                 Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE)))
-    run_moea(week, trade_off, BASIC, EAConfig())
-    # the geometries of the roster and pareto benchmarks: rosters of 40
-    # staff, population 20 over 10 generations; a 60 x 40 trade-off over
-    # 16 jobs (breeding reads only the genes, population and pick)
-    sixteen = random_micro_instance(np.random.Generator(np.random.PCG64(16)), n_jobs=16)
-    for seed in range(3):
-        solve_assignment(forty, week, BASIC,
-                         EAConfig(population_size=20, generations=10, encoding="bg", seed=seed))
-        run_moea(sixteen, trade_off, BASIC, EAConfig(population_size=60, generations=40, seed=seed))
-    assert fell_back == []
+class _CountingGenerator:
+    """A generator that records the name of each draw method called."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if name not in ("integers", "random", "uniform", "choice"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestDrawCalls:
+    """Each stochastic solver's draws are whole-array calls in a fixed
+    order: four per generation, and one plus three per annealing level."""
+
+    @pytest.fixture
+    def generators(self, monkeypatch) -> list:
+        made = []
+        make = np.random.Generator
+
+        def counting(bitgen):
+            made.append(_CountingGenerator(make(bitgen)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "Generator", counting)
+        return made
+
+    def test_each_generation_makes_four_calls(self, generators):
+        week, generations = reference_instance(), 6
+        cfg = EAConfig(population_size=12, generations=generations)
+        run_ea(week, SALARY, BASIC, cfg)
+        run_ea(week, SALARY, BASIC, dataclasses.replace(cfg, encoding="bg", selection="proportional"))
+        run_moea(week, TRADE_OFF, BASIC, cfg)
+        solve_assignment(HeadcountVector((1, 2, 1, 2, 1, 2)), week, BASIC,
+                         dataclasses.replace(cfg, encoding="bg"))
+        # ri starts are doubles, bg starts and rosters bits; tournaments
+        # pick with integers, proportional selection with doubles
+        starts = ["random", "integers", "random", "integers"]
+        picks = ["integers", "random", "integers", "integers"]
+        assert len(generators) == 4
+        for rng, start, pick in zip(generators, starts, picks):
+            assert rng.calls == [start] + [pick, "random", "integers", "random"] * generations
+
+    def test_each_annealing_level_makes_three_calls(self, generators):
+        res = sa_solve(reference_instance(), SALARY, BASIC, SAConfig())
+        levels = len(res.trace.points) - 1
+        assert levels > 1
+        assert generators[0].calls == ["integers"] + ["integers", "random", "random"] * levels
 
 
 def test_box_draw_is_rng_uniform_bit_for_bit():
@@ -666,8 +578,11 @@ class TestPenalties:
         )
 
     def test_barrier_with_no_interior_fails_fast_and_names_the_atom(self, monkeypatch):
-        # rest_cap=0 leaves k6 no slack on any staffing, so no start is strictly inside
-        inst = dataclasses.replace(micro_instance(), rest_cap=0)
+        # a job whose headcount window is one point leaves y2 no slack on
+        # any staffing, so no start is strictly inside
+        micro = micro_instance()
+        pinned = dataclasses.replace(micro.jobs[0], headcount_max=micro.jobs[0].headcount_min)
+        inst = dataclasses.replace(micro, jobs=(pinned, micro.jobs[1]))
         sample = evolution._initial_population
         ends = []
 
@@ -679,13 +594,26 @@ class TestPenalties:
 
         monkeypatch.setattr(evolution, "_initial_population", watched)
         cfg = EAConfig(population_size=10, penalty=PenaltyConfig(method="internal"))
-        with pytest.raises(InfeasibleError, match=r"atoms at or past their boundary .*: .*k6 in 10"):
-            run_ea(inst, SALARY, conjunction("k5", "k6"), cfg)
+        with pytest.raises(InfeasibleError, match=r"atoms at or past their boundary .*: .*y2 in 10"):
+            run_ea(inst, SALARY, conjunction("k5", "y2"), cfg)
         # the sampling drew exactly the cap of samples, no more and no fewer
         drew = np.random.Generator(np.random.PCG64(cfg.seed))
         for _ in range(INITIAL_SAMPLES_PER_MEMBER * 10):
             random_genome(drew, inst.headcount_bounds(), cfg.encoding)
         assert ends == [drew.bit_generator.state]
+
+    def test_rest_cap_leaves_a_staffing_its_interior(self):
+        # a staffing has no rest days, so k6 gives it +inf slack as k1
+        # does, whatever the cap: even with no rest allowed, the barrier
+        # finds a start and no sample is blocked by k6
+        week = dataclasses.replace(reference_instance(), rest_cap=0)
+        res = run_ea(week, SALARY, BASIC, EAConfig(generations=5, penalty=PenaltyConfig(method="internal")))
+        assert res.feasible
+        rng = np.random.Generator(np.random.PCG64(0))
+        counts = _decode_rows(_random_genes(rng, 500, _box(week.headcount_bounds()), "ri"), "ri",
+                              _box(week.headcount_bounds()))
+        blocking = evolution._blocking_atoms(counts, BASIC, week)
+        assert blocking and "k6" not in blocking
 
     def test_internal_solve_stays_feasible(self):
         inst = micro_instance()
