@@ -18,12 +18,12 @@ pairwise-loop versions are the reference in ``tests/oracle.py``.  The
 population is one gene matrix, decoded into one headcount matrix and
 scored with one call of the scorer of :mod:`~manpower.evolution`, and
 the starting population is drawn with one generator call.  Offspring
-are bred by the single-objective solver's :func:`~manpower.breeding.breed`,
-from four whole-array draws a generation, with a rank-and-crowding
-tournament (:func:`_crowded_pick`, chosen for all pairs at once) in
-place of its selection.  The pool of parents and offspring is peeled once per
-generation, up to the cut, and the kept members' ranks and crowding
-are read off that one peel.
+are bred by the single-objective solver's
+:func:`~manpower.breeding.breed`, from four whole-array draws a
+generation, with a rank-and-crowding tournament (:func:`_crowded_pick`,
+chosen for all pairs at once) in place of its selection.  The pool of
+parents and offspring is peeled once per generation, up to the cut,
+and the kept members' ranks and crowding are read off that one peel.
 """
 
 from __future__ import annotations
