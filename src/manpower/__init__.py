@@ -14,9 +14,8 @@ The package splits the problem into three layers:
 
 ``instances`` ships ready-made problems, ``io`` the file formats,
 ``bench`` the canned experiments, and ``cli`` the command-line front
-end.  ``tablegen``, ``io``, ``bench`` and ``cli`` are imported on first
-use of a name they export, so ``import manpower`` loads the solvers
-only.
+end.  ``tablegen``, ``io`` and ``bench`` are imported on first use of a
+name they export, so ``import manpower`` loads the solvers only.
 """
 
 import importlib
@@ -111,19 +110,18 @@ from .objectives import (
 
 __version__ = "0.1.0"
 
-# Names resolved on first use, by module.  ``cli`` must stay lazy:
-# importing it here would put ``manpower.cli`` in ``sys.modules`` before
+# Names resolved on first use, by module.  Nothing here imports ``cli``:
+# that would put ``manpower.cli`` in ``sys.modules`` before
 # ``python -m manpower.cli`` runs it, which makes runpy warn.
 _LAZY = {
     "bench": (
         "EXPERIMENT_IDS", "ComparisonRow", "ExperimentReport", "ExperimentSpec", "TrialResult",
         "accuracy", "convergence_rank", "run_experiment", "stability", "write_report",
     ),
-    "cli": ("CliInvocation",),
     "io": (
         "load_instance", "read_table_csv", "read_tensor_csv", "save_instance",
-        "validate_instance", "write_archive_csv", "write_counts_csv", "write_table_csv",
-        "write_tensor_csv", "write_trace_csv",
+        "write_archive_csv", "write_counts_csv", "write_table_csv", "write_tensor_csv",
+        "write_trace_csv",
     ),
     "tablegen": (
         "GeneratorState", "RotationSpec", "ScheduleTable", "SuitablePolicy",

@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import io as mio
 from .baselines import PSOConfig, SAConfig, ip_solve, pso_solve, sa_solve
 from .bench import EXPERIMENT_IDS, run_experiment, write_report
-from .constraints import parse_constraint_string
+from .constraints import headcount_kernel, parse_constraint_string
 from .domain import HeadcountVector
 from .errors import (
     ConfigurationError,
@@ -40,31 +39,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-SUBCOMMANDS = ("solve", "pareto", "table", "assign", "bench", "validate")
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """One fully parsed command line: the subcommand plus every input it
-    may need.  ``options`` carries the subcommand-specific knobs
-    (population size, encoding, penalty settings, table shape, ...)."""
-
-    subcommand: str
-    instance: Optional[str] = None
-    constraints: Optional[str] = None
-    objectives: tuple[str, ...] = ()
-    solver: Optional[str] = None
-    seed: Optional[int] = None
-    out: Optional[str] = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ConfigurationError(
-                f"unknown subcommand {self.subcommand!r}; choose from {', '.join(SUBCOMMANDS)}"
-            )
-        object.__setattr__(self, "objectives", tuple(self.objectives))
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -154,145 +128,118 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invocation_from(args: argparse.Namespace) -> CliInvocation:
-    shared = {"command", "instance", "constraints", "objective", "objectives",
-              "objective_list", "solver", "seed", "out"}
-    options = {k: v for k, v in vars(args).items() if k not in shared}
-    objectives: list[str] = []
-    if args.command == "solve":
-        objectives.append(args.objective)
-    elif args.command == "pareto":
-        if getattr(args, "objectives", None):
-            objectives.extend(t.strip() for t in args.objectives.split(",") if t.strip())
-        objectives.extend(getattr(args, "objective_list", []))
-    return CliInvocation(
-        subcommand=args.command,
-        instance=getattr(args, "instance", None),
-        constraints=getattr(args, "constraints", None),
-        objectives=tuple(objectives),
-        solver=getattr(args, "solver", None),
-        seed=getattr(args, "seed", None),
-        out=getattr(args, "out", None),
-        options=options,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
-def _cmd_solve(inv: CliInvocation) -> int:
-    opts = inv.options
-    inst = mio.load_instance(inv.instance)
-    text = _constraint_text(inv.constraints)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    inst = mio.load_instance(args.instance)
+    text = _constraint_text(args.constraints)
     expr = parse_constraint_string(text)
-    bundle = ObjectiveBundle((parse_objective_token(inv.objectives[0], inst),))
-    seed = _resolve_seed(inv.seed)
-    penalty = PenaltyConfig(method=opts["penalty"], coefficient=opts["penalty_coefficient"])
-    if inv.solver == "ea":
+    bundle = ObjectiveBundle((parse_objective_token(args.objective, inst),))
+    seed = _resolve_seed(args.seed)
+    penalty = PenaltyConfig(method=args.penalty, coefficient=args.penalty_coefficient)
+    if args.solver == "ea":
         cfg = EAConfig(
-            population_size=opts["population"],
-            generations=opts["generations"],
-            encoding=opts["encoding"],
+            population_size=args.population,
+            generations=args.generations,
+            encoding=args.encoding,
             penalty=penalty,
             seed=seed,
         )
         result = run_ea(inst, bundle, expr, cfg)
-    elif inv.solver == "ip":
+    elif args.solver == "ip":
         result = ip_solve(inst, bundle, expr)
-    elif inv.solver == "pso":
+    elif args.solver == "pso":
         result = pso_solve(inst, bundle, expr, PSOConfig(seed=seed, penalty=penalty))
     else:
         result = sa_solve(inst, bundle, expr, SAConfig(seed=seed, penalty=penalty))
 
-    print(f"solver: {inv.solver}  objective: {inv.objectives[0]}  constraints: {text}")
+    print(f"solver: {args.solver}  objective: {args.objective}  constraints: {text}")
     print(f"counts: {','.join(str(c) for c in result.counts.counts)}")
     print(f"value: {result.value:g}")
     print(f"feasible: {result.feasible}  violation: {result.violation:g}")
     print(f"evaluations: {result.evaluations}")
-    if opts.get("counts_out"):
-        mio.write_counts_csv(result.counts, inst, opts["counts_out"])
-        print(f"wrote {opts['counts_out']}")
-    if opts.get("trace_out"):
-        mio.write_trace_csv(result.trace, opts["trace_out"])
-        print(f"wrote {opts['trace_out']}")
+    if args.counts_out:
+        mio.write_counts_csv(result.counts, inst, args.counts_out)
+        print(f"wrote {args.counts_out}")
+    if args.trace_out:
+        mio.write_trace_csv(result.trace, args.trace_out)
+        print(f"wrote {args.trace_out}")
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
-def _cmd_pareto(inv: CliInvocation) -> int:
-    opts = inv.options
-    inst = mio.load_instance(inv.instance)
-    text = _constraint_text(inv.constraints)
+def _cmd_pareto(args: argparse.Namespace) -> int:
+    inst = mio.load_instance(args.instance)
+    text = _constraint_text(args.constraints)
     expr = parse_constraint_string(text)
-    if len(inv.objectives) < 2:
+    tokens = [t.strip() for t in (args.objectives or "").split(",") if t.strip()] + args.objective_list
+    if len(tokens) < 2:
         raise ConfigurationError("pareto needs at least two objectives")
-    bundle = ObjectiveBundle(tuple(parse_objective_token(t, inst) for t in inv.objectives))
-    seed = _resolve_seed(inv.seed)
-    cfg = EAConfig(population_size=opts["population"], generations=opts["generations"], seed=seed)
+    bundle = ObjectiveBundle(tuple(parse_objective_token(t, inst) for t in tokens))
+    seed = _resolve_seed(args.seed)
+    cfg = EAConfig(population_size=args.population, generations=args.generations, seed=seed)
     result = run_moea(inst, bundle, expr, cfg)
-    print(f"objectives: {','.join(inv.objectives)}  constraints: {text}")
+    print(f"objectives: {','.join(tokens)}  constraints: {text}")
     print(f"archive: {len(result.archive)} non-dominated staffings")
     print(f"hypervolume: {result.trace.points[-1].best:g}")
     for e in result.archive:
         objs = ", ".join(f"{v:g}" for v in e.objectives)
         print(f"  counts {','.join(str(c) for c in e.counts.counts)}  ->  {objs}")
-    if opts.get("archive_out"):
+    if args.archive_out:
         labels = [o.label for o in bundle]
-        mio.write_archive_csv(result.archive, inst, labels, opts["archive_out"])
-        print(f"wrote {opts['archive_out']}")
+        mio.write_archive_csv(result.archive, inst, labels, args.archive_out)
+        print(f"wrote {args.archive_out}")
     return EXIT_OK if result.archive else EXIT_INFEASIBLE
 
 
-def _cmd_assign(inv: CliInvocation) -> int:
-    opts = inv.options
-    inst = mio.load_instance(inv.instance)
-    text = _constraint_text(inv.constraints)
+def _cmd_assign(args: argparse.Namespace) -> int:
+    inst = mio.load_instance(args.instance)
+    text = _constraint_text(args.constraints)
     expr = parse_constraint_string(text)
     try:
-        counts = HeadcountVector(tuple(int(x) for x in opts["counts"].split(",")))
+        counts = HeadcountVector(tuple(int(x) for x in args.counts.split(",")))
     except ValueError as exc:
         raise ConfigurationError(f"bad --counts: {exc}") from None
     if len(counts) != inst.n_jobs:
         raise ConfigurationError(
             f"--counts has {len(counts)} entries but the instance has {inst.n_jobs} jobs"
         )
-    seed = _resolve_seed(inv.seed)
+    seed = _resolve_seed(args.seed)
     cfg = EAConfig(
-        population_size=opts["population"], generations=opts["generations"],
+        population_size=args.population, generations=args.generations,
         encoding="bg", seed=seed,
     )
     result = solve_assignment(counts, inst, expr, cfg)
-    print(f"roster for counts {opts['counts']} under {text}")
+    print(f"roster for counts {args.counts} under {text}")
     print(f"value: {result.value:g}")
     print(f"feasible: {result.feasible}  violation: {result.violation:g}")
-    if inv.out:
-        mio.write_tensor_csv(result.tensor, inst, inv.out)
-        print(f"wrote {inv.out}")
+    if args.out:
+        mio.write_tensor_csv(result.tensor, inst, args.out)
+        print(f"wrote {args.out}")
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
-def _cmd_table(inv: CliInvocation) -> int:
-    opts = inv.options
-    spec = opts["members"].strip()
+def _cmd_table(args: argparse.Namespace) -> int:
+    spec = args.members.strip()
     if "," in spec or not spec.isdigit():
         members = tuple(m.strip() for m in spec.split(",") if m.strip())
     else:
         members = tuple(f"m{i}" for i in range(int(spec)))
-    seed = _resolve_seed(inv.seed)
-    policy = SuitablePolicy(max_assignments=opts["max_assignments"])
-    table = generate_table(members, opts["days"], opts["per_day"], policy, seed=seed)
+    seed = _resolve_seed(args.seed)
+    policy = SuitablePolicy(max_assignments=args.max_assignments)
+    table = generate_table(members, args.days, args.per_day, policy, seed=seed)
     for day, chosen in enumerate(table.picks):
         print(f"day {day}: {', '.join(chosen)}")
-    if inv.out:
-        mio.write_table_csv(table, inv.out)
-        print(f"wrote {inv.out}")
+    if args.out:
+        mio.write_table_csv(table, args.out)
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _cmd_bench(inv: CliInvocation) -> int:
-    opts = inv.options
-    seed = _resolve_seed(inv.seed)
-    report = run_experiment(opts["experiment"], seed=seed, trials=opts["trials"])
+def _cmd_bench(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
+    report = run_experiment(args.experiment, seed=seed, trials=args.trials)
     for row in report.rows:
         acc = f"{row.accuracy_pct}%" if row.accuracy_pct is not None else "-"
         print(
@@ -301,32 +248,24 @@ def _cmd_bench(inv: CliInvocation) -> int:
         )
     for key, value in report.notes.items():
         print(f"{key}: {value}")
-    if inv.out:
-        write_report(report, inv.out)
-        print(f"wrote {inv.out}/report.json, comparison.csv, and trace CSVs")
+    if args.out:
+        write_report(report, args.out)
+        print(f"wrote {args.out}/report.json, comparison.csv, and trace CSVs")
     return EXIT_OK
 
 
-def _cmd_validate(inv: CliInvocation) -> int:
-    problems = mio.validate_instance(inv.instance)
-    if inv.constraints is not None:
-        try:
-            expr = parse_constraint_string(_constraint_text(inv.constraints))
-        except ParseError as exc:
-            problems.append(f"constraints: {exc}")
-        else:
-            if not problems:
-                inst = mio.load_instance(inv.instance)
-                from .constraints import collect_atoms, ConstraintKind
-
-                for c in collect_atoms(expr):
-                    if c.kind is ConstraintKind.EMERGENCY and inst.emergency is None:
-                        problems.append("constraints use y1 but the instance has no emergency block")
-                    if c.kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
-                        problems.append("constraints use o1 but the instance is single-shift")
-    if problems:
-        for p in problems:
-            print(f"problem: {p}")
+def _cmd_validate(args: argparse.Namespace) -> int:
+    """Load the instance, then parse the constraints and compile them for
+    it; the first step that fails names the problem."""
+    try:
+        inst = mio.load_instance(args.instance)
+        if args.constraints is not None:
+            headcount_kernel(parse_constraint_string(_constraint_text(args.constraints)), inst)
+    except ParseError as exc:
+        print(f"problem: constraints: {exc}")
+        return EXIT_USAGE
+    except (StructuralError, ConfigurationError) as exc:
+        print(f"problem: {exc}")
         return EXIT_USAGE
     print("ok")
     return EXIT_OK
@@ -345,21 +284,16 @@ _HANDLERS = {
 }
 
 
-def main(argv: Union[Sequence[str], CliInvocation, None] = None) -> int:
-    """Entry point: takes raw arguments (or ``None`` for ``sys.argv``),
-    or an already-parsed :class:`CliInvocation`."""
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point: takes raw arguments, or ``None`` for ``sys.argv``."""
+    args = _build_parser().parse_args(argv)
     try:
-        if isinstance(argv, CliInvocation):
-            invocation = argv
-        else:
-            args = _build_parser().parse_args(argv)
-            invocation = _invocation_from(args)
-        return _HANDLERS[invocation.subcommand](invocation)
+        return _HANDLERS[args.command](args)
     except (InfeasibleError, TableGenerationError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigurationError, ParseError, StructuralError, MetricError,
-            SearchSpaceError, FileNotFoundError) as exc:
+            SearchSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # anything else is a bug, not user error

@@ -11,11 +11,14 @@ import io as _io
 import json
 import os
 import tempfile
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .domain import (
+    DEFAULT_SHIFT_HOURS,
     SHIFT_NAMES,
     SLOTS_PER_DAY,
     AttendanceTensor,
@@ -85,43 +88,106 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     return d
 
 
+_NULL = type(None)
+_NUMBER_KINDS = (float, int)  # json.load gives JSON's true and false as bool, which is neither
+_NUMBER = frozenset(_NUMBER_KINDS)
+_JSON_NAMES = {int: "a JSON integer", _NUMBER_KINDS: "a JSON number", bool: "a JSON boolean",
+               str: "a JSON string", list: "a JSON list", dict: "a JSON object", _NULL: "null"}
+
+
+class _Schema:
+    """One kind of object that :func:`instance_to_dict` writes: each key,
+    in the order of the domain constructor's arguments, with the types
+    json.load may give its value, and the defaults of the keys a file may
+    leave out.  No other key may appear."""
+
+    def __init__(self, fields: dict, defaults: dict):
+        self.fields, self.defaults = fields, defaults
+        self._values = itemgetter(*fields)
+        self._size = {len(fields)}
+        # the value types of each well-typed object that holds every key
+        self._signatures = frozenset(product(*fields.values()))
+
+    def rows(self, objs: list, where: str) -> list[tuple]:
+        """The values of each object in ``objs``, in field order, once each
+        is an object of this kind; ``where.format(i)`` names object ``i``."""
+        try:
+            rows = list(map(self._values, objs))
+        except (KeyError, TypeError):  # a key left out, or not an object
+            rows = None
+        if rows is None or not (self._size.issuperset(map(len, objs)) and
+                                self._signatures.issuperset(map(tuple, map(map, repeat(type), rows)))):
+            rows = [self._row(obj, where.format(i)) for i, obj in enumerate(objs)]
+        return rows
+
+    def _row(self, obj, where: str) -> tuple:
+        if type(obj) is not dict:
+            raise StructuralError(f"{where or 'top level'} must be a JSON object")
+        missing = self.fields.keys() - self.defaults.keys() - obj.keys()
+        unknown = obj.keys() - self.fields.keys()
+        for problem, keys in (("missing", missing), ("unknown", unknown)):
+            if keys:
+                raise StructuralError(f"{where or 'instance'}: {problem} key(s) {', '.join(map(repr, sorted(keys)))}")
+        for key, value in obj.items():
+            kinds = self.fields[key]
+            if type(value) not in kinds:
+                field = f"{where}.{key}" if where else key
+                what = _JSON_NAMES.get(kinds) or " or ".join(map(_JSON_NAMES.get, kinds))
+                raise StructuralError(f"{field} must be {what}, got {value!r}")
+        return tuple(obj[key] if key in obj else self.defaults[key] for key in self.fields)
+
+
+_INSTANCE = _Schema(
+    {"format_version": (int,), "jobs": (list,), "horizon_days": (int,), "max_total_staff": (int,),
+     "work_time_bounds": (list,), "salary_bounds": (list,), "rest_cap": (int,),
+     "emergency": (dict, _NULL), "multi_shift": (bool,)},
+    {"emergency": None, "multi_shift": False},
+)
+_JOB = _Schema(
+    {"code": (str,), "name": (str,), "wage_per_shift": (list,), "headcount_min": (int,),
+     "headcount_max": (int,), "shift_hours": (list,)},
+    {"name": None, "shift_hours": list(DEFAULT_SHIFT_HOURS)},
+)
+_JOB_NUMBERS = itemgetter(2, 5)  # wage_per_shift, shift_hours
+_EMERGENCY = _Schema(
+    {"alpha": (int,), "time_cost": _NUMBER_KINDS, "bonus": _NUMBER_KINDS, "punishment": _NUMBER_KINDS,
+     "daily_probability": _NUMBER_KINDS, "jobs": (list, _NULL)},
+    {"daily_probability": 0.0, "jobs": None},
+)
+
+
+def _numbers(lists: list, n: int, where) -> None:
+    """Check that each of ``lists`` is a list of ``n`` JSON numbers;
+    ``where(i)`` names list ``i``."""
+    if not ({list}.issuperset(map(type, lists)) and {n}.issuperset(map(len, lists))
+            and _NUMBER.issuperset(map(type, chain.from_iterable(lists)))):
+        for i, values in enumerate(lists):
+            if type(values) is not list or len(values) != n or not _NUMBER.issuperset(map(type, values)):
+                raise StructuralError(f"{where(i)} must be a list of {n} JSON numbers, got {values!r}")
+
+
 def instance_from_dict(d: dict) -> ProblemInstance:
-    if not isinstance(d, dict):
-        raise StructuralError("top level must be a JSON object")
-    version = d.get("format_version")
-    if version != FORMAT_VERSION:
-        raise StructuralError(f"unsupported format_version {version!r}")
-    jobs = tuple(
-        Job(
-            code=j["code"],
-            name=j.get("name", j["code"]),
-            wage_per_shift=tuple(j["wage_per_shift"]),
-            headcount_min=int(j["headcount_min"]),
-            headcount_max=int(j["headcount_max"]),
-            shift_hours=tuple(j.get("shift_hours", (4, 4, 4, 8))),
-        )
-        for j in d["jobs"]
-    )
-    spec = None
-    if d.get("emergency") is not None:
-        e = d["emergency"]
-        spec = EmergencySpec(
-            alpha=int(e["alpha"]),
-            time_cost=float(e["time_cost"]),
-            bonus=float(e["bonus"]),
-            punishment=float(e["punishment"]),
-            daily_probability=float(e.get("daily_probability", 0.0)),
-            jobs=tuple(e["jobs"]) if e.get("jobs") is not None else None,
-        )
+    """The instance in a dict of the form :func:`instance_to_dict` writes.
+    Each value must have its field's JSON type: integers are JSON
+    integers, ``multi_shift`` is a JSON boolean, and no number is a
+    boolean or a string.  Keys the writer never writes are errors too.
+    Each of these raises :class:`StructuralError` naming the field."""
+    if type(d) is dict and d.get("format_version") != FORMAT_VERSION:
+        raise StructuralError(f"unsupported format_version {d.get('format_version')!r}")
+    [(_, jobs, days, staff, work_time, salary, rest, emergency, multi_shift)] = _INSTANCE.rows([d], "")
+    jobs = _JOB.rows(jobs, "jobs[{}]")
+    _numbers([salary] + work_time, 2, lambda i: f"work_time_bounds[{i - 1}]" if i else "salary_bounds")
+    _numbers(list(chain.from_iterable(map(_JOB_NUMBERS, jobs))), SLOTS_PER_DAY,
+             lambda i: f"jobs[{i // 2}].{('wage_per_shift', 'shift_hours')[i % 2]}")
+    if emergency is not None:
+        [(alpha, *costs, codes)] = _EMERGENCY.rows([emergency], "emergency")
+        if codes is not None and not {str}.issuperset(map(type, codes)):
+            raise StructuralError(f"emergency.jobs must be a list of JSON strings, got {codes!r}")
+        emergency = EmergencySpec(alpha, *map(float, costs), codes)
     return ProblemInstance(
-        jobs=jobs,
-        horizon_days=int(d["horizon_days"]),
-        max_total_staff=int(d["max_total_staff"]),
-        work_time_bounds=tuple((float(a), float(b)) for a, b in d["work_time_bounds"]),
-        salary_bounds=tuple(d["salary_bounds"]),
-        rest_cap=int(d["rest_cap"]),
-        emergency=spec,
-        multi_shift=bool(d.get("multi_shift", False)),
+        # a job without a name is named by its code
+        [Job(*job) if job[1] is not None else Job(job[0], job[0], *job[2:]) for job in jobs],
+        days, staff, work_time, salary, rest, emergency, multi_shift,
     )
 
 
@@ -130,41 +196,22 @@ def save_instance(inst: ProblemInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> ProblemInstance:
-    """The instance in a JSON file.  A file that is not a well-formed
-    instance raises :class:`StructuralError` naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return instance_from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise StructuralError(f"invalid instance {path}: {what}") from exc
-
-
-def validate_instance(path: str) -> list[str]:
-    """Diagnostics for an instance file; empty list means clean."""
-    problems: list[str] = []
+    """The instance in a JSON file.  A file that cannot be read, is not
+    JSON, or is not a well-formed instance raises :class:`StructuralError`
+    naming the path and the problem."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
-        return [f"cannot read {path}: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"not valid JSON: {exc}"]
-    if not isinstance(d, dict):
-        return ["top level must be a JSON object"]
-    if d.get("format_version") != FORMAT_VERSION:
-        problems.append(f"format_version must be {FORMAT_VERSION}, got {d.get('format_version')!r}")
-    for key in ("jobs", "horizon_days", "max_total_staff", "work_time_bounds",
-                "salary_bounds", "rest_cap"):
-        if key not in d:
-            problems.append(f"missing key {key!r}")
-    if problems:
-        return problems
+        raise StructuralError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        instance_from_dict(d)
-    except (ValueError, KeyError, TypeError) as exc:
-        problems.append(f"invalid instance: {exc}")
-    return problems
+        d = json.loads(text)
+    except ValueError as exc:
+        raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return instance_from_dict(d)
+    except ValueError as exc:
+        raise StructuralError(f"invalid instance {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from manpower import ConfigurationError, save_instance
-from manpower.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, CliInvocation, main
+from manpower import save_instance
+from manpower.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from manpower.instances import micro_instance, reference_instance
 from manpower.io import instance_to_dict
 
@@ -42,6 +42,13 @@ def _week_json(drop=(), **fields):
     return json.dumps(d)
 
 
+def _week_jobs(**fields):
+    """The reference week's jobs, with fields of the first one replaced."""
+    jobs = instance_to_dict(reference_instance())["jobs"]
+    jobs[0].update(fields)
+    return jobs
+
+
 _BOUNDS = [list(b) for b in reference_instance().work_time_bounds]
 # instance files that are not instances; NaN is written as JSON's NaN
 MALFORMED = {
@@ -51,6 +58,13 @@ MALFORMED = {
     "inverted_work_time": _week_json(work_time_bounds=[[600, 100]] + _BOUNDS[1:]),
     "nan_work_time": _week_json(work_time_bounds=[[math.nan, 500]] + _BOUNDS[1:]),
     "nan_salary": _week_json(salary_bounds=[3500, math.nan]),
+    # each field holds its own JSON type, and no key is one the writer never writes
+    "fractional_horizon": _week_json(horizon_days=7.9),
+    "fractional_headcount": _week_json(jobs=_week_jobs(headcount_max=3.5)),
+    "string_multi_shift": _week_json(multi_shift="no"),
+    "boolean_wage": _week_json(jobs=_week_jobs(wage_per_shift=[10, True, 10, 10])),
+    "string_salary": _week_json(salary_bounds=["3500", 15000]),
+    "unknown_key": _week_json(horizon=7),
 }
 
 
@@ -97,8 +111,14 @@ class TestSolve:
                      "--constraints", "k1&&k2"]) == EXIT_USAGE
         assert "offset" in capsys.readouterr().err
 
-    def test_missing_instance_is_usage(self, tmp_path):
+    def test_missing_instance_is_usage(self, inst_path, tmp_path, capsys):
         assert main(["solve", "--instance", str(tmp_path / "nope.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot read")
+        # a directory cannot be read either, as an instance or as a constraint file
+        assert main(["solve", "--instance", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot read")
+        assert main(["solve", "--instance", inst_path, "--constraints", f"@{tmp_path}"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_instance_is_usage(self, malformed_path, capsys):
         assert main(["solve", "--instance", malformed_path, "--seed", "0"]) == EXIT_USAGE
@@ -219,18 +239,11 @@ class TestBench:
 
 
 class TestInvocation:
-    def test_parsed_invocation_drives_main(self, capsys):
-        inv = CliInvocation(
-            subcommand="table",
-            seed=2,
-            options={"members": "4", "days": 3, "per_day": 2, "max_assignments": None},
-        )
-        assert main(inv) == EXIT_OK
-        assert "day 0:" in capsys.readouterr().out
-
-    def test_unknown_subcommand_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown subcommand"):
-            CliInvocation(subcommand="optimize")
+    def test_unknown_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
 
     def test_module_entry_point_starts_without_warnings(self):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -238,10 +251,6 @@ class TestInvocation:
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "manpower.cli", "--help"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-
-    def test_objectives_normalized_to_tuple(self):
-        inv = CliInvocation(subcommand="pareto", objectives=["salary", "-total_time"])
-        assert inv.objectives == ("salary", "-total_time")
 
 
 class TestValidate:
@@ -255,6 +264,8 @@ class TestValidate:
             fh.write("[1, 2")
         assert main(["validate", "--instance", path]) == EXIT_USAGE
         assert "problem:" in capsys.readouterr().out
+        assert main(["validate", "--instance", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().out.startswith("problem: cannot read")
 
     def test_malformed_file(self, malformed_path, capsys):
         assert main(["validate", "--instance", malformed_path]) == EXIT_USAGE

@@ -20,7 +20,6 @@ from manpower import (
     read_table_csv,
     read_tensor_csv,
     save_instance,
-    validate_instance,
     write_table_csv,
     write_tensor_csv,
 )
@@ -71,29 +70,115 @@ class TestInstanceJSON:
             instance_from_dict(d)
 
 
+def _leaves(value, path=()):
+    """Each scalar in a JSON value, with the keys and indices leading to it."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+def _leaves_at(value, path):
+    """The part of a JSON value that ``path`` leads to."""
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _wrong_types(value):
+    """JSON values of a type the field holding ``value`` must not take."""
+    if isinstance(value, bool):
+        return [0, "no", None]
+    if isinstance(value, str):
+        return [1, True, None]
+    if isinstance(value, int):
+        return [1.5, True, "1", None]
+    return [True, "1.0", None, [1.0]]
+
+
+_WEEK = instance_to_dict(reference_instance())
+# every scalar of the reference week, by the name of the field that holds it
+_FIELDS: dict[str, list] = {}
+for _path, _value in _leaves(_WEEK):
+    if _value is not None:
+        _FIELDS.setdefault(next(k for k in reversed(_path) if isinstance(k, str)), []).append(_path)
+
+
+class TestInstanceFields:
+    @pytest.mark.parametrize(
+        "inst",
+        [reference_instance(), micro_instance(), micro_instance(multi_shift=True)]
+        + [random_micro_instance(np.random.Generator(np.random.PCG64(seed)), with_emergency=bool(seed % 2),
+                                 multi_shift=bool(seed % 3 == 0)) for seed in range(6)],
+        ids=["reference", "micro", "micro_multi_shift"] + [f"random{seed}" for seed in range(6)],
+    )
+    def test_save_load_identity(self, inst, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_instance(inst, str(first))
+        assert load_instance(str(first)) == inst
+        save_instance(load_instance(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("field", sorted(_FIELDS))
+    def test_each_field_is_type_checked(self, field):
+        """Every scalar of the field, given each wrong JSON type in turn,
+        is rejected with an error that names the field."""
+        for path in _FIELDS[field]:
+            for bad in _wrong_types(_leaves_at(_WEEK, path)):
+                d = json.loads(json.dumps(_WEEK))
+                _leaves_at(d, path[:-1])[path[-1]] = bad
+                with pytest.raises(StructuralError, match=field):
+                    instance_from_dict(d)
+
+    @pytest.mark.parametrize("where", [(), ("jobs", 2), ("emergency",)], ids=["top", "job", "emergency"])
+    def test_unknown_key_rejected(self, where):
+        d = json.loads(json.dumps(_WEEK))
+        _leaves_at(d, where)["colour"] = "red"
+        with pytest.raises(StructuralError, match="unknown key.*colour"):
+            instance_from_dict(d)
+
+    def test_optional_keys_may_be_left_out(self):
+        d = instance_to_dict(micro_instance())
+        for job in d["jobs"]:
+            del job["name"], job["shift_hours"]
+        del d["multi_shift"], d["emergency"]
+        inst = instance_from_dict(d)
+        assert [j.name for j in inst.jobs] == [j.code for j in inst.jobs]
+        assert inst.emergency is None and not inst.multi_shift
+
+
 class TestValidateInstanceFile:
+    """:func:`load_instance` is the one judge of an instance file."""
+
     def test_clean_file(self, tmp_path):
         path = str(tmp_path / "ok.json")
         save_instance(micro_instance(), path)
-        assert validate_instance(path) == []
+        assert load_instance(path) == micro_instance()
 
     def test_missing_file(self, tmp_path):
-        problems = validate_instance(str(tmp_path / "absent.json"))
-        assert len(problems) == 1 and "cannot read" in problems[0]
+        with pytest.raises(StructuralError, match="cannot read"):
+            load_instance(str(tmp_path / "absent.json"))
+        with pytest.raises(StructuralError, match="cannot read"):
+            load_instance(str(tmp_path))
 
     def test_bad_json(self, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
             fh.write("{not json")
-        assert "not valid JSON" in validate_instance(path)[0]
+        with pytest.raises(StructuralError, match="not valid JSON"):
+            load_instance(path)
 
     def test_missing_keys_reported(self, tmp_path):
         path = str(tmp_path / "thin.json")
         with open(path, "w") as fh:
             json.dump({"format_version": 1, "jobs": []}, fh)
-        problems = validate_instance(path)
-        assert any("horizon_days" in p for p in problems)
-        assert any("salary_bounds" in p for p in problems)
+        with pytest.raises(StructuralError) as exc:
+            load_instance(path)
+        assert "horizon_days" in str(exc.value) and "salary_bounds" in str(exc.value)
 
     def test_semantic_errors_reported(self, tmp_path):
         d = instance_to_dict(micro_instance())
@@ -101,8 +186,8 @@ class TestValidateInstanceFile:
         path = str(tmp_path / "sem.json")
         with open(path, "w") as fh:
             json.dump(d, fh)
-        problems = validate_instance(path)
-        assert len(problems) == 1 and "invalid instance" in problems[0]
+        with pytest.raises(StructuralError, match="invalid instance"):
+            load_instance(path)
 
 
 class TestTensorCSV:
