@@ -7,27 +7,27 @@ cross-job cooperation.  Atoms compose with ``&`` (and), ``|`` (or), and
 ``!`` (not) into expression trees, either programmatically or through
 :func:`parse_constraint_string`.
 
-Each atom is implemented once, as a graded measure that returns two
-numbers: the violation (how far the staffing or roster misses the atom,
-0.0 exactly when it holds) and the slack (how far inside the feasible
-region it lies, for interior barrier penalties).  Every solver scores a
-whole generation with one call: :func:`headcount_kernel` compiles an
-expression for an instance over a (P, J) matrix of staffings, and
-:func:`roster_kernel` for a fixed staff over a (P, E, D, S) stack of
-rosters.  The public faces read that one measure as its single-row
-case, so the check and the magnitude cannot disagree:
-
-* :func:`violation_atom` and :func:`violation_expr` — the violation,
-* :func:`eval_atom` and :func:`eval_expr` — the yes/no check,
-  ``violation == 0.0``,
-* :func:`boundary_distance` — the slack.
+Each atom is measured as two numbers: the violation (how far the
+staffing or roster misses it, 0.0 exactly when it holds) and the slack
+(how far inside the feasible region it lies, for interior barrier
+penalties).  An expression is compiled once per run over a whole
+generation: :class:`HeadcountTable` over a (P, J) matrix of staffings,
+one table of window columns for every atom, and :func:`roster_kernel`
+for a fixed staff over a (P, E, D, S) stack of rosters.  The public
+faces read these as their single-row case, so the check and the
+magnitude cannot disagree: :func:`violation_atom` and
+:func:`violation_expr` give the violation, :func:`eval_atom` and
+:func:`eval_expr` the check ``violation == 0.0``, and
+:func:`boundary_distance` the slack.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,10 +128,7 @@ def conjunction(*codes: str | ConstraintKind) -> Expr:
     """Left-folded AND of the named atoms, e.g. ``conjunction("k1", "k5")``."""
     if not codes:
         raise ConfigurationError("conjunction needs at least one atom")
-    expr: Expr = atom(codes[0])
-    for code in codes[1:]:
-        expr = And(expr, atom(code))
-    return expr
+    return functools.reduce(And, map(atom, codes))
 
 
 def collect_atoms(expr: Expr) -> list[AtomicConstraint]:
@@ -168,27 +165,21 @@ _INF = float("inf")
 
 def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int]:
     """Indices of the named jobs; every job when no names are given."""
-    if codes is None:
-        return list(range(inst.n_jobs))
-    return [inst.job_index(code) for code in codes]
+    return list(range(inst.n_jobs)) if codes is None else [inst.job_index(code) for code in codes]
 
 
 # ---------------------------------------------------------------------------
 # the graded measure
 #
-# Each atom is compiled once per run into a function over a whole
-# generation, returning one violation and one slack per row: a (P, J)
-# matrix of staffings for the staffing solvers, a (P, E, D, S) stack of
-# rosters of one staff for roster search, with S = 4 slot bits per day,
-# or S = 1 day bits in single-shift mode, each standing for its four
-# slots.  The attended days are the day bits themselves, or any slot of
-# the day.  A roster's sums run over its own bits only, in the order one
-# roster's ``.sum()`` adds them, so its score never depends on the other
-# rosters scored with it and is the same for both values of S.  Per-job
-# sums read one slice of the employee axis per job: employees grouped
-# by job, each job's in their own order, which is the order and the
-# contiguous layout in which a boolean mask of the job's employees
-# copies its terms, so a float sum adds the same terms in the same order.
+# A roster stack is (P, E, D, S): S = 4 slot bits per day, or S = 1 day
+# bits in single-shift mode, each standing for its four slots.  The
+# attended days are the day bits themselves, or any slot of the day.  A
+# roster's sums run over its own bits only, in the order one roster's
+# ``.sum()`` adds them, so its score never depends on the other rosters
+# scored with it and is the same for both values of S.  Per-job sums
+# read one slice of the employee axis per job: employees grouped by job,
+# each job's in their own order, which is the order and the contiguous
+# layout in which a boolean mask of the job's employees copies its terms.
 # k3 takes a single-shift roster's slot hours from a table, row 2e + bit
 # for employee e, holding the products the four-slot stack would make.
 
@@ -222,51 +213,127 @@ def _windows_rows(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Rows:
     return row_sums(outside), slack.min(axis=1, initial=_INF)
 
 
-def _spare_rows(jobs: list[int], need: int, inst: ProblemInstance) -> Callable[[np.ndarray], _Rows]:
-    """At least ``need`` employees spare in ``jobs``: each job lends what
-    it holds above its own headcount floor (and never drops to zero)."""
-    floors = np.array([max(1, inst.jobs[j].headcount_min) for j in jobs], dtype=float)
-    # integer-valued totals: exact in any summation order
-    return lambda counts: _window_rows(np.maximum(counts[:, jobs] - floors, 0.0).sum(axis=1), need, _INF)
+class HeadcountTable:
+    """``expr`` compiled for an instance over (P, J) headcount matrices,
+    under full attendance.  k1, o1 and k6 are constants (never violated,
+    +inf slack); k2 counts the horizon's days for each unstaffed job
+    (+inf slack when none is, else 0.0).  Every other atom is windows on
+    columns of one (R, P) table, side by side: k3 reads each job's
+    ``(count * daily hours) * days``, y2 each job's count, k4 the wage
+    bill (``bill``, computed when not given), k5 the total headcount, y1
+    and o2 the spare staff.  One pass measures every window; an atom's
+    distances outside are added left to right (``accumulate``:
+    ``reduce`` may add in another order), its slack is their least."""
 
+    def __init__(self, expr: Expr, inst: ProblemInstance):
+        atoms, days = collect_atoms(expr), float(inst.horizon_days)
+        self._salary, self.reads_bill, self._blocks, self._unstaffed = salary_kernel(inst), False, [], []
+        spans, windows, at = [], [], {}
+        for c in (c for c in atoms if c not in at):
+            kind = c.kind
+            if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
+                raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
+            if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
+                # integer counts of days, exact in any summation order
+                at[c], jobs = -1 - len(self._unstaffed), _job_indices(c.jobs, inst)
+                self._unstaffed.append((slice(None) if c.jobs is None else jobs, np.full(len(jobs), days)))
+                continue
+            bounds: list = []
+            if kind is ConstraintKind.WORK_TIME_RANGE:
+                jobs = _job_indices(c.jobs, inst)
+                hours = np.array([inst.jobs[j].daily_hours for j in jobs], dtype=float).reshape(-1, 1)
+                bounds = [inst.work_time_bounds[j] for j in jobs]
+                block = lambda counts, bill, jobs=jobs, hours=hours: counts.T[jobs] * hours * days  # noqa: E731
+            elif kind is ConstraintKind.HEADCOUNT_RANGE:
+                jobs = _job_indices(c.jobs, inst)
+                bounds = [inst.headcount_bounds()[j] for j in jobs]
+                block = lambda counts, bill, jobs=jobs: counts.T[jobs]  # noqa: E731
+            elif kind is ConstraintKind.SALARY_RANGE:
+                self.reads_bill, bounds = True, [inst.salary_bounds]
+                block = lambda counts, bill: bill[None]  # noqa: E731
+            elif kind is ConstraintKind.STAFF_CAP:
+                bounds = [(-_INF, inst.max_total_staff)]
+                block = lambda counts, bill: counts.sum(axis=1)[None]  # noqa: E731
+            elif kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
+                # at least ``need`` spare: each job lends what it holds above its
+                # own headcount floor (never all): integers, exact in any order
+                jobs, need = _job_indices(c.jobs, inst), c.count or 1
+                if kind is ConstraintKind.EMERGENCY:
+                    if inst.emergency is None:
+                        raise ConfigurationError("instance has no emergency parameters (y1)")
+                    jobs, need = _job_indices(inst.emergency.jobs, inst), inst.emergency.alpha
+                floors = np.array([max(1, inst.jobs[j].headcount_min) for j in jobs], dtype=float)
+                bounds = [(need, _INF)]
+                block = lambda counts, bill, jobs=jobs, floors=floors: (  # noqa: E731
+                    np.maximum(counts[:, jobs] - floors, 0.0).sum(axis=1)[None])
+            elif kind not in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT, ConstraintKind.REST_CAP):
+                raise ConfigurationError(f"unknown constraint kind {kind!r}")
+            # k1, o1, k6 and windows on no job: never violated, +inf slack
+            at[c] = len(spans) if bounds else 0.0
+            spans += [(len(windows), len(windows) + len(bounds))] if bounds else []
+            self._blocks += [block] if bounds else []
+            windows += bounds
+        self._spans, self._starts = spans, [a for a, _ in spans]
+        self._lo, self._hi = np.array(windows, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
+        # the per-call list holds the window atoms' violations, then k2's
+        self._at = [x if isinstance(x, float) or x >= 0 else len(spans) - 1 - x for x in map(at.get, atoms)]
+        self._tree = _fold(expr, iter(self._at))
+        self._barrier = [x for x in self._at if not isinstance(x, float) and x < len(spans)]
 
-def _headcount_measure(c: AtomicConstraint, inst: ProblemInstance) -> Callable[[np.ndarray], _Rows]:
-    """One atom compiled for an instance: a function from a (P, J) matrix
-    of headcounts, under the full-attendance assumption, to each row's
-    (violation, slack).  The violation is 0.0 exactly when the atom
-    holds; the slack is the barrier's distance from the feasible
-    boundary."""
-    kind = c.kind
-    if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
-        raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT, ConstraintKind.REST_CAP):
-        # no duty slots or rest days without a roster: never violated, no geometry
-        return lambda counts: (np.zeros(len(counts)), np.full(len(counts), _INF))
-    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        subset, days = _job_indices(c.jobs, inst), inst.horizon_days
-        return lambda counts: _count_rows(days * (counts[:, subset] < 1).sum(axis=1))
-    if kind is ConstraintKind.WORK_TIME_RANGE:
-        subset, days = _job_indices(c.jobs, inst), inst.horizon_days
-        per_day = np.array([inst.jobs[j].daily_hours for j in subset])
-        lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
-        return lambda counts: _windows_rows(counts[:, subset] * per_day * days, lo, hi)
-    if kind is ConstraintKind.SALARY_RANGE:
-        (lo, hi), salary = inst.salary_bounds, salary_kernel(inst)
-        return lambda counts: _window_rows(salary(counts), lo, hi)
-    if kind is ConstraintKind.STAFF_CAP:
-        return lambda counts: _window_rows(counts.sum(axis=1), -_INF, inst.max_total_staff)
-    if kind is ConstraintKind.EMERGENCY:
-        spec = inst.emergency
-        if spec is None:
-            raise ConfigurationError("instance has no emergency parameters (y1)")
-        return _spare_rows(_job_indices(spec.jobs, inst), spec.alpha, inst)
-    if kind is ConstraintKind.HEADCOUNT_RANGE:
-        subset = _job_indices(c.jobs, inst)
-        lo, hi = np.array([inst.headcount_bounds()[j] for j in subset], dtype=float).reshape(-1, 2).T
-        return lambda counts: _windows_rows(counts[:, subset], lo, hi)
-    if kind is ConstraintKind.COOPERATION:
-        return _spare_rows(_job_indices(c.jobs, inst), c.count if c.count is not None else 1, inst)
-    raise ConfigurationError(f"unknown constraint kind {kind!r}")
+    def bill(self, counts: np.ndarray) -> np.ndarray | None:
+        """Each row's wage bill when k4 reads it, else None."""
+        return self._salary(counts) if self.reads_bill else None
+
+    def _measure(self, counts: np.ndarray, bill: np.ndarray | None) -> np.ndarray:
+        bill = self.bill(counts) if bill is None else bill
+        blocks = [block(counts, bill) for block in self._blocks] or [np.empty((0, len(counts)))]
+        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+
+    def _violations(self, counts: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each row's violation, and each distinct window's, then k2's."""
+        outside = np.maximum(np.maximum(self._lo - table, table - self._hi), 0.0)
+        found = [outside[a] if b == a + 1 else np.add.accumulate(outside[a:b], axis=0)[-1] for a, b in self._spans]
+        found += [(counts[:, jobs] < 1) @ days for jobs, days in self._unstaffed]
+        return (self._tree(found) if callable(self._tree) else np.full(len(counts), self._tree)), found
+
+    def _slacks(self, table: np.ndarray) -> np.ndarray:
+        slack = np.maximum(np.minimum(table - self._lo, self._hi - table), 0.0)
+        return np.minimum.reduceat(slack, self._starts, axis=0) if self._starts else slack
+
+    def violation(self, counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
+        """Each row's violation; 0.0 exactly when the expression holds."""
+        return self._violations(counts, self._measure(counts, bill))[0]
+
+    def barrier(self, counts: np.ndarray, bill: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """Each row's violation, whether it is outside (violated, or some
+        atom's slack, a violated k2's too, is 0.0 or less), and its sum of
+        ``1 / slack`` over the windows' finite positive slacks in atom order."""
+        table = self._measure(counts, bill)
+        violation, found = self._violations(counts, table)
+        least = self._slacks(table)[self._barrier]
+        outside = (violation > 0.0) | (least <= 0.0).any(axis=0)
+        for count in found[len(self._spans):]:
+            outside |= count > 0.0
+        # 1 / inf is the 0.0 that an infinite slack adds
+        terms = np.divide(1.0, least, out=np.zeros(least.shape), where=least > 0.0)
+        return violation, outside, np.add.accumulate(terms, axis=0)[-1] if len(terms) else np.zeros(len(counts))
+
+    def interior(self, counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
+        """The rows (of finite counts) strictly inside every window that staff
+        every job k2 names; every other row has an atom with slack 0.0 or less."""
+        table = self._measure(counts, bill)
+        inside = ((table > self._lo) & (table < self._hi)).all(axis=0)
+        for jobs, _ in self._unstaffed:
+            inside &= ~(counts[:, jobs] < 1).any(axis=1)
+        return inside
+
+    def kernel(self, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each row's violation and, per atom in :func:`collect_atoms` order, its slack."""
+        table = self._measure(counts, None)
+        violation, found = self._violations(counts, table)
+        least, inf = self._slacks(table), np.full(len(counts), _INF)
+        return violation, [inf if isinstance(x, float) else least[x] if x < len(least)
+                           else np.where(found[x] == 0.0, _INF, 0.0) for x in self._at]
 
 
 def _rest_rows(attended: np.ndarray, cap: int) -> _Rows:
@@ -353,35 +420,25 @@ def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarra
     # only each employee's own job channel is stored, so k1 cannot fail;
     # k5, y1, y2 and o2 judge the fixed staff's headcounts alone
     counts = np.bincount(staff, minlength=inst.n_jobs).astype(float)
-    violation, slack = _headcount_measure(c, inst)(counts[None, :])
+    violation, (slack,) = headcount_kernel(Atom(c), inst)(counts[None, :])
     return lambda slots: (np.repeat(violation, len(slots)), np.repeat(slack, len(slots)))
 
 
-def _measure(
-    c: AtomicConstraint,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> tuple[float, float]:
-    """(violation, slack) of one atom against a tensor, or against a
-    headcount vector under the full-attendance assumption when ``tensor``
-    is None: the single-row case of :func:`_roster_measure` or
-    :func:`_headcount_measure`."""
+def _measure(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
+             inst: ProblemInstance) -> tuple[float, float]:
+    """(violation, slack) of one atom on a tensor, or else on a headcount
+    vector: the single-row case of :func:`_roster_measure` or :func:`headcount_kernel`."""
     if tensor is not None:
         violation, slack = _roster_measure(c, inst, tensor.job_of_employee)(tensor.day_slots()[None])
     elif hc is None:
         raise ConfigurationError("need a headcount vector or a tensor")
     else:
-        violation, slack = _headcount_measure(c, inst)(headcount_rows(hc))
+        violation, (slack,) = headcount_kernel(Atom(c), inst)(headcount_rows(hc))
     return float(violation[0]), float(slack[0])
 
 
-def violation_atom(
-    c: AtomicConstraint,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> float:
+def violation_atom(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
+                   inst: ProblemInstance) -> float:
     """How badly the atom fails; 0.0 exactly when it holds.
 
     Counting atoms (k1, k2, k6, o1) report offending cells or days;
@@ -390,22 +447,14 @@ def violation_atom(
     return _measure(c, tensor, hc, inst)[0]
 
 
-def eval_atom(
-    c: AtomicConstraint,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> bool:
+def eval_atom(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
+              inst: ProblemInstance) -> bool:
     """Yes/no check of one atom: its violation is zero."""
     return violation_atom(c, tensor, hc, inst) == 0.0
 
 
-def boundary_distance(
-    c: AtomicConstraint,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> float:
+def boundary_distance(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
+                      inst: ProblemInstance) -> float:
     """Distance from the feasible boundary: positive strictly inside,
     0.0 on the boundary or outside.  Counting atoms report +inf when
     satisfied; the rest cap reports ``rest_cap`` minus the longest rest
@@ -418,20 +467,26 @@ def boundary_distance(
 # expression evaluation
 
 
-def _combine(expr: Expr, leaf: Callable[[AtomicConstraint], np.ndarray]) -> np.ndarray:
-    """The tree's violation from ``leaf(atom)``, each atom's violation
-    (an array or a float), asked for left to right as
-    :func:`collect_atoms` lists them: AND sums, OR takes the easiest
-    branch, NOT is an indicator (1.0 when the operand holds, else 0.0)."""
+def _fold(expr: Expr, leaves: Iterator) -> Callable[[Sequence], np.ndarray] | float:
+    """A tree's violation compiled over a list of its atoms' violations:
+    AND sums, OR takes the easiest branch, NOT is an indicator (1.0 when
+    the operand holds).  ``leaves`` gives each atom's place in the list,
+    in :func:`collect_atoms` order, or its constant violation, folded in
+    (a float when all are); AND drops a 0.0, as no violation is -0.0."""
     if isinstance(expr, Atom):
-        return leaf(expr.constraint)
-    if isinstance(expr, And):
-        return _combine(expr.left, leaf) + _combine(expr.right, leaf)
-    if isinstance(expr, Or):
-        return np.minimum(_combine(expr.left, leaf), _combine(expr.right, leaf))
+        at = next(leaves)
+        return at if isinstance(at, float) else lambda found: found[at]
     if isinstance(expr, Not):
-        return 1.0 - (_combine(expr.operand, leaf) > 0.0)
-    raise ConfigurationError(f"unknown expression node {type(expr).__name__}")
+        f = _fold(expr.operand, leaves)
+        return 1.0 - (f > 0.0) if isinstance(f, float) else lambda found: 1.0 - (f(found) > 0.0)
+    op = np.add if isinstance(expr, And) else np.minimum
+    f, g = _fold(expr.left, leaves), _fold(expr.right, leaves)
+    if isinstance(f, float) and isinstance(g, float):
+        return float(op(f, g))
+    if op is np.add and 0.0 in (f, g):
+        return g if f == 0.0 else f
+    f, g = (h if callable(h) else lambda found, h=h: h for h in (f, g))
+    return lambda found: op(f(found), g(found))
 
 
 _Kernel = Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]
@@ -439,26 +494,20 @@ _Kernel = Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]
 
 def _kernel(expr: Expr, measures: list[Callable[[np.ndarray], _Rows]]) -> _Kernel:
     """A function from a block of rows to each row's violation of
-    ``expr`` and, for each atom in :func:`collect_atoms` order (measured
-    by ``measures``, in that order), each row's slack.  Every atom is
-    measured once per call, for all rows at once."""
+    ``expr`` and, per atom in :func:`collect_atoms` order (measured by
+    ``measures``, in that order, once per call), each row's slack."""
+    tree = _fold(expr, iter(range(len(measures))))
 
     def kernel(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        pending, slacks = iter(measures), []
-
-        def leaf(c: AtomicConstraint) -> np.ndarray:
-            violation, slack = next(pending)(rows)
-            slacks.append(slack)
-            return violation
-
-        return _combine(expr, leaf), slacks
+        violations, slacks = zip(*[measure(rows) for measure in measures])
+        return tree(violations), list(slacks)
 
     return kernel
 
 
 def headcount_kernel(expr: Expr, inst: ProblemInstance) -> _Kernel:
     """``expr`` compiled for an instance, over a (P, J) headcount matrix."""
-    return _kernel(expr, [_headcount_measure(c, inst) for c in collect_atoms(expr)])
+    return HeadcountTable(expr, inst).kernel
 
 
 def roster_kernel(expr: Expr, inst: ProblemInstance, staff: np.ndarray) -> _Kernel:
@@ -471,28 +520,21 @@ def roster_kernel(expr: Expr, inst: ProblemInstance, staff: np.ndarray) -> _Kern
     return _kernel(expr, [_roster_measure(c, inst, staff) for c in collect_atoms(expr)])
 
 
-def violation_expr(
-    expr: Expr,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> float:
+def violation_expr(expr: Expr, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
+                   inst: ProblemInstance) -> float:
     """Aggregate violation: AND sums, OR takes the easiest branch, NOT is
     an indicator (1.0 when the operand holds, else 0.0).  This is the
     single-row case of :func:`roster_kernel` on a roster, and of
     :func:`headcount_kernel` on a headcount vector, one atom at a time."""
     if tensor is None:
-        return float(_combine(expr, lambda c: violation_atom(c, None, hc, inst)))
+        atoms = collect_atoms(expr)
+        return float(_fold(expr, iter(range(len(atoms))))([violation_atom(c, None, hc, inst) for c in atoms]))
     violation, _ = roster_kernel(expr, inst, tensor.job_of_employee)(tensor.day_slots()[None])
     return float(violation[0])
 
 
-def eval_expr(
-    expr: Expr,
-    tensor: AttendanceTensor | None,
-    hc: HeadcountVector | None,
-    inst: ProblemInstance,
-) -> bool:
+def eval_expr(expr: Expr, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
+              inst: ProblemInstance) -> bool:
     """Yes/no check of a whole expression: its violation is zero."""
     return violation_expr(expr, tensor, hc, inst) == 0.0
 
@@ -501,13 +543,8 @@ def eval_expr(
 # urgent-task arithmetic
 
 
-def apply_emergency(
-    hc: HeadcountVector,
-    t_total: float,
-    cost: float,
-    spec,
-    inst: ProblemInstance,
-) -> tuple[HeadcountVector, float, float]:
+def apply_emergency(hc: HeadcountVector, t_total: float, cost: float, spec,
+                    inst: ProblemInstance) -> tuple[HeadcountVector, float, float]:
     """Withdraw ``alpha`` employees for an urgent task and restate the
     working-time and wage totals.
 
@@ -538,75 +575,51 @@ _PRECEDENCE = {Or: 1, And: 2, Not: 3, Atom: 3}
 
 
 class _Parser:
-    """Recursive-descent parser for the constraint grammar:
+    """Recursive-descent parser for the constraint grammar
 
     expr  := term ('|' term)*
     term  := factor ('&' factor)*
     factor:= '!' factor | atom | '(' expr ')'
-    """
+
+    over tokens with their offsets: runs of word characters and single
+    other non-space characters, then an empty token at the end."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.text, self.pos = text, 0
+        self.tokens = [(m.group(), m.start()) for m in re.finditer(r"\w+|\S", text)] + [("", len(text))]
 
     def parse(self) -> Expr:
-        expr = self._or()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(
-                f"unexpected {self.text[self.pos]!r} after a complete expression",
-                offset=self.pos,
-            )
+        expr = self._joined("|")
+        token, offset = self.tokens[self.pos]
+        if token:
+            raise ParseError(f"unexpected {self.text[offset]!r} after a complete expression", offset=offset)
         return expr
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def _joined(self, op: str) -> Expr:
+        """Terms joined by '|', or factors by '&', grouped to the left."""
+        part = (lambda: self._joined("&")) if op == "|" else self._factor
+        expr = part()
+        while self.tokens[self.pos][0] == op:
             self.pos += 1
-
-    def _peek(self) -> Optional[str]:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def _or(self) -> Expr:
-        expr = self._and()
-        while self._peek() == "|":
-            self.pos += 1
-            expr = Or(expr, self._and())
-        return expr
-
-    def _and(self) -> Expr:
-        expr = self._factor()
-        while self._peek() == "&":
-            self.pos += 1
-            expr = And(expr, self._factor())
+            expr = (Or if op == "|" else And)(expr, part())
         return expr
 
     def _factor(self) -> Expr:
-        ch = self._peek()
-        if ch == "!":
-            self.pos += 1
+        token, offset = self.tokens[self.pos]
+        self.pos += 1
+        if token == "!":
             return Not(self._factor())
-        if ch == "(":
-            self.pos += 1
-            expr = self._or()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", offset=self.pos)
+        if token == "(":
+            expr = self._joined("|")
+            token, offset = self.tokens[self.pos]
+            if token != ")":
+                raise ParseError("expected ')'", offset=offset)
             self.pos += 1
             return expr
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        token = self.text[start : self.pos]
-        if not token:
-            raise ParseError("expected a constraint atom, '!', or '('", offset=start)
+        if not (token[:1].isalnum() or token[:1] == "_"):
+            raise ParseError("expected a constraint atom, '!', or '('", offset=offset)
         if token not in ATOM_CODES:
-            raise ParseError(f"unknown constraint atom {token!r}", offset=start)
+            raise ParseError(f"unknown constraint atom {token!r}", offset=offset)
         return Atom(AtomicConstraint(ConstraintKind(token)))
 
 
@@ -618,29 +631,16 @@ def parse_constraint_string(text: str) -> Expr:
 
 def format_expr(expr: Expr) -> str:
     """Canonical compact string; parsing it back yields the same tree."""
-
-    def fmt(node: Expr) -> str:
-        if isinstance(node, Atom):
-            if node.constraint.parameterized:
-                raise ConfigurationError(
-                    "parameterized atoms (job subsets / counts) have no string form"
-                )
-            return node.constraint.kind.value
-        if isinstance(node, Not):
-            inner = fmt(node.operand)
-            if isinstance(node.operand, (And, Or)):
-                return f"!({inner})"
-            return f"!{inner}"
-        if isinstance(node, (And, Or)):
-            op = "&" if isinstance(node, And) else "|"
-            mine = _PRECEDENCE[type(node)]
-            left = fmt(node.left)
-            if _PRECEDENCE[type(node.left)] < mine:
-                left = f"({left})"
-            right = fmt(node.right)
-            if _PRECEDENCE[type(node.right)] <= mine:
-                right = f"({right})"
-            return f"{left}{op}{right}"
-        raise ConfigurationError(f"unknown expression node {type(node).__name__}")
-
-    return fmt(expr)
+    if isinstance(expr, Atom):
+        if expr.constraint.parameterized:
+            raise ConfigurationError("parameterized atoms (job subsets / counts) have no string form")
+        return expr.constraint.kind.value
+    if isinstance(expr, Not):
+        inner = format_expr(expr.operand)
+        return f"!({inner})" if isinstance(expr.operand, (And, Or)) else f"!{inner}"
+    if not isinstance(expr, (And, Or)):
+        raise ConfigurationError(f"unknown expression node {type(expr).__name__}")
+    mine, left, right = _PRECEDENCE[type(expr)], format_expr(expr.left), format_expr(expr.right)
+    left = f"({left})" if _PRECEDENCE[type(expr.left)] < mine else left
+    right = f"({right})" if _PRECEDENCE[type(expr.right)] <= mine else right
+    return f"{left}{'&' if isinstance(expr, And) else '|'}{right}"

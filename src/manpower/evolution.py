@@ -42,6 +42,7 @@ from .breeding import _selector, breed
 # perfbench's tracer patches boundary_distance, violation_expr, evaluate_bundle, tensor_salary here
 from .constraints import (
     Expr,
+    HeadcountTable,
     boundary_distance,
     collect_atoms,
     headcount_kernel,
@@ -223,68 +224,63 @@ _Scores = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 class _Scorer:
     """One run's score of candidates, lower penalized fitness being
-    better: kernels compiled once over a block of candidates for the
-    objectives (the (P, M) min-oriented values) and for the constraint
-    expression (violation and per-atom slacks), and the penalty.  Every
-    solver prices its candidates here.
-
-    :meth:`rows` scores a block at once; :meth:`score` is its single-row
-    case for a staffing's counts tuple, and remembers the last
-    :data:`SCORE_CACHE_SIZE` distinct staffings.
+    better, from a function compiled once that scores a whole block of
+    them (:meth:`rows`); every solver prices its candidates here.
+    :meth:`score` is its single-row case for a staffing's counts tuple,
+    and remembers the last :data:`SCORE_CACHE_SIZE` distinct staffings.
     """
 
-    def __init__(self, objectives: Callable, constraints: Callable, penalty: PenaltyConfig):
-        self._kernels = (objectives, constraints, penalty)
-        # memoized over the kernels, not over ``self``, which would make a
+    def __init__(self, rows: Callable[[np.ndarray], _Scores], objectives: Callable | None = None,
+                 interior: Callable | None = None):
+        self.rows, self._objectives, self.interior = rows, objectives, interior
+        # memoized over ``rows``, not over ``self``, which would make a
         # reference cycle that only the cyclic collector frees
-        self.score = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(
-            functools.partial(_score_one, *self._kernels))
+        self.score = functools.lru_cache(maxsize=SCORE_CACHE_SIZE)(functools.partial(_score_one, rows))
 
     @classmethod
     def staffings(cls, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
                   penalty: PenaltyConfig) -> "_Scorer":
-        """The scorer of (P, J) headcount matrices.  Its objective kernel
-        remembers custom objective values, so every ``Objective.func``
-        must be a pure function."""
-        return cls(objective_kernel(bundle, inst), headcount_kernel(expr, inst), penalty)
+        """The scorer of (P, J) headcount matrices through one
+        :class:`~manpower.constraints.HeadcountTable`, whose strict-interior
+        mask is :attr:`interior`.  Its objective kernel remembers custom
+        objective values, so every ``Objective.func`` must be pure."""
+        objectives, table = objective_kernel(bundle, inst), HeadcountTable(expr, inst)
+        return cls(functools.partial(_staffing_rows, objectives, table, penalty), objectives, table.interior)
 
     def objective(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's objective, the sum of the bundle's min-oriented
         values, and the (P, M) values it sums."""
-        values = self._kernels[0](counts)
+        values = self._objectives(counts)
         return row_sums(values), values
 
-    def rows(self, block: np.ndarray) -> _Scores:
-        """(penalized fitness, objective, violation, objective values)
-        of each row of a block."""
-        return _score_rows(*self._kernels, block)
 
-
-def _score_rows(objectives: Callable, constraints: Callable, penalty: PenaltyConfig,
-                block: np.ndarray) -> _Scores:
-    values = objectives(block)
+def _staffing_rows(objectives: Callable, table: HeadcountTable, penalty: PenaltyConfig,
+                   counts: np.ndarray) -> _Scores:
+    # the objective and k4 share one wage bill; the external penalty reads
+    # no slack, the barrier (+inf unless strictly inside) only the windows'
+    bill = table.bill(counts)
+    values = objectives(counts, bill)
     objective = row_sums(values)
-    violation, slacks = constraints(block)
-    if penalty.method == "external":
-        # float_power is the C library's pow, as Python's ``**``;
-        # ``violation**2`` on an array may round the last bit otherwise
-        return (objective + penalty.coefficient * np.float_power(violation, 2.0),
-                objective, violation, values)
-    # interior barrier: +inf unless strictly inside every atom
-    outside = violation > 0.0
-    barrier = np.zeros(len(block))
-    for slack in slacks:
-        outside |= slack <= 0.0
-        barrier += np.divide(1.0, slack, out=np.zeros(len(block)),
-                             where=np.isfinite(slack) & (slack > 0.0))
-    penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
-    return penalized, objective, violation, values
+    if penalty.method == "internal":
+        violation, outside, barrier = table.barrier(counts, bill)
+        penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
+        return penalized, objective, violation, values
+    return _external(objective, table.violation(counts, bill), values, penalty)
 
 
-def _score_one(objectives: Callable, constraints: Callable, penalty: PenaltyConfig,
-               counts: tuple[int, ...]) -> _Score:
-    penalized, objective, violation, values = _score_rows(
-        objectives, constraints, penalty, np.array([counts], dtype=float))
+def _roster_rows(salary: Callable, constraints: Callable, penalty: PenaltyConfig, slots: np.ndarray) -> _Scores:
+    values = salary(slots)[:, None]
+    return _external(row_sums(values), constraints(slots)[0], values, penalty)
+
+
+def _external(objective: np.ndarray, violation: np.ndarray, values: np.ndarray, penalty: PenaltyConfig) -> _Scores:
+    # float_power is the C library's pow, as Python's ``**``;
+    # ``violation**2`` on an array may round the last bit otherwise
+    return objective + penalty.coefficient * np.float_power(violation, 2.0), objective, violation, values
+
+
+def _score_one(rows: Callable[[np.ndarray], _Scores], counts: tuple[int, ...]) -> _Score:
+    penalized, objective, violation, values = rows(np.array([counts], dtype=float))
     return float(penalized[0]), float(objective[0]), float(violation[0]), tuple(values[0].tolist())
 
 
@@ -501,7 +497,7 @@ def run_ea(
     def score_rows(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return scorer.rows(_decode_rows(genes, cfg.encoding, box))[:3]
 
-    genes = _initial_population(rng, inst, expr, cfg, score_rows)
+    genes = _initial_population(rng, inst, expr, cfg, scorer)
     tracker = _evolve(rng, genes, score_rows, cfg, box if cfg.encoding == "ri" else None)
     return _result(SolveResult, tracker, cfg.seed, lambda row: decode(Genome(cfg.encoding, row, bounds)))
 
@@ -511,7 +507,7 @@ def _initial_population(
     inst: ProblemInstance,
     expr: Expr,
     cfg: EAConfig,
-    score_rows: _ScoreRows,
+    scorer: _Scorer,
 ) -> np.ndarray:
     box = _box(inst.headcount_bounds())
     size = cfg.population_size
@@ -526,7 +522,10 @@ def _initial_population(
         before = rng.bit_generator.state
         block = _random_genes(rng, min(rows, cap - drawn), box, cfg.encoding)
         drawn, rows = drawn + len(block), 2 * rows
-        inside = np.isfinite(score_rows(block)[0])
+        # a row outside the strict interior scores +inf, so only the rest are scored
+        counts = _decode_rows(block, cfg.encoding, box)
+        inside = scorer.interior(counts)
+        inside[inside] = np.isfinite(scorer.rows(counts[inside])[0])
         kept = np.flatnonzero(inside)[:need]
         population.append(block[kept])
         need -= len(kept)
@@ -600,8 +599,8 @@ def solve_assignment(
     per_day = SLOTS_PER_DAY if inst.multi_shift else 1
     per_emp = inst.horizon_days * per_day
     n_bits = n_emp * per_emp
-    salary = roster_salary_kernel(inst, jobs_map, inst.multi_shift)
-    scorer = _Scorer(lambda slots: salary(slots)[:, None], roster_kernel(expr, inst, jobs_map), cfg.penalty)
+    scorer = _Scorer(functools.partial(_roster_rows, roster_salary_kernel(inst, jobs_map, inst.multi_shift),
+                                       roster_kernel(expr, inst, jobs_map), cfg.penalty))
 
     def build(bits: np.ndarray) -> AttendanceTensor:
         grid = bits.reshape(n_emp, per_emp)

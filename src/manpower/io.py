@@ -243,6 +243,16 @@ def write_tensor_csv(tensor: AttendanceTensor, inst: ProblemInstance, path: str)
     atomic_write(path, tensor_to_csv(tensor, inst))
 
 
+def _csv_count(reader: csv.DictReader, row: dict, field: str, top: int | None = None) -> int:
+    """``row[field]`` as a count (at most ``top``), else a
+    :class:`StructuralError` naming the line and the field."""
+    text = (row[field] or "").strip()
+    if not text.isdecimal() or (top is not None and int(text) > top):
+        raise StructuralError(f"line {reader.line_num}: {field} must be "
+                              f"{'0 or 1' if top == 1 else 'a count'}, got {row[field]!r}")
+    return int(text)
+
+
 def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
     shift_index = {name: i for i, name in enumerate(SHIFT_NAMES)}
     cells: dict[tuple[int, int], int] = {}
@@ -254,8 +264,7 @@ def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise StructuralError(f"attendance CSV needs columns {sorted(required)}")
         for row in reader:
-            e = int(row["employee"])
-            day = int(row["day"])
+            e, day = _csv_count(reader, row, "employee"), _csv_count(reader, row, "day")
             shift = row["shift"].strip()
             if shift not in shift_index:
                 raise StructuralError(f"unknown shift {shift!r}")
@@ -263,7 +272,7 @@ def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
             if jobs_map.setdefault(e, j) != j:
                 raise StructuralError(f"employee {e} appears under two jobs")
             slot = day * SLOTS_PER_DAY + shift_index[shift]
-            cells[(e, slot)] = int(row["attend"])
+            cells[(e, slot)] = _csv_count(reader, row, "attend", 1)
             days = max(days, day + 1)
     if not jobs_map:
         raise StructuralError("attendance CSV has no rows")
@@ -272,7 +281,7 @@ def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
         raise StructuralError("employee indices must be contiguous from 0")
     slots = np.zeros((n_emp, days * SLOTS_PER_DAY), dtype=np.uint8)
     for (e, slot), bit in cells.items():
-        slots[e, slot] = 1 if bit else 0
+        slots[e, slot] = bit
     job_of_employee = np.array([jobs_map[e] for e in range(n_emp)], dtype=np.int64)
     return AttendanceTensor.from_slot_attendance(slots, job_of_employee, inst.n_jobs)
 
@@ -345,13 +354,19 @@ def write_table_csv(table: ScheduleTable, path: str) -> None:
 def read_table_csv(path: str, members: Iterable[str] | None = None) -> ScheduleTable:
     rows: list[tuple[int, int, str]] = []
     jobs_seen: set[str] = set()
+    held: set[tuple[int, str]] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"day", "slot", "job", "employee"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise StructuralError(f"table CSV needs columns {sorted(required)}")
         for row in reader:
-            rows.append((int(row["day"]), int(row["slot"]), row["employee"].strip()))
+            day, slot = _csv_count(reader, row, "day"), _csv_count(reader, row, "slot")
+            member = row["employee"].strip()
+            if (day, member) in held:
+                raise StructuralError(f"line {reader.line_num}: employee {member!r} twice on day {day}")
+            held.add((day, member))
+            rows.append((day, slot, member))
             job = (row["job"] or "").strip()
             if job:
                 jobs_seen.add(job)

@@ -55,24 +55,21 @@ from .objectives import ObjectiveBundle, evaluate_bundle
 
 
 def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
-    """``D[i, j]`` is True when member ``i`` constraint-dominates member ``j``."""
+    """``D[i, j]`` is True when member ``i`` constraint-dominates member
+    ``j``.  Violations are 0.0 or more, so less violation winning covers
+    feasible beating infeasible; feasible pairs compare objectives "never
+    worse, somewhere better" (not "<= everywhere", so a coordinate that
+    compares neither way is ignored, as in the loop), a column at a time."""
     v = violations
-    feasible, infeasible = v == 0.0, v > 0.0
-    wins_on_feasibility = feasible[:, None] & infeasible[None, :]
-    loses_on_feasibility = infeasible[:, None] & feasible[None, :]
-    both_infeasible = infeasible[:, None] & infeasible[None, :]
-    pareto_decides = ~(wins_on_feasibility | loses_on_feasibility | both_infeasible)
-    # "never worse, somewhere better" rather than "<= everywhere", so a
-    # coordinate that compares neither way is ignored, as in the loop;
-    # built one objective column at a time, as two N x N planes
-    never_worse = np.ones((len(v), len(v)), dtype=bool)
-    better = np.zeros((len(v), len(v)), dtype=bool)
-    for c in objectives.T:
+    dom = v[:, None] < v[None, :]
+    feasible = np.flatnonzero(v == 0.0)
+    never_worse = np.ones((len(feasible), len(feasible)), dtype=bool)
+    better = np.zeros_like(never_worse)
+    for c in objectives[feasible].T:
         never_worse &= ~(c[:, None] > c[None, :])
         better |= c[:, None] < c[None, :]
-    return (wins_on_feasibility
-            | (both_infeasible & (v[:, None] < v[None, :]))
-            | (pareto_decides & never_worse & better))
+    dom[np.ix_(feasible, feasible)] = never_worse & better
+    return dom
 
 
 def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
@@ -93,6 +90,8 @@ def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
     viol = np.zeros(len(objs)) if violations is None else np.asarray(violations, dtype=float)
     if viol.shape != (len(objs),):
         raise StructuralError(f"{len(objs)} members but violations of shape {viol.shape}")
+    if not (viol >= 0.0).all():
+        raise StructuralError(f"violations must be 0.0 or more, got {viol[~(viol >= 0.0)][0]}")
     return [front.tolist() for front, _ in _peel(_domination_matrix(objs, viol))]
 
 
@@ -239,15 +238,16 @@ class ParetoArchive:
         held = self._objectives if len(self) else np.empty((0, new.shape[1]))
         if held.shape[1] != new.shape[1]:
             raise StructuralError(f"objective arity mismatch: {held.shape[1]} vs {new.shape[1]}")
-        below = _weakly_below(new, new)  # below[i, k]: row i <= row k
-        dominates = below & ~below.T
-        refused = (_weakly_below(held, new).any(axis=0)
-                   | np.triu(below, 1).any(axis=0)
-                   | np.tril(dominates, -1).any(axis=0))
-        admitted = np.flatnonzero(~refused)
+        # a row that a held entry is <= is refused, and refuses or evicts
+        # nothing another entry does not: whatever it is <= that entry is too
+        held_below = _weakly_below(held, new)
+        rows = np.flatnonzero(~held_below.any(axis=0))
+        below = _weakly_below(new[rows], new[rows])  # below[i, k]: row i <= row k
+        earlier = np.tri(len(rows), k=-1, dtype=bool).T  # earlier[i, k]: row i comes before row k
+        admitted = rows[~(below & (earlier | ~below.T)).any(axis=0)]
         if not admitted.size:
             return 0
-        stays = ~(_weakly_below(new, held) & ~_weakly_below(held, new).T).any(axis=0)
+        stays = ~(_weakly_below(new[rows], held) & ~held_below[:, rows].T).any(axis=0)
         held_counts = self._counts if len(self) else np.empty((0, counts.shape[1]), dtype=np.int64)
         self._counts = np.vstack([held_counts[stays], counts[fresh][admitted]])
         self._objectives = np.vstack([held[stays], new[admitted]])
@@ -259,9 +259,8 @@ class ParetoArchive:
         return self._objectives
 
     def entries(self) -> tuple[ArchiveEntry, ...]:
-        made = [ArchiveEntry(HeadcountVector(c), tuple(o))
-                for c, o in zip(self._counts.tolist(), self._objectives.tolist())]
-        return tuple(sorted(made, key=lambda e: e.objectives))  # ties in insertion order
+        """The entries sorted by objectives, ties in insertion order."""
+        return _unpack_archive(_pack_archive(self))
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -331,13 +330,17 @@ def _sweep(pts: np.ndarray, ref: tuple[float, float]) -> float:
 # search
 
 
-def _pack_archive(entries: Sequence[ArchiveEntry]) -> tuple[np.ndarray, np.ndarray]:
+def _pack_archive(archive: Sequence[ArchiveEntry] | ParetoArchive) -> tuple[np.ndarray, np.ndarray]:
+    # MOEAResult.archive is given as entries or as the run's archive;
     # int64 first, so an empty archive stays integer; then the narrowest
     # unsigned type that holds the largest count (counts are nonnegative)
-    counts = np.array([e.counts.counts for e in entries], dtype=np.int64)
-    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
-    objectives = np.array([e.objectives for e in entries], dtype=float)
-    return counts, objectives
+    if isinstance(archive, ParetoArchive):
+        order = np.lexsort(archive.objectives.T[::-1]) if len(archive) else slice(None)  # as entries() sorts
+        counts, objectives = archive._counts[order], archive.objectives[order]
+    else:
+        counts = np.array([e.counts.counts for e in archive], dtype=np.int64)
+        objectives = np.array([e.objectives for e in archive], dtype=float)
+    return counts.astype(np.min_scalar_type(counts.max(initial=0))), objectives
 
 
 def _unpack_archive(arrays: tuple[np.ndarray, np.ndarray]) -> tuple[ArchiveEntry, ...]:
@@ -405,7 +408,7 @@ def run_moea(
         tracker.mark(gen, float(len(archive)), best=hv)
 
     return MOEAResult(
-        archive=archive.entries(),
+        archive=archive,
         trace=tracker.trace(),
         evaluations=tracker.evaluations,
         seed=cfg.seed,

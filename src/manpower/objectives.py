@@ -101,8 +101,8 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right from 0 as Python's ``sum``
     adds (``@`` and ``.sum()`` may add in another order); the final
     ``+ 0.0`` turns a lone -0.0 into 0.0, as ``0 + x`` does."""
-    if values.shape[1] == 0:
-        return np.zeros(values.shape[0])
+    if values.shape[1] < 2:
+        return values[:, 0] + 0.0 if values.shape[1] else np.zeros(values.shape[0])
     return np.add.accumulate(values, axis=1)[:, -1] + 0.0
 
 
@@ -170,16 +170,16 @@ def total_time_headcount(hc: HeadcountVector, inst: ProblemInstance) -> float:
 # evaluation
 
 
-def _headcount_column(o: Objective, inst: ProblemInstance) -> _Rows:
-    """One objective's raw values over a (P, J) headcount matrix.  A
-    custom objective is called on each staffing not among the last
-    :data:`SCORE_CACHE_SIZE` distinct ones it was called on, so its
-    ``func`` must be a pure function."""
+def _headcount_column(o: Objective, inst: ProblemInstance, salary: _Rows) -> _Rows:
+    """One objective's raw values over a (P, J) headcount matrix; the
+    salary objectives are ``salary``.  A custom objective is called on
+    each staffing not among the last :data:`SCORE_CACHE_SIZE` distinct
+    ones it was called on, so its ``func`` must be a pure function."""
     if o.kind is ObjectiveKind.TOTAL_TIME:
         return hours_kernel(inst)
     if o.kind in (ObjectiveKind.TOTAL_SALARY, ObjectiveKind.MULTISHIFT_SALARY):
         # full attendance makes slot pay equal day-rate pay
-        return salary_kernel(inst)
+        return salary
     if o.kind is ObjectiveKind.HEADCOUNT_SUBSET:
         jobs = list(o.job_indices)
         return lambda counts: row_sums(counts[:, jobs])
@@ -188,20 +188,23 @@ def _headcount_column(o: Objective, inst: ProblemInstance) -> _Rows:
     return lambda counts: np.array([value(tuple(key)) for key in counts.astype(np.int64).tolist()])
 
 
-def objective_kernel(bundle: ObjectiveBundle, inst: ProblemInstance) -> _Rows:
+def objective_kernel(bundle: ObjectiveBundle, inst: ProblemInstance) -> Callable[..., np.ndarray]:
     """``bundle`` compiled for an instance: a function from a (P, J)
-    headcount matrix to the (P, M) signed values of every objective for
-    each row.  A custom objective is evaluated row by row, and
-    remembered per compiled kernel.  A NaN or infinite value raises
-    :class:`ConfigurationError` naming the objective and the first row
-    holding one: no solver can rank it, and it would read as a mere
-    infeasible result."""
-    columns = [(_headcount_column(o, inst), o.direction is Direction.MAXIMIZE) for o in bundle]
+    headcount matrix, and optionally each row's wage bill
+    (:func:`salary_kernel`, computed when not given), to the (P, M)
+    signed values of every objective for each row.  A custom objective
+    is evaluated row by row, and remembered per compiled kernel.  A NaN
+    or infinite value raises :class:`ConfigurationError` naming the
+    objective and the first row holding one: no solver can rank it, and
+    it would read as a mere infeasible result."""
+    salary = salary_kernel(inst)
+    columns = [(_headcount_column(o, inst, salary), o.direction is Direction.MAXIMIZE) for o in bundle]
 
-    def kernel(counts: np.ndarray) -> np.ndarray:
+    def kernel(counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
         values = np.empty((len(counts), len(columns)))
         for m, (column, maximize) in enumerate(columns):
-            values[:, m] = -column(counts) if maximize else column(counts)
+            value = bill if column is salary and bill is not None else column(counts)
+            values[:, m] = -value if maximize else value
         if not np.isfinite(values).all():
             row, m = np.argwhere(~np.isfinite(values))[0]
             raise ConfigurationError(

@@ -3,6 +3,7 @@ determinism, and roster search on enumerable cases."""
 
 import dataclasses
 import gc
+import math
 import pickle
 
 import numpy as np
@@ -48,9 +49,10 @@ from manpower import (
     violation_expr,
 )
 from manpower import breeding, evolution, moea
-from manpower.constraints import headcount_kernel
+from manpower.constraints import HeadcountTable, headcount_kernel
 from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _decode_rows, _random_genes, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
+from test_golden import fractional_week
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
 TRADE_OFF = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),
@@ -277,6 +279,66 @@ class TestScorerAgainstLoopOracle:
         assert want[0] == x**2 and want[2] == x
         got = _Scorer.staffings(SALARY, atom("k4"), inst, penalty).score(zero.counts)
         assert _bits(got[:3]) == _bits(want[:3])
+
+
+@st.composite
+def interior_cases(draw):
+    """A random micro instance of 2-13 jobs or the fractional week, a
+    left-folded AND of y1, y2 and o2 among up to five more atoms (job
+    subsets and counts, in any order), a bundle, and rows of counts from
+    0 to each job's headcount_max + 1."""
+    if draw(st.booleans(), label="fractional week"):
+        inst = fractional_week()
+    else:
+        seed = draw(st.integers(0, 2**32 - 1), label="instance seed")
+        inst = random_micro_instance(np.random.Generator(np.random.PCG64(seed)),
+                                     n_jobs=draw(st.sampled_from([2, 3, 9, 13]), label="jobs"),
+                                     with_emergency=True)
+    subsets = st.none() | st.lists(st.sampled_from([job.code for job in inst.jobs]), max_size=3)
+    kinds = [k for k in ConstraintKind if k is not ConstraintKind.MULTI_SHIFT]
+    atoms = st.builds(AtomicConstraint, st.sampled_from(kinds), subsets, st.none() | st.integers(1, 3))
+    named = [AtomicConstraint(ConstraintKind(code), draw(subsets, label=f"{code} jobs")) for code in ("y1", "y2", "o2")]
+    chosen = draw(st.permutations(named + draw(st.lists(atoms, max_size=5), label="more atoms")), label="order")
+    tree = Atom(chosen[0])
+    for c in chosen[1:]:
+        tree = And(tree, Atom(c))
+    row = st.tuples(*[st.integers(0, job.headcount_max + 1) for job in inst.jobs])
+    return inst, tree, draw(st.sampled_from([SALARY, TRADE_OFF]), label="bundle"), draw(
+        st.lists(row, min_size=1, max_size=12), label="rows")
+
+
+class TestHeadcountTable:
+    """The paths of one compiled :class:`HeadcountTable` against the
+    full kernel, the loop scorer and one another."""
+
+    @PROPERTY
+    @given(interior_cases())
+    def test_interior_is_where_the_barrier_is_finite(self, case):
+        inst, tree, bundle, rows = case
+        penalty = PenaltyConfig(method="internal", barrier_coefficient=0.25)
+        scorer = _Scorer.staffings(bundle, tree, inst, penalty)
+        counts = np.array(rows, dtype=float)
+        want = [math.isfinite(oracle.score(bundle, tree, inst, penalty, HeadcountVector(r))[0]) for r in rows]
+        assert scorer.interior(counts).tolist() == np.isfinite(scorer.rows(counts)[0]).tolist() == want
+
+    @PROPERTY
+    @given(scoring_cases())
+    def test_rows_outside_the_interior_score_inf(self, case):
+        # on any tree: the barrier sampler scores only the rows inside
+        inst, tree, bundle, _, rows = case
+        scorer = _Scorer.staffings(bundle, tree, inst, PenaltyConfig(method="internal"))
+        counts = np.array(rows, dtype=float)
+        penalized = scorer.rows(counts)[0]
+        assert np.isinf(penalized[~scorer.interior(counts)]).all()
+
+    @PROPERTY
+    @given(scoring_cases())
+    def test_external_violation_is_the_kernels(self, case):
+        inst, tree, bundle, _, rows = case
+        counts = np.array(rows, dtype=float)
+        want, _ = headcount_kernel(tree, inst)(counts)
+        assert _bits(HeadcountTable(tree, inst).violation(counts)) == _bits(want)
+        assert _bits(_Scorer.staffings(bundle, tree, inst, PenaltyConfig()).rows(counts)[2]) == _bits(want)
 
 
 class TestTrackerRecordsBlocksLikeAssess:

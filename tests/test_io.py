@@ -241,6 +241,21 @@ class TestTensorCSV:
             read_tensor_csv(path, inst)
 
 
+    @pytest.mark.parametrize("row,field", [
+        ("0,0,MOR,a,7", "attend"),      # loaded as attended before
+        ("0,0,MOR,a,-1", "attend"),
+        ("0,0,MOR,a,yes", "attend"),
+        ("0,-1,MID,a,1", "day"),        # wrote the last slot of the last day before
+        ("-1,0,MOR,a,1", "employee"),
+        ("0,x,MOR,a,1", "day"),
+    ])
+    def test_bad_fields_name_the_line_and_field(self, row, field, tmp_path):
+        path = str(tmp_path / "bad.csv")
+        atomic_write(path, f"employee,day,shift,job,attend\n0,0,AFT,a,1\n{row}\n")
+        with pytest.raises(StructuralError, match=f"line 3: {field} must be"):
+            read_tensor_csv(path, micro_instance())
+
+
 class TestTableCSV:
     def test_round_trip(self, tmp_path):
         table = generate_table(("ann", "bob", "cid"), days=4, per_day=2, seed=3)
@@ -273,6 +288,24 @@ class TestTableCSV:
         atomic_write(path, "day,slot,job,employee\n0,0,a,x\n1,0,b,x\n")
         with pytest.raises(StructuralError, match="mixes job codes"):
             read_table_csv(path)
+
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0,,ann\n-1,0,,bob\n", "line 3: day must be"),
+        ("0,0,,ann\n0,-1,,bob\n", "line 3: slot must be"),
+        ("0,0,,ann\n0,1,,ann\n", "line 3: employee 'ann' twice on day 0"),   # loaded as ('ann', 'ann') before
+        ("0,0,,ann\n1,0,,bob\n1,1,,bob\n", "line 4: employee 'bob' twice on day 1"),
+    ])
+    def test_bad_rows_name_the_line(self, rows, message, tmp_path):
+        path = str(tmp_path / "bad.csv")
+        atomic_write(path, "day,slot,job,employee\n" + rows)
+        with pytest.raises(StructuralError, match=message):
+            read_table_csv(path)
+
+    def test_a_member_may_return_on_another_day(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        atomic_write(path, "day,slot,job,employee\n0,0,,ann\n0,1,,bob\n1,0,,ann\n")
+        assert read_table_csv(path).picks == (("ann", "bob"), ("ann",))
 
 
 class TestAtomicWrite:

@@ -85,6 +85,12 @@ class TestDominance:
 
 
 class TestSorting:
+    @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, float("nan")])
+    def test_negative_or_nan_violations_rejected(self, bad):
+        # the domination matrix lets less violation decide feasibility too
+        with pytest.raises(StructuralError, match="violations must be 0.0 or more"):
+            non_dominated_sort([(1.0, 2.0), (2.0, 1.0)], [0.0, bad])
+
     def test_known_layers(self):
         pts = [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (3.0, 0.5), (2.0, 3.0)]
         fronts = non_dominated_sort(pts)
