@@ -26,6 +26,7 @@ from .evolution import (
     PenaltyConfig,
     SolveResult,
     _box,
+    _mean,
     _result,
     _Scorer,
     _Tracker,
@@ -164,7 +165,7 @@ def pso_step(
     r2 = rng.random(x.shape)
     v = w * v + cfg.cognitive * r1 * (p_best - x) + cfg.social * r2 * (g_best - x)
     if cfg.v_max is not None:
-        v = np.clip(v, -cfg.v_max, cfg.v_max)
+        v = np.minimum(np.maximum(v, -cfg.v_max), cfg.v_max)  # np.clip's values, sooner
     return x + v, v
 
 
@@ -198,7 +199,7 @@ def pso_solve(
     gbest = pbest[g].copy()
     gbest_score = float(pbest_scores[g])
 
-    tracker.mark(0, float(np.mean(scores)))
+    tracker.mark(0, _mean(scores))
     w_start, w_end = cfg.inertia
     step_cfg = cfg if cfg.v_max is not None else replace(cfg, v_max=float(span.max()))
     for it in range(1, cfg.iterations + 1):
@@ -214,7 +215,7 @@ def pso_solve(
         if float(pbest_scores[g]) < gbest_score:
             gbest_score = float(pbest_scores[g])
             gbest = pbest[g].copy()
-        tracker.mark(it, float(np.mean(scores)))
+        tracker.mark(it, _mean(scores))
     return _result(SolveResult, tracker, cfg.seed, HeadcountVector)
 
 

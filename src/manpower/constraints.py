@@ -13,12 +13,11 @@ staffing or roster misses it, 0.0 exactly when it holds) and the slack
 penalties).  An expression is compiled once per run over a whole
 generation: :class:`HeadcountTable` over a (P, J) matrix of staffings,
 one table of window columns for every atom, and :func:`roster_kernel`
-for a fixed staff over a (P, E, D, S) stack of rosters.  The public
-faces read these as their single-row case, so the check and the
-magnitude cannot disagree: :func:`violation_atom` and
-:func:`violation_expr` give the violation, :func:`eval_atom` and
-:func:`eval_expr` the check ``violation == 0.0``, and
-:func:`boundary_distance` the slack.
+over a (P, E, D, S) stack of rosters of a fixed staff.  The public faces
+read these as their single-row case, so the check and the magnitude
+cannot disagree: :func:`violation_atom` and :func:`violation_expr` give
+the violation, :func:`eval_atom` and :func:`eval_expr` the check
+``violation == 0.0``, and :func:`boundary_distance` the slack.
 """
 
 from __future__ import annotations
@@ -161,6 +160,8 @@ def is_conjunction(expr: Expr) -> bool:
 # shared lookups
 
 _INF = float("inf")
+_PER_JOB = (ConstraintKind.EVERY_JOB_OCCUPIED, ConstraintKind.WORK_TIME_RANGE,
+            ConstraintKind.HEADCOUNT_RANGE, ConstraintKind.COOPERATION)
 
 
 def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int]:
@@ -216,40 +217,41 @@ def _windows_rows(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Rows:
 class HeadcountTable:
     """``expr`` compiled for an instance over (P, J) headcount matrices,
     under full attendance.  k1, o1 and k6 are constants (never violated,
-    +inf slack); k2 counts the horizon's days for each unstaffed job
-    (+inf slack when none is, else 0.0).  Every other atom is windows on
-    columns of one (R, P) table, side by side: k3 reads each job's
-    ``(count * daily hours) * days``, y2 each job's count, k4 the wage
-    bill (``bill``, computed when not given), k5 the total headcount, y1
-    and o2 the spare staff.  One pass measures every window; an atom's
-    distances outside are added left to right (``accumulate``:
-    ``reduce`` may add in another order), its slack is their least."""
+    +inf slack); k2 counts the horizon's days for each unstaffed job (+inf
+    slack when none is, else 0.0).  Every other atom is windows on columns
+    of one (R, P) table, side by side: k3 reads each job's ``(count *
+    daily hours) * days``, y2 each job's count, k4 the wage bill (``bill``,
+    computed when not given), k5 the total headcount, y1 and o2 the spare
+    staff.  One pass measures every window; an atom's distances outside are
+    added left to right (``reduce`` may not), its slack is their least."""
 
     def __init__(self, expr: Expr, inst: ProblemInstance):
         atoms, days = collect_atoms(expr), float(inst.horizon_days)
-        self._salary, self.reads_bill, self._blocks, self._unstaffed = salary_kernel(inst), False, [], []
+        self._salary, self._blocks, self._unstaffed = None, [], []
         spans, windows, at = [], [], {}
         for c in (c for c in atoms if c not in at):
             kind = c.kind
             if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
                 raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
+            # the jobs k2, k3, y2 and o2 read; all of them as a view
+            jobs = _job_indices(c.jobs if kind in _PER_JOB else None, inst)
+            picked = jobs if c.jobs is not None and kind in _PER_JOB else slice(None)
             if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
                 # integer counts of days, exact in any summation order
-                at[c], jobs = -1 - len(self._unstaffed), _job_indices(c.jobs, inst)
-                self._unstaffed.append((slice(None) if c.jobs is None else jobs, np.full(len(jobs), days)))
+                at[c] = -1 - len(self._unstaffed)
+                self._unstaffed.append((picked, np.full(len(jobs), days)))
                 continue
-            bounds: list = []
+            bounds: list = []  # a block is (columns, P): np.concatenate copies k3's and y2's views
             if kind is ConstraintKind.WORK_TIME_RANGE:
-                jobs = _job_indices(c.jobs, inst)
-                hours = np.array([inst.jobs[j].daily_hours for j in jobs], dtype=float).reshape(-1, 1)
+                hours = np.array([inst.jobs[j].daily_hours for j in jobs], dtype=float)
                 bounds = [inst.work_time_bounds[j] for j in jobs]
-                block = lambda counts, bill, jobs=jobs, hours=hours: counts.T[jobs] * hours * days  # noqa: E731
+                block = lambda counts, bill, picked=picked, hours=hours: (  # noqa: E731
+                    counts[:, picked] * hours * days).T
             elif kind is ConstraintKind.HEADCOUNT_RANGE:
-                jobs = _job_indices(c.jobs, inst)
-                bounds = [inst.headcount_bounds()[j] for j in jobs]
-                block = lambda counts, bill, jobs=jobs: counts.T[jobs]  # noqa: E731
+                bounds = [(inst.jobs[j].headcount_min, inst.jobs[j].headcount_max) for j in jobs]
+                block = lambda counts, bill, picked=picked: counts[:, picked].T  # noqa: E731
             elif kind is ConstraintKind.SALARY_RANGE:
-                self.reads_bill, bounds = True, [inst.salary_bounds]
+                self._salary, bounds = salary_kernel(inst), [inst.salary_bounds]
                 block = lambda counts, bill: bill[None]  # noqa: E731
             elif kind is ConstraintKind.STAFF_CAP:
                 bounds = [(-_INF, inst.max_total_staff)]
@@ -257,7 +259,7 @@ class HeadcountTable:
             elif kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
                 # at least ``need`` spare: each job lends what it holds above its
                 # own headcount floor (never all): integers, exact in any order
-                jobs, need = _job_indices(c.jobs, inst), c.count or 1
+                need = c.count or 1
                 if kind is ConstraintKind.EMERGENCY:
                     if inst.emergency is None:
                         raise ConfigurationError("instance has no emergency parameters (y1)")
@@ -273,16 +275,17 @@ class HeadcountTable:
             spans += [(len(windows), len(windows) + len(bounds))] if bounds else []
             self._blocks += [block] if bounds else []
             windows += bounds
-        self._spans, self._starts = spans, [a for a, _ in spans]
+        self._spans, self._starts = spans, [a for a, _ in spans] if len(windows) > len(spans) else []
         self._lo, self._hi = np.array(windows, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
         # the per-call list holds the window atoms' violations, then k2's
         self._at = [x if isinstance(x, float) or x >= 0 else len(spans) - 1 - x for x in map(at.get, atoms)]
         self._tree = _fold(expr, iter(self._at))
-        self._barrier = [x for x in self._at if not isinstance(x, float) and x < len(spans)]
+        rows = [x for x in self._at if not isinstance(x, float) and x < len(spans)]
+        self._barrier = slice(None) if rows == list(range(len(spans))) else rows
 
     def bill(self, counts: np.ndarray) -> np.ndarray | None:
         """Each row's wage bill when k4 reads it, else None."""
-        return self._salary(counts) if self.reads_bill else None
+        return None if self._salary is None else self._salary(counts)
 
     def _measure(self, counts: np.ndarray, bill: np.ndarray | None) -> np.ndarray:
         bill = self.bill(counts) if bill is None else bill
@@ -291,13 +294,13 @@ class HeadcountTable:
 
     def _violations(self, counts: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Each row's violation, and each distinct window's, then k2's."""
-        outside = np.maximum(np.maximum(self._lo - table, table - self._hi), 0.0)
+        outside = np.maximum(np.maximum(self._lo - table, table - self._hi), 0.0) if self._spans else table
         found = [outside[a] if b == a + 1 else np.add.accumulate(outside[a:b], axis=0)[-1] for a, b in self._spans]
         found += [(counts[:, jobs] < 1) @ days for jobs, days in self._unstaffed]
         return (self._tree(found) if callable(self._tree) else np.full(len(counts), self._tree)), found
 
-    def _slacks(self, table: np.ndarray) -> np.ndarray:
-        slack = np.maximum(np.minimum(table - self._lo, self._hi - table), 0.0)
+    def _slacks(self, table: np.ndarray) -> np.ndarray:  # reduceat only for a window of 2+ columns
+        slack = np.maximum(np.minimum(table - self._lo, self._hi - table), 0.0) if self._spans else table
         return np.minimum.reduceat(slack, self._starts, axis=0) if self._starts else slack
 
     def violation(self, counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
@@ -439,11 +442,9 @@ def _measure(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: Headcount
 
 def violation_atom(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
                    inst: ProblemInstance) -> float:
-    """How badly the atom fails; 0.0 exactly when it holds.
-
-    Counting atoms (k1, k2, k6, o1) report offending cells or days;
-    window atoms report the summed distance outside each window.
-    """
+    """How badly the atom fails; 0.0 exactly when it holds.  Counting atoms
+    (k1, k2, k6, o1) report offending cells or days; window atoms report
+    the summed distance outside each window."""
     return _measure(c, tensor, hc, inst)[0]
 
 
@@ -455,11 +456,10 @@ def eval_atom(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: Headcoun
 
 def boundary_distance(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
                       inst: ProblemInstance) -> float:
-    """Distance from the feasible boundary: positive strictly inside,
-    0.0 on the boundary or outside.  Counting atoms report +inf when
-    satisfied; the rest cap reports ``rest_cap`` minus the longest rest
-    run on a roster, and +inf on a headcount vector, which has no rest
-    days."""
+    """Distance from the feasible boundary: positive strictly inside, 0.0
+    on the boundary or outside.  Counting atoms report +inf when satisfied;
+    the rest cap reports ``rest_cap`` minus the longest rest run on a
+    roster, and +inf on a headcount vector, which has no rest days."""
     return _measure(c, tensor, hc, inst)[1]
 
 
@@ -468,11 +468,10 @@ def boundary_distance(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: 
 
 
 def _fold(expr: Expr, leaves: Iterator) -> Callable[[Sequence], np.ndarray] | float:
-    """A tree's violation compiled over a list of its atoms' violations:
-    AND sums, OR takes the easiest branch, NOT is an indicator (1.0 when
-    the operand holds).  ``leaves`` gives each atom's place in the list,
-    in :func:`collect_atoms` order, or its constant violation, folded in
-    (a float when all are); AND drops a 0.0, as no violation is -0.0."""
+    """A tree's violation compiled over a list of its atoms' violations: AND
+    sums, OR takes the easiest branch, NOT is an indicator (1.0 when the
+    operand holds).  ``leaves`` gives each atom's place in the list, or its
+    constant violation, folded in (a float when all are); AND drops a 0.0."""
     if isinstance(expr, Atom):
         at = next(leaves)
         return at if isinstance(at, float) else lambda found: found[at]
@@ -493,9 +492,8 @@ _Kernel = Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]
 
 
 def _kernel(expr: Expr, measures: list[Callable[[np.ndarray], _Rows]]) -> _Kernel:
-    """A function from a block of rows to each row's violation of
-    ``expr`` and, per atom in :func:`collect_atoms` order (measured by
-    ``measures``, in that order, once per call), each row's slack."""
+    """A function from a block of rows to each row's violation of ``expr``
+    and, per atom in :func:`collect_atoms` order, its slack (``measures``)."""
     tree = _fold(expr, iter(range(len(measures))))
 
     def kernel(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -505,8 +503,10 @@ def _kernel(expr: Expr, measures: list[Callable[[np.ndarray], _Rows]]) -> _Kerne
     return kernel
 
 
+@functools.lru_cache(maxsize=64)
 def headcount_kernel(expr: Expr, inst: ProblemInstance) -> _Kernel:
-    """``expr`` compiled for an instance, over a (P, J) headcount matrix."""
+    """``expr`` compiled for an instance, over a (P, J) headcount matrix;
+    the last 64 compiled are kept, for the one-staffing faces above."""
     return HeadcountTable(expr, inst).kernel
 
 

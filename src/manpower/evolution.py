@@ -418,13 +418,12 @@ class _Tracker:
 
         Only each kept quantity's first best member of the block can
         change what is kept, so just those members are noted, in order.
+        When a member is feasible, the least violating members are the
+        feasible ones, so the best feasible one is among those noted.
         """
         self.evaluations += len(penalized)
-        feasible = violation == 0.0
         least = violation == violation.min()
         firsts = {int(penalized.argmin()), int(np.where(least, objective, np.inf).argmin())}
-        if feasible.any():
-            firsts.add(int(np.where(feasible, objective, np.inf).argmin()))
         for i in sorted(firsts):
             self._note(individuals[i], float(penalized[i]), float(objective[i]), float(violation[i]))
         return penalized
@@ -453,6 +452,11 @@ class _Tracker:
         return RunTrace(tuple(self._points))
 
 
+def _mean(scores: np.ndarray) -> float:
+    """``np.mean`` of a block's scores (the same sum and division), without its overhead."""
+    return float(np.add.reduce(scores) / len(scores))
+
+
 # (P, n) genes -> (penalized, objective, violation), one entry per row
 _ScoreRows = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -466,13 +470,13 @@ def _evolve(
 ) -> _Tracker:
     tracker = _Tracker()
     scores = tracker.record(genes, *score_rows(genes))
-    tracker.mark(0, float(np.mean(scores)))
+    tracker.mark(0, _mean(scores))
     for gen in range(1, cfg.generations + 1):
         # elitism: carry the best penalized genome forward untouched
         elite = genes[:0] if tracker.best_genome is None else tracker.best_genome[None]
         genes = breed(rng, genes, _selector(scores, cfg), cfg, elite, ri_box)
         scores = tracker.record(genes, *score_rows(genes))
-        tracker.mark(gen, float(np.mean(scores)))
+        tracker.mark(gen, _mean(scores))
     return tracker
 
 
