@@ -222,8 +222,9 @@ class HeadcountTable:
     of one (R, P) table, side by side: k3 reads each job's ``(count *
     daily hours) * days``, y2 each job's count, k4 the wage bill (``bill``,
     computed when not given), k5 the total headcount, y1 and o2 the spare
-    staff.  One pass measures every window; an atom's distances outside are
-    added left to right (``reduce`` may not), its slack is their least."""
+    staff (integer totals, exact in any summation order).  One pass measures
+    every window; an atom's distances outside are added left to right
+    (``reduce`` may not), its slack is their least."""
 
     def __init__(self, expr: Expr, inst: ProblemInstance):
         atoms, days = collect_atoms(expr), float(inst.horizon_days)
@@ -237,7 +238,6 @@ class HeadcountTable:
             jobs = _job_indices(c.jobs if kind in _PER_JOB else None, inst)
             picked = jobs if c.jobs is not None and kind in _PER_JOB else slice(None)
             if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-                # integer counts of days, exact in any summation order
                 at[c] = -1 - len(self._unstaffed)
                 self._unstaffed.append((picked, np.full(len(jobs), days)))
                 continue
@@ -255,10 +255,10 @@ class HeadcountTable:
                 block = lambda counts, bill: bill[None]  # noqa: E731
             elif kind is ConstraintKind.STAFF_CAP:
                 bounds = [(-_INF, inst.max_total_staff)]
-                block = lambda counts, bill: counts.sum(axis=1)[None]  # noqa: E731
+                block = lambda counts, bill, ones=np.ones(inst.n_jobs): (counts @ ones)[None]  # noqa: E731
             elif kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
                 # at least ``need`` spare: each job lends what it holds above its
-                # own headcount floor (never all): integers, exact in any order
+                # own headcount floor (never all)
                 need = c.count or 1
                 if kind is ConstraintKind.EMERGENCY:
                     if inst.emergency is None:
@@ -266,8 +266,8 @@ class HeadcountTable:
                     jobs, need = _job_indices(inst.emergency.jobs, inst), inst.emergency.alpha
                 floors = np.array([max(1, inst.jobs[j].headcount_min) for j in jobs], dtype=float)
                 bounds = [(need, _INF)]
-                block = lambda counts, bill, jobs=jobs, floors=floors: (  # noqa: E731
-                    np.maximum(counts[:, jobs] - floors, 0.0).sum(axis=1)[None])
+                block = lambda counts, bill, jobs=jobs, floors=floors, ones=np.ones(len(jobs)): (  # noqa: E731
+                    np.maximum(counts[:, jobs] - floors, 0.0) @ ones)[None]
             elif kind not in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT, ConstraintKind.REST_CAP):
                 raise ConfigurationError(f"unknown constraint kind {kind!r}")
             # k1, o1, k6 and windows on no job: never violated, +inf slack
@@ -299,7 +299,7 @@ class HeadcountTable:
         found += [(counts[:, jobs] < 1) @ days for jobs, days in self._unstaffed]
         return (self._tree(found) if callable(self._tree) else np.full(len(counts), self._tree)), found
 
-    def _slacks(self, table: np.ndarray) -> np.ndarray:  # reduceat only for a window of 2+ columns
+    def _slacks(self, table: np.ndarray) -> np.ndarray:
         slack = np.maximum(np.minimum(table - self._lo, self._hi - table), 0.0) if self._spans else table
         return np.minimum.reduceat(slack, self._starts, axis=0) if self._starts else slack
 
@@ -326,8 +326,8 @@ class HeadcountTable:
         every job k2 names; every other row has an atom with slack 0.0 or less."""
         table = self._measure(counts, bill)
         inside = ((table > self._lo) & (table < self._hi)).all(axis=0)
-        for jobs, _ in self._unstaffed:
-            inside &= ~(counts[:, jobs] < 1).any(axis=1)
+        for jobs, days in self._unstaffed:
+            inside &= (counts[:, jobs] < 1) @ days == 0.0
         return inside
 
     def kernel(self, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -470,8 +470,8 @@ def boundary_distance(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: 
 def _fold(expr: Expr, leaves: Iterator) -> Callable[[Sequence], np.ndarray] | float:
     """A tree's violation compiled over a list of its atoms' violations: AND
     sums, OR takes the easiest branch, NOT is an indicator (1.0 when the
-    operand holds).  ``leaves`` gives each atom's place in the list, or its
-    constant violation, folded in (a float when all are); AND drops a 0.0."""
+    operand holds).  ``leaves`` gives each atom's place in the list or its
+    constant violation, folded in (a float if all are); AND drops a 0.0, as no violation is -0.0."""
     if isinstance(expr, Atom):
         at = next(leaves)
         return at if isinstance(at, float) else lambda found: found[at]
