@@ -13,10 +13,11 @@ fixed staff.
 
 Candidates are scored a whole generation at a time: :class:`_Scorer`
 compiles a run's objectives and constraint expression once into array
-kernels, over a (P, J) matrix of headcounts for staffings (the
-generational loops decode their population into it with one array
-operation) or over a (P, E, D, S) stack of rosters of one staff (S = 1
-day bit in single-shift mode, else the four slots).
+kernels, over a (P, J) matrix of headcounts for staffings (one
+:class:`~manpower.constraints.HeadcountTable`, sharing its wage bill
+with the objective; the generational loops decode their population into
+it with one array operation) or over a (P, E, D, S) stack of rosters of
+one staff (S = 1 day bit in single-shift mode, else the four slots).
 Solvers that move one staffing at a time (annealing, the exact search)
 use the single-row case behind a small memo.
 

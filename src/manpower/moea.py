@@ -74,8 +74,9 @@ def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.nda
 
 def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
     """Row indices of the (N, M) ``objectives`` split into fronts; front 0
-    is non-dominated.  ``violations`` holds each row's total violation
-    (default: every row feasible).
+    is non-dominated.  ``violations`` holds each row's total violation,
+    0.0 or more (default: every row feasible); a negative or NaN one
+    raises :class:`StructuralError`.
 
     Front 0 lists its members by index.  A later member is listed by the
     position of its last dominator in the previous front, then by index:
