@@ -255,6 +255,7 @@ def _csv_count(reader: csv.DictReader, row: dict, field: str, top: int | None = 
 
 def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
     shift_index = {name: i for i, name in enumerate(SHIFT_NAMES)}
+    job_index = {job.code: j for j, job in enumerate(inst.jobs)}
     cells: dict[tuple[int, int], int] = {}
     jobs_map: dict[int, int] = {}
     days = 0
@@ -265,10 +266,12 @@ def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
             raise StructuralError(f"attendance CSV needs columns {sorted(required)}")
         for row in reader:
             e, day = _csv_count(reader, row, "employee"), _csv_count(reader, row, "day")
-            shift = row["shift"].strip()
+            shift = (row["shift"] or "").strip()  # a short row leaves the fields past its end None
             if shift not in shift_index:
-                raise StructuralError(f"unknown shift {shift!r}")
-            j = inst.job_index(row["job"].strip())
+                raise StructuralError(f"line {reader.line_num}: shift must be a shift name, got {row['shift']!r}")
+            j = job_index.get((row["job"] or "").strip())
+            if j is None:
+                raise StructuralError(f"line {reader.line_num}: job must be a job code, got {row['job']!r}")
             if jobs_map.setdefault(e, j) != j:
                 raise StructuralError(f"employee {e} appears under two jobs")
             slot = day * SLOTS_PER_DAY + shift_index[shift]
@@ -362,6 +365,8 @@ def read_table_csv(path: str, members: Iterable[str] | None = None) -> ScheduleT
             raise StructuralError(f"table CSV needs columns {sorted(required)}")
         for row in reader:
             day, slot = _csv_count(reader, row, "day"), _csv_count(reader, row, "slot")
+            if row["employee"] is None:  # a short row
+                raise StructuralError(f"line {reader.line_num}: employee must be a name, got None")
             member = row["employee"].strip()
             if (day, member) in held:
                 raise StructuralError(f"line {reader.line_num}: employee {member!r} twice on day {day}")

@@ -4,16 +4,16 @@ Individuals are ranked by constraint-domination (Deb 2000): feasible
 beats infeasible, less violation beats more, and among feasible
 candidates ordinary Pareto dominance on the (min-oriented) objective
 vector decides.  A population is an (N, M) objective array with a
-violation vector; :func:`non_dominated_sort` compares every pair at once
-in one N x N domination matrix, built one objective column at a time
-as two boolean planes, and peels the NSGA-II fronts (Deb et al. 2002)
-from it.  An external archive, a counts matrix beside an objective
-matrix with entries built on read, accumulates every feasible
-non-dominated headcount vector ever seen, so its hypervolume can only
-grow.  It takes each generation's feasible rows as one block and admits
-and evicts them with a few matrix comparisons, ending as if they were
-offered one by one.  Two-objective hypervolume
-is one array sweep over the archive's objective array.  The
+violation vector; :func:`non_dominated_sort` peels the NSGA-II fronts
+(Deb et al. 2002) of one or two objectives from one lexicographic sort
+(Jensen 2003), and of three or more from one N x N domination matrix.
+An external archive, a counts matrix beside an objective matrix with
+entries built on read, accumulates every feasible non-dominated
+headcount vector ever seen, so its hypervolume can only grow.  It takes
+each generation's feasible rows as one block and admits and evicts them
+with a few matrix comparisons, ending as if they were offered one by
+one.  Two-objective hypervolume is one array sweep over the archive's
+objective array.  The
 pairwise-loop versions are the reference in ``tests/oracle.py``.  The
 population is one gene matrix, decoded into one headcount matrix and
 scored with one call of the scorer of :mod:`~manpower.evolution`, and
@@ -54,29 +54,20 @@ from .evolution import (
 from .objectives import ObjectiveBundle, evaluate_bundle
 
 
-def _domination_matrix(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
-    """``D[i, j]`` is True when member ``i`` constraint-dominates member
-    ``j``.  Violations are 0.0 or more, so less violation winning covers
-    feasible beating infeasible; feasible pairs compare objectives "never
-    worse, somewhere better" (not "<= everywhere", so a coordinate that
-    compares neither way is ignored, as in the loop), a column at a time."""
-    v = violations
-    dom = v[:, None] < v[None, :]
-    feasible = np.flatnonzero(v == 0.0)
-    never_worse = np.ones((len(feasible), len(feasible)), dtype=bool)
-    better = np.zeros_like(never_worse)
-    for c in objectives[feasible].T:
-        never_worse &= ~(c[:, None] > c[None, :])
-        better |= c[:, None] < c[None, :]
-    dom[np.ix_(feasible, feasible)] = never_worse & better
-    return dom
+def _below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``L[i, j]``: some column of row ``a[i]`` is below row ``b[j]``.  Pareto
+    dominance is ``L[i, j] & ~L[j, i]``, better somewhere, worse nowhere."""
+    below = np.zeros((len(a), len(b)), dtype=bool)
+    for x, y in zip(a.T, b.T):
+        below |= x[:, None] < y[None, :]
+    return below
 
 
 def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
     """Row indices of the (N, M) ``objectives`` split into fronts; front 0
     is non-dominated.  ``violations`` holds each row's total violation,
-    0.0 or more (default: every row feasible); a negative or NaN one
-    raises :class:`StructuralError`.
+    0.0 or more (default: every row feasible); a negative or NaN one, or
+    a NaN objective, raises :class:`StructuralError`.
 
     Front 0 lists its members by index.  A later member is listed by the
     position of its last dominator in the previous front, then by index:
@@ -88,19 +79,73 @@ def non_dominated_sort(objectives, violations=None) -> list[list[int]]:
         return []
     if objs.ndim != 2:
         raise StructuralError(f"objectives must be one row per member, got shape {objs.shape}")
+    if np.isnan(objs).any():
+        raise StructuralError(f"objectives must not be NaN, got row {int(np.isnan(objs).any(axis=1).argmax())}")
     viol = np.zeros(len(objs)) if violations is None else np.asarray(violations, dtype=float)
     if viol.shape != (len(objs),):
         raise StructuralError(f"{len(objs)} members but violations of shape {viol.shape}")
     if not (viol >= 0.0).all():
         raise StructuralError(f"violations must be 0.0 or more, got {viol[~(viol >= 0.0)][0]}")
-    return [front.tolist() for front, _ in _peel(_domination_matrix(objs, viol))]
+    return [front.tolist() for front, _ in _peel(objs, viol)]
 
 
-def _peel(dom: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the fronts of the members that the N x N domination matrix
-    ``dom`` compares, in :func:`non_dominated_sort`'s member order, each
+def _peel(objectives: np.ndarray, violations: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the fronts of the (N, M) ``objectives`` under the
+    ``violations``, in :func:`non_dominated_sort`'s member order, each
     with the position of each member's last dominator in the previous
-    front (0 in front 0).  A front is peeled only when it is asked for."""
+    front (0 in front 0).  A front is peeled only when it is asked for.
+
+    One or two objectives (one serves as both columns) are swept in one
+    lexicographic sort of the feasible members, a run of equal vectors
+    at a time: a run joins the current front when its second objective
+    is below that of every earlier run left, and the first run left
+    always joins, even at +inf.  A later front is ordered by the last
+    dominators that the small block between it and the previous front
+    shows, then by index.  The infeasible members follow, one front per
+    violation level, by index.  Other arities use :func:`_matrix_peel`.
+    """
+    if objectives.shape[1] not in (1, 2):
+        yield from _matrix_peel(objectives, violations)
+        return
+    feasible = np.flatnonzero(violations == 0.0)
+    x, y = objectives[feasible, 0], objectives[feasible, -1]
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    run = np.ones(len(order), dtype=bool)  # the first member of a run of equal vectors
+    run[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    run_of = np.empty(len(order), dtype=np.intp)  # each feasible member's run
+    run_of[order] = np.cumsum(run) - 1
+    left, low = np.arange(np.count_nonzero(run)), y[run]  # the runs not yet placed, and their y
+    prev = feasible[:0]
+    while left.size:
+        joins = np.append(True, low[1:] < np.minimum.accumulate(low[:-1]))
+        placed = np.zeros(len(run_of), dtype=bool)  # by run; there are no more runs than members
+        placed[left[joins]] = True
+        front = feasible[placed[run_of]]
+        left, low = left[~joins], low[~joins]
+        last = np.zeros(len(front), dtype=np.intp)
+        if prev.size:
+            a, b = objectives[prev], objectives[front]
+            dom = _below(a, b) & ~_below(b, a).T
+            last = len(prev) - 1 - np.argmax(dom[::-1], axis=0)
+            by_last = np.argsort(last, kind="stable")
+            front, last = front[by_last], last[by_last]
+        yield front, last
+        prev = front
+    levels = np.argsort(violations, kind="stable")[len(feasible):]  # the infeasible members
+    if levels.size:
+        v = violations[levels]
+        for front in np.split(levels, np.flatnonzero(v[1:] != v[:-1]) + 1):
+            yield front, np.full(len(front), max(len(prev) - 1, 0), dtype=np.intp)
+            prev = front
+
+
+def _matrix_peel(objectives: np.ndarray, violations: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_peel` by the N x N domination matrix: less violation wins,
+    which covers feasible over infeasible, then feasible pairs' dominance."""
+    below = _below(objectives, objectives)
+    feasible = violations == 0.0
+    dom = (violations[:, None] < violations) | (below & ~below.T & feasible & feasible[:, None])
     count = dom.sum(axis=0)  # dominators not yet placed in a front
     front = np.flatnonzero(count == 0)
     last = np.zeros(len(front), dtype=np.intp)
@@ -123,7 +168,7 @@ def _survivors(objectives: np.ndarray, violations: np.ndarray,
     kept from the cut are listed by the position of their last dominator
     in the previous front, then by their place among the kept."""
     keep, crowd, room = [], [], size
-    for front, last in _peel(_domination_matrix(objectives, violations)):
+    for front, last in _peel(objectives, violations):
         dist = crowding(objectives[front])
         if len(front) > room:
             chosen = np.argsort(-dist, kind="stable")[:room]
@@ -155,8 +200,8 @@ def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
         if hi > lo:
-            # a boundary point of an earlier objective stays +inf
-            dist[order[1:-1]] += (objs[order[2:], m] - objs[order[:-2], m]) / (hi - lo)
+            # a boundary point of an earlier objective stays +inf, and a gap of inf / inf counts 0
+            dist[order[1:-1]] += np.fmax((objs[order[2:], m] - objs[order[:-2], m]) / (hi - lo), 0.0)
     return dist
 
 

@@ -456,7 +456,8 @@ def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
                 i = order[pos]
                 if np.isinf(dist[i]):
                     continue
-                dist[i] += (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
+                gap = (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
+                dist[i] += 0.0 if np.isnan(gap) else gap  # inf / inf, across an infinite span
     return dist
 
 

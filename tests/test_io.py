@@ -248,6 +248,10 @@ class TestTensorCSV:
         ("0,-1,MID,a,1", "day"),        # wrote the last slot of the last day before
         ("-1,0,MOR,a,1", "employee"),
         ("0,x,MOR,a,1", "day"),
+        ("0,0,MOR,zz,1", "job"),        # KeyError before
+        ("0,0", "shift"),               # AttributeError before: a short row's missing fields are None
+        ("0,0,MOR", "job"),
+        ("0,0,NOON,a,1", "shift"),
     ])
     def test_bad_fields_name_the_line_and_field(self, row, field, tmp_path):
         path = str(tmp_path / "bad.csv")
@@ -295,6 +299,7 @@ class TestTableCSV:
         ("0,0,,ann\n0,-1,,bob\n", "line 3: slot must be"),
         ("0,0,,ann\n0,1,,ann\n", "line 3: employee 'ann' twice on day 0"),   # loaded as ('ann', 'ann') before
         ("0,0,,ann\n1,0,,bob\n1,1,,bob\n", "line 4: employee 'bob' twice on day 1"),
+        ("0,0,,ann\n0,1\n", "line 3: employee must be"),   # AttributeError before
     ])
     def test_bad_rows_name_the_line(self, rows, message, tmp_path):
         path = str(tmp_path / "bad.csv")

@@ -33,6 +33,7 @@ from manpower.instances import micro_instance, random_micro_instance
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 GRID = st.integers(0, 4).map(float)  # a coarse grid, so ties and duplicates are common
+INFINITE = st.sampled_from([-np.inf, np.inf])
 VIOLATION = st.one_of(st.just(0.0), st.integers(1, 3).map(float))  # equal violations too
 INTEGER_TYPES = st.sampled_from([np.int32, np.uint8, np.int64])
 
@@ -91,6 +92,15 @@ class TestSorting:
         with pytest.raises(StructuralError, match="violations must be 0.0 or more"):
             non_dominated_sort([(1.0, 2.0), (2.0, 1.0)], [0.0, bad])
 
+    @pytest.mark.parametrize("rows", [
+        [(0.0, np.inf), (1.0, np.inf), (np.nan, 0.0)],  # ranked [[2], [0], [1]] before
+        [(np.nan,), (1.0,)],
+        [(1.0, 2.0, 3.0), (0.0, np.nan, 1.0)],
+    ])
+    def test_nan_objectives_rejected(self, rows):
+        with pytest.raises(StructuralError, match="objectives must not be NaN"):
+            non_dominated_sort(rows)
+
     def test_known_layers(self):
         pts = [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (3.0, 0.5), (2.0, 3.0)]
         fronts = non_dominated_sort(pts)
@@ -124,15 +134,23 @@ class TestAgainstLoopOracle:
     @PROPERTY
     @given(st.data())
     def test_fronts_and_member_order(self, data):
+        """Also with -inf and +inf coordinates, and with no feasible
+        member; the sweep of one or two objectives gives the matrix
+        peel's last dominators too."""
         m = data.draw(st.integers(1, 3), label="objectives")
-        rows = data.draw(st.lists(st.tuples(*[GRID] * m), max_size=40), label="rows")
+        coord = data.draw(st.sampled_from([GRID, st.one_of(GRID, INFINITE)]), label="coordinates")
+        rows = data.draw(st.lists(st.tuples(*[coord] * m), max_size=40), label="rows")
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=5), label="duplicates") if rows else []
-        violations = data.draw(st.lists(VIOLATION, min_size=len(rows), max_size=len(rows)), label="violations")
+        violation = data.draw(st.sampled_from([VIOLATION, VIOLATION.map(lambda v: v or 1.0)]), label="infeasible")
+        violations = data.draw(st.lists(violation, min_size=len(rows), max_size=len(rows)), label="violations")
         pop = [oracle.Scored(r, v) for r, v in zip(rows, violations)]
 
         assert non_dominated_sort(rows) == oracle.non_dominated_sort(rows)
         objectives = np.array(rows, dtype=float).reshape(len(rows), m)
         assert non_dominated_sort(objectives, np.array(violations)) == oracle.non_dominated_sort(pop)
+        for viol in (np.zeros(len(rows)), np.array(violations)):
+            assert ([(f.tolist(), last.tolist()) for f, last in moea._peel(objectives, viol)]
+                    == [(f.tolist(), last.tolist()) for f, last in moea._matrix_peel(objectives, viol)])
         for a, b in itertools.product(pop[:12], repeat=2):
             assert dominates(a, b) == oracle.dominates(a, b)
 
@@ -146,12 +164,17 @@ class TestAgainstLoopOracle:
         of a front that more fronts follow.  One objective on a wider grid,
         under three violation levels, leaves many fronts past the cut; three
         objectives on a narrower grid tie distinct members of a front, where
-        the kept members' order changes their crowding."""
+        the kept members' order changes their crowding.  Coordinates may
+        be -inf or +inf, and a pool may have no feasible member."""
         m = data.draw(st.integers(1, 3), label="objectives")
         coord = st.integers(0, {1: 12, 2: 4, 3: 2}[m]).map(float)
+        coord = data.draw(st.sampled_from([coord, st.one_of(coord, INFINITE)]), label="coordinates")
         rows = data.draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=40), label="rows")
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=5), label="duplicates")
-        violation = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])  # mostly feasible, so fronts are wide
+        violation = data.draw(st.sampled_from([
+            st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]),  # mostly feasible, so fronts are wide
+            st.sampled_from([1.0, 2.0, 3.0]),
+        ]), label="infeasible")
         violations = data.draw(st.lists(violation, min_size=len(rows), max_size=len(rows)), label="violations")
         objectives, viol = np.array(rows, dtype=float), np.array(violations)
 
@@ -237,7 +260,7 @@ class TestAgainstLoopOracle:
     @given(st.data())
     def test_crowding(self, data):
         m = data.draw(st.integers(1, 3), label="objectives")
-        coord = st.one_of(GRID, st.floats(-3.0, 6.0, allow_nan=False, allow_infinity=False))
+        coord = st.one_of(GRID, INFINITE, st.floats(-3.0, 6.0, allow_nan=False, allow_infinity=False))
         front = data.draw(st.lists(st.tuples(*[coord] * m), max_size=30), label="front")
         assert crowding(front).tobytes() == oracle.crowding(front).tobytes()
 
