@@ -10,13 +10,15 @@ cross-job cooperation.  Atoms compose with ``&`` (and), ``|`` (or), and
 Each atom is measured as two numbers: the violation (how far the
 staffing or roster misses it, 0.0 exactly when it holds) and the slack
 (how far inside the feasible region it lies, for interior barrier
-penalties).  An expression is compiled once per run over a whole
-generation: :class:`HeadcountTable` over a (P, J) matrix of staffings,
-one table of window columns for every atom, and :func:`roster_kernel`
-over a (P, E, D, S) stack of rosters of a fixed staff.  The public faces
-read these as their single-row case, so the check and the magnitude
-cannot disagree: :func:`violation_atom` and :func:`violation_expr` give
-the violation, :func:`eval_atom` and :func:`eval_expr` the check
+penalties).  An expression is compiled once per run into one
+:class:`ConstraintTable` over a whole generation: a (P, J) matrix of
+staffings, or a (P, E, D, S) stack of rosters of a fixed staff.  Each
+atom is windows on columns of one table, whose wage bill the objective
+shares, a count of offending days, or a constant read once off the
+fixed staff or the atom (k1 cannot fail).  The public faces read these
+as their single-row case, so the check and the magnitude cannot
+disagree: :func:`violation_atom` and :func:`violation_expr` give the
+violation, :func:`eval_atom` and :func:`eval_expr` the check
 ``violation == 0.0``, and :func:`boundary_distance` the slack.
 """
 
@@ -36,7 +38,7 @@ from .domain import (
     ProblemInstance,
 )
 from .errors import ConfigurationError, InfeasibleError, ParseError
-from .objectives import attended_days, headcount_rows, roster_salary_kernel, row_sums, salary_kernel
+from .objectives import attended_days, headcount_rows, roster_salary_kernel, salary_kernel
 
 
 class ConstraintKind(str, Enum):
@@ -184,171 +186,52 @@ def _job_indices(codes: Sequence[str] | None, inst: ProblemInstance) -> list[int
 # k3 takes a single-shift roster's slot hours from a table, row 2e + bit
 # for employee e, holding the products the four-slot stack would make.
 
-_Rows = tuple[np.ndarray, np.ndarray]
+_Measure = tuple[Callable, list] | tuple[Callable, Callable] | tuple[float, float]
+_NEVER = (0.0, _INF)  # an atom that cannot fail
 
 
-def _count_rows(offending: np.ndarray) -> _Rows:
-    """(violation, slack) of a counting atom per row: the number of
-    offending cells or days, and +inf slack (no usable geometry) when
-    none offend."""
-    offending = offending.astype(float)
-    return offending, np.where(offending == 0.0, _INF, 0.0)
+def _count_slack(rows: np.ndarray, violation: np.ndarray) -> np.ndarray:
+    """+inf (no usable geometry) where nothing offends, else 0.0."""
+    return np.where(violation == 0.0, _INF, 0.0)
 
 
-def _window_rows(v: np.ndarray, lo, hi) -> _Rows:
-    """(violation, slack) of values against windows ``[lo, hi]``
-    (elementwise): the distance outside the window, and the least
-    distance to an end of the window (0.0 outside).  Windows have
-    ``lo <= hi``, so at most one of ``lo - v`` and ``v - hi`` is
-    positive."""
-    violation = np.maximum(np.maximum(lo - v, v - hi), 0.0)
-    return violation, np.maximum(np.minimum(v - lo, hi - v), 0.0)
-
-
-def _windows_rows(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Rows:
-    """(violation, slack) of each row of a (P, S) matrix against one
-    window per column: the summed distance outside the windows, added
-    left to right, and the least slack over the columns (0.0 when any
-    value is outside)."""
-    outside, slack = _window_rows(values, lo, hi)
-    return row_sums(outside), slack.min(axis=1, initial=_INF)
-
-
-class HeadcountTable:
-    """``expr`` compiled for an instance over (P, J) headcount matrices,
-    under full attendance.  k1, o1 and k6 are constants (never violated,
-    +inf slack); k2 counts the horizon's days for each unstaffed job (+inf
-    slack when none is, else 0.0).  Every other atom is windows on columns
-    of one (R, P) table, side by side: k3 reads each job's ``(count *
-    daily hours) * days``, y2 each job's count, k4 the wage bill (``bill``,
-    computed when not given), k5 the total headcount, y1 and o2 the spare
-    staff (integer totals, exact in any summation order).  One pass measures
-    every window; an atom's distances outside are added left to right
-    (``reduce`` may not), its slack is their least."""
-
-    def __init__(self, expr: Expr, inst: ProblemInstance):
-        atoms, days = collect_atoms(expr), float(inst.horizon_days)
-        self._salary, self._blocks, self._unstaffed = None, [], []
-        spans, windows, at = [], [], {}
-        for c in (c for c in atoms if c not in at):
-            kind = c.kind
-            if kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
-                raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-            # the jobs k2, k3, y2 and o2 read; all of them as a view
-            jobs = _job_indices(c.jobs if kind in _PER_JOB else None, inst)
-            picked = jobs if c.jobs is not None and kind in _PER_JOB else slice(None)
-            if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-                at[c] = -1 - len(self._unstaffed)
-                self._unstaffed.append((picked, np.full(len(jobs), days)))
-                continue
-            bounds: list = []  # a block is (columns, P): np.concatenate copies k3's and y2's views
-            if kind is ConstraintKind.WORK_TIME_RANGE:
-                hours = np.array([inst.jobs[j].daily_hours for j in jobs], dtype=float)
-                bounds = [inst.work_time_bounds[j] for j in jobs]
-                block = lambda counts, bill, picked=picked, hours=hours: (  # noqa: E731
-                    counts[:, picked] * hours * days).T
-            elif kind is ConstraintKind.HEADCOUNT_RANGE:
-                bounds = [(inst.jobs[j].headcount_min, inst.jobs[j].headcount_max) for j in jobs]
-                block = lambda counts, bill, picked=picked: counts[:, picked].T  # noqa: E731
-            elif kind is ConstraintKind.SALARY_RANGE:
-                self._salary, bounds = salary_kernel(inst), [inst.salary_bounds]
-                block = lambda counts, bill: bill[None]  # noqa: E731
-            elif kind is ConstraintKind.STAFF_CAP:
-                bounds = [(-_INF, inst.max_total_staff)]
-                block = lambda counts, bill, ones=np.ones(inst.n_jobs): (counts @ ones)[None]  # noqa: E731
-            elif kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
-                # at least ``need`` spare: each job lends what it holds above its
-                # own headcount floor (never all)
-                need = c.count or 1
-                if kind is ConstraintKind.EMERGENCY:
-                    if inst.emergency is None:
-                        raise ConfigurationError("instance has no emergency parameters (y1)")
-                    jobs, need = _job_indices(inst.emergency.jobs, inst), inst.emergency.alpha
-                floors = np.array([max(1, inst.jobs[j].headcount_min) for j in jobs], dtype=float)
-                bounds = [(need, _INF)]
-                block = lambda counts, bill, jobs=jobs, floors=floors, ones=np.ones(len(jobs)): (  # noqa: E731
-                    np.maximum(counts[:, jobs] - floors, 0.0) @ ones)[None]
-            elif kind not in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT, ConstraintKind.REST_CAP):
-                raise ConfigurationError(f"unknown constraint kind {kind!r}")
-            # k1, o1, k6 and windows on no job: never violated, +inf slack
-            at[c] = len(spans) if bounds else 0.0
-            spans += [(len(windows), len(windows) + len(bounds))] if bounds else []
-            self._blocks += [block] if bounds else []
-            windows += bounds
-        self._spans, self._starts = spans, [a for a, _ in spans] if len(windows) > len(spans) else []
-        self._lo, self._hi = np.array(windows, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
-        # the per-call list holds the window atoms' violations, then k2's
-        self._at = [x if isinstance(x, float) or x >= 0 else len(spans) - 1 - x for x in map(at.get, atoms)]
-        self._tree = _fold(expr, iter(self._at))
-        rows = [x for x in self._at if not isinstance(x, float) and x < len(spans)]
-        self._barrier = slice(None) if rows == list(range(len(spans))) else rows
-
-    def bill(self, counts: np.ndarray) -> np.ndarray | None:
-        """Each row's wage bill when k4 reads it, else None."""
-        return None if self._salary is None else self._salary(counts)
-
-    def _measure(self, counts: np.ndarray, bill: np.ndarray | None) -> np.ndarray:
-        bill = self.bill(counts) if bill is None else bill
-        blocks = [block(counts, bill) for block in self._blocks] or [np.empty((0, len(counts)))]
-        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-
-    def _violations(self, counts: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each row's violation, and each distinct window's, then k2's."""
-        outside = np.maximum(np.maximum(self._lo - table, table - self._hi), 0.0) if self._spans else table
-        found = [outside[a] if b == a + 1 else np.add.accumulate(outside[a:b], axis=0)[-1] for a, b in self._spans]
-        found += [(counts[:, jobs] < 1) @ days for jobs, days in self._unstaffed]
-        return (self._tree(found) if callable(self._tree) else np.full(len(counts), self._tree)), found
-
-    def _slacks(self, table: np.ndarray) -> np.ndarray:
-        slack = np.maximum(np.minimum(table - self._lo, self._hi - table), 0.0) if self._spans else table
-        return np.minimum.reduceat(slack, self._starts, axis=0) if self._starts else slack
-
-    def violation(self, counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
-        """Each row's violation; 0.0 exactly when the expression holds."""
-        return self._violations(counts, self._measure(counts, bill))[0]
-
-    def barrier(self, counts: np.ndarray, bill: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """Each row's violation, whether it is outside (violated, or some
-        atom's slack, a violated k2's too, is 0.0 or less), and its sum of
-        ``1 / slack`` over the windows' finite positive slacks in atom order."""
-        table = self._measure(counts, bill)
-        violation, found = self._violations(counts, table)
-        least = self._slacks(table)[self._barrier]
-        outside = (violation > 0.0) | (least <= 0.0).any(axis=0)
-        for count in found[len(self._spans):]:
-            outside |= count > 0.0
-        # 1 / inf is the 0.0 that an infinite slack adds
-        terms = np.divide(1.0, least, out=np.zeros(least.shape), where=least > 0.0)
-        return violation, outside, np.add.accumulate(terms, axis=0)[-1] if len(terms) else np.zeros(len(counts))
-
-    def interior(self, counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
-        """The rows (of finite counts) strictly inside every window that staff
-        every job k2 names; every other row has an atom with slack 0.0 or less."""
-        table = self._measure(counts, bill)
-        inside = ((table > self._lo) & (table < self._hi)).all(axis=0)
-        for jobs, days in self._unstaffed:
-            inside &= (counts[:, jobs] < 1) @ days == 0.0
-        return inside
-
-    def kernel(self, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each row's violation and, per atom in :func:`collect_atoms` order, its slack."""
-        table = self._measure(counts, None)
-        violation, found = self._violations(counts, table)
-        least, inf = self._slacks(table), np.full(len(counts), _INF)
-        return violation, [inf if isinstance(x, float) else least[x] if x < len(least)
-                           else np.where(found[x] == 0.0, _INF, 0.0) for x in self._at]
-
-
-def _rest_rows(attended: np.ndarray, cap: int) -> _Rows:
-    """(violation, slack) of the rest cap per roster of a (P, E, D)
-    attendance stack: the rest days past ``cap`` in every run of rest
-    days, and ``cap`` minus the longest run (0.0 past it).  A run ending
-    on day ``d`` is ``d`` minus the last attended day up to ``d`` (-1
-    before the first): integers, so the float results are exact."""
-    days = np.arange(attended.shape[2])
-    run = days - np.maximum.accumulate(np.where(attended, days, -1), axis=2)
-    longest = run.max(axis=(1, 2), initial=0)
-    return (run > cap).sum(axis=(1, 2)).astype(float), np.maximum(cap - longest, 0.0)
+def _staffing_atom(c: AtomicConstraint, inst: ProblemInstance) -> _Measure:
+    """One atom over (P, J) headcount matrices, under full attendance: k2
+    counts the horizon's days for each unstaffed job; k3 reads each job's
+    ``(count * daily hours) * days``, y2 each job's count, k4 the wage
+    bill, k5 the total headcount, y1 and o2 the spare staff (integer
+    totals, exact in any summation order).  A staffing has no roster, so
+    k1, o1 and k6 cannot fail on it."""
+    kind, days = c.kind, float(inst.horizon_days)
+    # the jobs k2, k3, y2 and o2 read; all of them as a view
+    jobs = _job_indices(c.jobs if kind in _PER_JOB else None, inst)
+    picked = jobs if c.jobs is not None and kind in _PER_JOB else slice(None)
+    if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
+        return lambda counts, per_job=np.full(len(jobs), days): (counts[:, picked] < 1) @ per_job, _count_slack
+    if kind is ConstraintKind.WORK_TIME_RANGE:
+        hours = np.array([inst.jobs[j].daily_hours for j in jobs], dtype=float)
+        return lambda counts, bill: (counts[:, picked] * hours * days).T, [inst.work_time_bounds[j] for j in jobs]
+    if kind is ConstraintKind.HEADCOUNT_RANGE:
+        return lambda counts, bill: counts[:, picked].T, [(inst.jobs[j].headcount_min, inst.jobs[j].headcount_max)
+                                                          for j in jobs]
+    if kind is ConstraintKind.SALARY_RANGE:
+        return lambda counts, bill: bill[None], [inst.salary_bounds]
+    if kind is ConstraintKind.STAFF_CAP:
+        return lambda counts, bill, ones=np.ones(inst.n_jobs): (counts @ ones)[None], [(-_INF, inst.max_total_staff)]
+    if kind in (ConstraintKind.EMERGENCY, ConstraintKind.COOPERATION):
+        # at least ``need`` spare: each job lends what it holds above its
+        # own headcount floor (never all)
+        need = c.count or 1
+        if kind is ConstraintKind.EMERGENCY:
+            if inst.emergency is None:
+                raise ConfigurationError("instance has no emergency parameters (y1)")
+            jobs, need = _job_indices(inst.emergency.jobs, inst), inst.emergency.alpha
+        floors = np.array([max(1, inst.jobs[j].headcount_min) for j in jobs], dtype=float)
+        return lambda counts, bill, ones=np.ones(len(jobs)): (
+            np.maximum(counts[:, jobs] - floors, 0.0) @ ones)[None], [(need, _INF)]
+    if kind not in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT, ConstraintKind.REST_CAP):
+        raise ConfigurationError(f"unknown constraint kind {kind!r}")
+    return _NEVER
 
 
 def _job_slices(staff: np.ndarray, n_jobs: int) -> tuple[Callable[[np.ndarray], np.ndarray], list[int], list[int]]:
@@ -365,14 +248,24 @@ def _job_slices(staff: np.ndarray, n_jobs: int) -> tuple[Callable[[np.ndarray], 
     return lambda stack: stack[:, order], starts, ends
 
 
-def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> Callable[[np.ndarray], _Rows]:
-    """One atom compiled for a fixed staff, employee ``e`` holding job
-    ``staff[e]``: a function from a (P, E, D, S) stack of own-channel
-    bits (:func:`roster_kernel`) to each roster's (violation, slack)."""
-    kind = c.kind
+def _rest_runs(slots: np.ndarray) -> np.ndarray:
+    """Each employee's rest days in a row up to each day, (P, E, D): ``d``
+    minus the last attended day up to ``d`` (-1 before the first), exact."""
+    days = np.arange(slots.shape[2])
+    return days - np.maximum.accumulate(np.where(attended_days(slots), days, -1), axis=2)
+
+
+def _roster_atom(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> _Measure:
+    """One atom over (P, E, D, S) stacks of rosters of a fixed staff,
+    employee ``e`` holding job ``staff[e]``: k2 counts each job's days
+    with none of its employees attending, o1 each employee's idle days,
+    k6 the rest days past the cap in every run of rest days (its slack is
+    the cap minus the longest run); k3 reads each job's hours, k4 the wage
+    bill.  k1, k5, y1, y2 and o2 judge the fixed staff's headcounts alone,
+    once: only each employee's own job channel is stored, so k1 cannot fail."""
+    kind, subset = c.kind, _job_indices(c.jobs if c.kind in _PER_JOB else None, inst)
+    by_job, starts, ends = _job_slices(staff, inst.n_jobs)
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        subset = _job_indices(c.jobs, inst)
-        by_job, starts, ends = _job_slices(staff, inst.n_jobs)
         # one OR over each job's employees that has any; a job with none
         # is unstaffed every day (reduceat would read its neighbour's row)
         held = [j for j in range(inst.n_jobs) if starts[j] < ends[j]]
@@ -380,26 +273,23 @@ def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarra
         columns = [column[j] for j in subset if j in column]
         firsts = [starts[j] for j in held]
 
-        def unstaffed(slots: np.ndarray) -> _Rows:
+        def unstaffed(slots: np.ndarray) -> np.ndarray:
             # each job's staffed days per roster: integer counts, exact in any order
             staffed = np.zeros(len(slots), dtype=np.int64)
             if columns:
                 staffed += np.logical_or.reduceat(by_job(attended_days(slots)), firsts, axis=1)[
                     :, columns].sum(axis=(1, 2))
-            return _count_rows(slots.shape[2] * len(subset) - staffed)
+            return (slots.shape[2] * len(subset) - staffed).astype(float)
 
-        return unstaffed
+        return unstaffed, _count_slack
     if kind is ConstraintKind.WORK_TIME_RANGE:
-        subset = _job_indices(c.jobs, inst)
-        by_job, starts, ends = _job_slices(staff, inst.n_jobs)
         slices = [slice(starts[j], ends[j]) for j in subset]
         slot_hours = np.array([j.shift_hours for j in inst.jobs], dtype=float)[staff][:, None, :]  # (E, 1, 4)
         # row 2e + b: employee e's four slot hours times the day bit b
         day_hours = np.stack([0 * slot_hours[:, 0], slot_hours[:, 0]], axis=1).reshape(2 * len(staff), slot_hours.shape[2])
         rows = 2 * np.arange(len(staff))[:, None]
-        lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
 
-        def hours(slots: np.ndarray) -> _Rows:
+        def hours(slots: np.ndarray, bill: np.ndarray | None) -> np.ndarray:
             # each job's terms are its employees' (D, 4) hours in employee
             # order, contiguous in the slice as in a copy made by a mask
             if slots.shape[3] == 1:
@@ -407,44 +297,141 @@ def _roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarra
             else:
                 worked = by_job(slots * slot_hours)
             totals = [worked[:, jobs].reshape(len(slots), -1).sum(axis=1) for jobs in slices]
-            return _windows_rows(np.array(totals).reshape(len(slices), len(slots)).T, lo, hi)
+            return np.array(totals).reshape(len(slices), len(slots))
 
-        return hours
+        return hours, [inst.work_time_bounds[j] for j in subset]
     if kind is ConstraintKind.SALARY_RANGE:
-        lo, hi = inst.salary_bounds
-        salary = roster_salary_kernel(inst, staff, inst.multi_shift)
-        return lambda slots: _window_rows(salary(slots), lo, hi)
+        return lambda slots, bill: bill[None], [inst.salary_bounds]
     if kind is ConstraintKind.REST_CAP:
-        return lambda slots: _rest_rows(attended_days(slots), inst.rest_cap)
+        cap = inst.rest_cap
+        return (lambda slots: (_rest_runs(slots) > cap).sum(axis=(1, 2)).astype(float),
+                lambda slots, violation: np.maximum(cap - _rest_runs(slots).max(axis=(1, 2), initial=0), 0.0))
     if kind is ConstraintKind.MULTI_SHIFT:
-        if not inst.multi_shift:
-            raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
-        return lambda slots: _count_rows((~attended_days(slots)).sum(axis=(1, 2)))
-    # only each employee's own job channel is stored, so k1 cannot fail;
-    # k5, y1, y2 and o2 judge the fixed staff's headcounts alone
+        return lambda slots: (~attended_days(slots)).sum(axis=(1, 2)).astype(float), _count_slack
     counts = np.bincount(staff, minlength=inst.n_jobs).astype(float)
     violation, (slack,) = headcount_kernel(Atom(c), inst)(counts[None, :])
-    return lambda slots: (np.repeat(violation, len(slots)), np.repeat(slack, len(slots)))
+    return float(violation[0]), float(slack[0])
+
+
+class ConstraintTable:
+    """``expr`` compiled for an instance over a block of rows: (P, J)
+    headcount matrices of staffings, or, given a fixed ``staff`` (employee
+    ``e`` holding job ``staff[e]``), (P, E, D, S) stacks of its rosters.
+    Each distinct atom is a pair of one of three kinds
+    (:func:`_staffing_atom`, :func:`_roster_atom`): windows ``(block,
+    bounds)`` on columns of one (R, P) table, side by side, where
+    ``block(rows, bill)`` gives the columns and k4 reads the wage bill
+    (``bill``, computed when not given); a counting atom, two functions
+    ``(violation, slack)`` of the rows, ``slack`` read only by
+    :meth:`kernel`; or a constant violation and slack, folded into the
+    tree when compiled.  One pass measures every window; an atom's
+    distances outside are added left to right (``reduce`` may not), its
+    slack is their least."""
+
+    def __init__(self, expr: Expr, inst: ProblemInstance, staff: np.ndarray | None = None):
+        atoms = collect_atoms(expr)
+        self._salary, self._blocks, self._counts = None, [], []
+        spans, windows, at = [], [], {}
+        for c in dict.fromkeys(atoms):
+            if c.kind is ConstraintKind.MULTI_SHIFT and not inst.multi_shift:
+                raise ConfigurationError("multi-shift coverage (o1) on a single-shift instance")
+            first, second = _staffing_atom(c, inst) if staff is None else _roster_atom(c, inst, staff)
+            if isinstance(second, list) and second:
+                at[c] = len(spans)
+                spans.append((len(windows), len(windows) + len(second)))
+                self._blocks.append(first)
+                windows += second
+            elif callable(second):
+                at[c] = -1 - len(self._counts)
+                self._counts.append((first, second))
+            else:  # a constant; windows on no job are never violated, +inf slack
+                at[c] = _NEVER if isinstance(second, list) else (first, second)
+        if any(c.kind is ConstraintKind.SALARY_RANGE for c in at):
+            self._salary = salary_kernel(inst) if staff is None else roster_salary_kernel(inst, staff, inst.multi_shift)
+        self._spans, self._starts = spans, [a for a, _ in spans] if len(windows) > len(spans) else []
+        self._lo, self._hi = np.array(windows, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
+        # the per-call list holds the window atoms' violations, then the counting atoms'
+        self._at = [x if isinstance(x, tuple) or x >= 0 else len(spans) - 1 - x for x in map(at.get, atoms)]
+        self._tree = _fold(expr, (x[0] if isinstance(x, tuple) else x for x in self._at))
+        rows = [x for x in self._at if not isinstance(x, tuple) and x < len(spans)]
+        self._barrier = slice(None) if rows == list(range(len(spans))) else rows
+
+    def bill(self, rows: np.ndarray) -> np.ndarray | None:
+        """Each row's wage bill when k4 reads it, else None."""
+        return None if self._salary is None else self._salary(rows)
+
+    def _measure(self, rows: np.ndarray, bill: np.ndarray | None) -> np.ndarray:
+        bill = self.bill(rows) if bill is None else bill
+        blocks = [block(rows, bill) for block in self._blocks] or [np.empty((0, len(rows)))]
+        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+
+    def _violations(self, rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each row's violation, and each distinct window atom's, then each counting atom's."""
+        outside = np.maximum(np.maximum(self._lo - table, table - self._hi), 0.0) if self._spans else table
+        found = [outside[a] if b == a + 1 else np.add.accumulate(outside[a:b], axis=0)[-1] for a, b in self._spans]
+        found += [count(rows) for count, _ in self._counts]
+        return (self._tree(found) if callable(self._tree) else np.full(len(rows), self._tree)), found
+
+    def _slacks(self, table: np.ndarray) -> np.ndarray:
+        slack = np.maximum(np.minimum(table - self._lo, self._hi - table), 0.0) if self._spans else table
+        return np.minimum.reduceat(slack, self._starts, axis=0) if self._starts else slack
+
+    def violation(self, rows: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
+        """Each row's violation; 0.0 exactly when the expression holds."""
+        return self._violations(rows, self._measure(rows, bill))[0]
+
+    def barrier(self, counts: np.ndarray, bill: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """On staffings, each row's violation, whether it is outside (violated,
+        or some atom's slack, a violated k2's too, is 0.0 or less), and its sum
+        of ``1 / slack`` over the windows' finite positive slacks in atom order."""
+        table = self._measure(counts, bill)
+        violation, found = self._violations(counts, table)
+        least = self._slacks(table)[self._barrier]
+        outside = (violation > 0.0) | (least <= 0.0).any(axis=0)
+        for count in found[len(self._spans):]:
+            outside |= count > 0.0
+        # 1 / inf is the 0.0 that an infinite slack adds
+        terms = np.divide(1.0, least, out=np.zeros(least.shape), where=least > 0.0)
+        return violation, outside, np.add.accumulate(terms, axis=0)[-1] if len(terms) else np.zeros(len(counts))
+
+    def interior(self, counts: np.ndarray, bill: np.ndarray | None = None) -> np.ndarray:
+        """The staffings (of finite counts) strictly inside every window that
+        staff every job k2 names; every other row has an atom with slack 0.0 or less."""
+        table = self._measure(counts, bill)
+        inside = ((table > self._lo) & (table < self._hi)).all(axis=0)
+        for count, _ in self._counts:
+            inside &= count(counts) == 0.0
+        return inside
+
+    def kernel(self, rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each row's violation and, per atom in :func:`collect_atoms` order, its slack."""
+        table = self._measure(rows, None)
+        violation, found = self._violations(rows, table)
+        least, windows = self._slacks(table), len(self._spans)
+        return violation, [np.full(len(rows), x[1]) if isinstance(x, tuple) else least[x] if x < windows
+                           else self._counts[x - windows][1](rows, found[x]) for x in self._at]
 
 
 def _measure(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
              inst: ProblemInstance) -> tuple[float, float]:
     """(violation, slack) of one atom on a tensor, or else on a headcount
-    vector: the single-row case of :func:`_roster_measure` or :func:`headcount_kernel`."""
+    vector: the single-row case of :func:`roster_kernel` or :func:`headcount_kernel`."""
     if tensor is not None:
-        violation, slack = _roster_measure(c, inst, tensor.job_of_employee)(tensor.day_slots()[None])
+        violation, (slack,) = roster_kernel(Atom(c), inst, tensor.job_of_employee)(tensor.day_slots()[None])
     elif hc is None:
         raise ConfigurationError("need a headcount vector or a tensor")
     else:
-        violation, (slack,) = headcount_kernel(Atom(c), inst)(headcount_rows(hc))
+        violation, (slack,) = headcount_kernel(Atom(c), inst)(headcount_rows(hc, inst))
     return float(violation[0]), float(slack[0])
 
 
 def violation_atom(c: AtomicConstraint, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
                    inst: ProblemInstance) -> float:
     """How badly the atom fails; 0.0 exactly when it holds.  Counting atoms
-    (k1, k2, k6, o1) report offending cells or days; window atoms report
-    the summed distance outside each window."""
+    (k2; o1 and k6 on a roster) report offending days; window atoms report
+    the summed distance outside each window.  k1 cannot fail on either
+    route, as only each employee's own job channel is stored, and o1 and
+    k6 are the constant 0.0 on a staffing, which has no roster."""
     return _measure(c, tensor, hc, inst)[0]
 
 
@@ -491,46 +478,34 @@ def _fold(expr: Expr, leaves: Iterator) -> Callable[[Sequence], np.ndarray] | fl
 _Kernel = Callable[[np.ndarray], tuple[np.ndarray, list[np.ndarray]]]
 
 
-def _kernel(expr: Expr, measures: list[Callable[[np.ndarray], _Rows]]) -> _Kernel:
-    """A function from a block of rows to each row's violation of ``expr``
-    and, per atom in :func:`collect_atoms` order, its slack (``measures``)."""
-    tree = _fold(expr, iter(range(len(measures))))
-
-    def kernel(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        violations, slacks = zip(*[measure(rows) for measure in measures])
-        return tree(violations), list(slacks)
-
-    return kernel
-
-
 @functools.lru_cache(maxsize=64)
 def headcount_kernel(expr: Expr, inst: ProblemInstance) -> _Kernel:
-    """``expr`` compiled for an instance, over a (P, J) headcount matrix;
-    the last 64 compiled are kept, for the one-staffing faces above."""
-    return HeadcountTable(expr, inst).kernel
+    """The :meth:`ConstraintTable.kernel` of ``expr`` for an instance, over
+    a (P, J) headcount matrix; the last 64 compiled are kept, for the
+    one-staffing faces above."""
+    return ConstraintTable(expr, inst).kernel
 
 
 def roster_kernel(expr: Expr, inst: ProblemInstance, staff: np.ndarray) -> _Kernel:
-    """``expr`` compiled for an instance and a fixed staff (employee ``e``
-    holds job ``staff[e]``), over a (P, E, D, S) stack of rosters'
-    own-channel bits: S = 4 slot bits per day, or S = 1 day bits of
-    single-shift rosters, each standing for its four slots.  Both give
-    each roster the same violation and slacks, bit for bit, as its
-    ``day_slots()[None]``."""
-    return _kernel(expr, [_roster_measure(c, inst, staff) for c in collect_atoms(expr)])
+    """The :meth:`ConstraintTable.kernel` of ``expr`` for an instance and a
+    fixed staff (employee ``e`` holds job ``staff[e]``), over a (P, E, D, S)
+    stack of rosters' own-channel bits: S = 4 slot bits per day, or S = 1
+    day bits of single-shift rosters, each standing for its four slots.
+    Both give each roster the same violation and slacks, bit for bit, as
+    its ``day_slots()[None]``."""
+    return ConstraintTable(expr, inst, staff).kernel
 
 
 def violation_expr(expr: Expr, tensor: AttendanceTensor | None, hc: HeadcountVector | None,
                    inst: ProblemInstance) -> float:
     """Aggregate violation: AND sums, OR takes the easiest branch, NOT is
     an indicator (1.0 when the operand holds, else 0.0).  This is the
-    single-row case of :func:`roster_kernel` on a roster, and of
+    single-row case of one :class:`ConstraintTable` on a roster, and of
     :func:`headcount_kernel` on a headcount vector, one atom at a time."""
     if tensor is None:
         atoms = collect_atoms(expr)
         return float(_fold(expr, iter(range(len(atoms))))([violation_atom(c, None, hc, inst) for c in atoms]))
-    violation, _ = roster_kernel(expr, inst, tensor.job_of_employee)(tensor.day_slots()[None])
-    return float(violation[0])
+    return float(ConstraintTable(expr, inst, tensor.job_of_employee).violation(tensor.day_slots()[None])[0])
 
 
 def eval_expr(expr: Expr, tensor: AttendanceTensor | None, hc: HeadcountVector | None,

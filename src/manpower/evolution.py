@@ -12,14 +12,14 @@ reuses the same engine on per-day (or per-slot) attendance bits for a
 fixed staff.
 
 Candidates are scored a whole generation at a time: :class:`_Scorer`
-compiles a run's objectives and constraint expression once into array
-kernels, over a (P, J) matrix of headcounts for staffings (one
-:class:`~manpower.constraints.HeadcountTable`, sharing its wage bill
-with the objective; the generational loops decode their population into
-it with one array operation) or over a (P, E, D, S) stack of rosters of
-one staff (S = 1 day bit in single-shift mode, else the four slots).
-Solvers that move one staffing at a time (annealing, the exact search)
-use the single-row case behind a small memo.
+compiles a run's objectives and constraint expression once into one
+:class:`~manpower.constraints.ConstraintTable`, whose wage bill the
+objective shares, over a (P, J) matrix of headcounts for staffings (the
+generational loops decode their population into it with one array
+operation) or over a (P, E, D, S) stack of rosters of one staff (S = 1
+day bit in single-shift mode, else the four slots).  Solvers that move
+one staffing at a time (annealing, the exact search) use the
+single-row case behind a small memo.
 
 A generational population is one (P, n) gene matrix, and a starting
 population, or a block of the barrier's samples, is drawn with one
@@ -42,13 +42,12 @@ import numpy as np
 from .breeding import _selector, breed
 # perfbench's tracer patches boundary_distance, violation_expr, evaluate_bundle, tensor_salary here
 from .constraints import (
+    ConstraintTable,
     Expr,
-    HeadcountTable,
     boundary_distance,
     collect_atoms,
     headcount_kernel,
     is_conjunction,
-    roster_kernel,
     violation_expr,
 )
 from .domain import (
@@ -63,6 +62,7 @@ from .objectives import (
     SCORE_CACHE_SIZE,
     ObjectiveBundle,
     evaluate_bundle,
+    headcount_rows,
     objective_kernel,
     roster_salary_kernel,
     row_sums,
@@ -242,11 +242,18 @@ class _Scorer:
     def staffings(cls, bundle: ObjectiveBundle, expr: Expr, inst: ProblemInstance,
                   penalty: PenaltyConfig) -> "_Scorer":
         """The scorer of (P, J) headcount matrices through one
-        :class:`~manpower.constraints.HeadcountTable`, whose strict-interior
+        :class:`~manpower.constraints.ConstraintTable`, whose strict-interior
         mask is :attr:`interior`.  Its objective kernel remembers custom
         objective values, so every ``Objective.func`` must be pure."""
-        objectives, table = objective_kernel(bundle, inst), HeadcountTable(expr, inst)
-        return cls(functools.partial(_staffing_rows, objectives, table, penalty), objectives, table.interior)
+        objectives, table = objective_kernel(bundle, inst), ConstraintTable(expr, inst)
+        return cls(functools.partial(_rows, objectives, table, penalty), objectives, table.interior)
+
+    @classmethod
+    def rosters(cls, expr: Expr, inst: ProblemInstance, staff: np.ndarray, penalty: PenaltyConfig) -> "_Scorer":
+        """The scorer of (P, E, D, S) stacks of rosters of ``staff``, whose objective is the wage bill."""
+        salary = roster_salary_kernel(inst, staff, inst.multi_shift)
+        return cls(functools.partial(_rows, lambda slots, bill: (salary(slots) if bill is None else bill)[:, None],
+                                     ConstraintTable(expr, inst, staff), penalty))
 
     def objective(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's objective, the sum of the bundle's min-oriented
@@ -255,26 +262,17 @@ class _Scorer:
         return row_sums(values), values
 
 
-def _staffing_rows(objectives: Callable, table: HeadcountTable, penalty: PenaltyConfig,
-                   counts: np.ndarray) -> _Scores:
+def _rows(objectives: Callable, table: ConstraintTable, penalty: PenaltyConfig, rows: np.ndarray) -> _Scores:
     # the objective and k4 share one wage bill; the external penalty reads
     # no slack, the barrier (+inf unless strictly inside) only the windows'
-    bill = table.bill(counts)
-    values = objectives(counts, bill)
+    bill = table.bill(rows)
+    values = objectives(rows, bill)
     objective = row_sums(values)
     if penalty.method == "internal":
-        violation, outside, barrier = table.barrier(counts, bill)
+        violation, outside, barrier = table.barrier(rows, bill)
         penalized = np.where(outside, np.inf, objective + penalty.barrier_coefficient * barrier)
         return penalized, objective, violation, values
-    return _external(objective, table.violation(counts, bill), values, penalty)
-
-
-def _roster_rows(salary: Callable, constraints: Callable, penalty: PenaltyConfig, slots: np.ndarray) -> _Scores:
-    values = salary(slots)[:, None]
-    return _external(row_sums(values), constraints(slots)[0], values, penalty)
-
-
-def _external(objective: np.ndarray, violation: np.ndarray, values: np.ndarray, penalty: PenaltyConfig) -> _Scores:
+    violation = table.violation(rows, bill)
     # float_power is the C library's pow, as Python's ``**``;
     # ``violation**2`` on an array may round the last bit otherwise
     return objective + penalty.coefficient * np.float_power(violation, 2.0), objective, violation, values
@@ -598,14 +596,14 @@ def solve_assignment(
     """
     if cfg.penalty.method == "internal":
         raise ConfigurationError("roster search supports the external penalty only")
+    headcount_rows(hc, inst)  # a staff of the wrong length raises StructuralError
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     jobs_map = employee_jobs(hc)
     n_emp = jobs_map.shape[0]
     per_day = SLOTS_PER_DAY if inst.multi_shift else 1
     per_emp = inst.horizon_days * per_day
     n_bits = n_emp * per_emp
-    scorer = _Scorer(functools.partial(_roster_rows, roster_salary_kernel(inst, jobs_map, inst.multi_shift),
-                                       roster_kernel(expr, inst, jobs_map), cfg.penalty))
+    scorer = _Scorer.rosters(expr, inst, jobs_map, cfg.penalty)
 
     def build(bits: np.ndarray) -> AttendanceTensor:
         grid = bits.reshape(n_emp, per_emp)

@@ -200,8 +200,9 @@ def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
         if hi > lo:
-            # a boundary point of an earlier objective stays +inf, and a gap of inf / inf counts 0
-            dist[order[1:-1]] += np.fmax((objs[order[2:], m] - objs[order[:-2], m]) / (hi - lo), 0.0)
+            # a boundary point of an earlier objective stays +inf; a NaN gap (inf - inf, inf / inf) counts 0
+            with np.errstate(invalid="ignore"):
+                dist[order[1:-1]] += np.fmax((objs[order[2:], m] - objs[order[:-2], m]) / (hi - lo), 0.0)
     return dist
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import AttendanceTensor, HeadcountVector, ProblemInstance
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StructuralError
 
 # Distinct staffings whose values a compiled custom objective remembers;
 # also the staffings one run's scorer remembers (annealing revisits most
@@ -106,8 +106,11 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=1)[:, -1] + 0.0
 
 
-def headcount_rows(hc: HeadcountVector) -> np.ndarray:
-    """One staffing as a (1, J) float matrix, the single-row case."""
+def headcount_rows(hc: HeadcountVector, inst: ProblemInstance) -> np.ndarray:
+    """One staffing as a (1, J) float matrix, the single-row case; one of
+    the wrong length raises :class:`StructuralError`."""
+    if len(hc.counts) != inst.n_jobs:
+        raise StructuralError(f"headcount vector has {len(hc.counts)} counts for {inst.n_jobs} jobs")
     return np.array([hc.counts], dtype=float)
 
 
@@ -131,7 +134,7 @@ def hours_kernel(inst: ProblemInstance) -> _Rows:
 
 def f2_total_salary(hc: HeadcountVector, inst: ProblemInstance) -> float:
     """Wage bill under day-rate pay (:func:`salary_kernel` of one staffing)."""
-    return float(salary_kernel(inst)(headcount_rows(hc))[0])
+    return float(salary_kernel(inst)(headcount_rows(hc, inst))[0])
 
 
 def attended_days(slots: np.ndarray) -> np.ndarray:
@@ -163,7 +166,7 @@ def tensor_salary(tensor: AttendanceTensor, inst: ProblemInstance) -> float:
 
 def total_time_headcount(hc: HeadcountVector, inst: ProblemInstance) -> float:
     """Full-attendance working time implied by a headcount vector alone."""
-    return float(hours_kernel(inst)(headcount_rows(hc))[0])
+    return float(hours_kernel(inst)(headcount_rows(hc, inst))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,7 @@ def evaluate_bundle(
     objective."""
     if tensor is not None:
         raise ConfigurationError("evaluate_bundle scores staffings; price a roster with tensor_salary")
-    return tuple(objective_kernel(bundle, inst)(headcount_rows(hc))[0].tolist())
+    return tuple(objective_kernel(bundle, inst)(headcount_rows(hc, inst))[0].tolist())
 
 
 def parse_objective_token(token: str, inst: ProblemInstance) -> Objective:

@@ -34,13 +34,15 @@
   one child at a time from its share of the draws.  Children must agree
   byte for byte, generation after generation, and the generator must end
   in the same state.
-* :func:`roster_measure` and :func:`rest_rows` — the mask-and-loop roster
-  measures of k2, k3 and k6 over a (P, E, D, 4) stack of slot bits, which
-  :func:`manpower.constraints._roster_measure` replaced with one OR per
+* :func:`roster_measure`, :func:`rest_rows` and :func:`kernel` — the
+  mask-and-loop roster measures of every atom over a (P, E, D, 4) stack
+  of slot bits, and their composition, which
+  :class:`manpower.constraints.ConstraintTable` replaced with one OR per
   job's slice of employees (k2), a table of each employee's day-bit hours
-  (k3) and a running maximum over the days (k6).  Violations and slacks must
-  agree bit for bit, on the (P, E, D, 1) day-bit stack of single-shift
-  rosters too.
+  (k3), a running maximum over the days (k6) and constants read off the
+  staff's headcounts (k5, y1, y2, o2).  Violations and slacks must agree
+  bit for bit, on the (P, E, D, 1) day-bit stack of single-shift rosters
+  too.
 """
 
 from __future__ import annotations
@@ -52,18 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from manpower.constraints import (
-    And,
-    Atom,
-    AtomicConstraint,
-    ConstraintKind,
-    Not,
-    Or,
-    _count_rows,
-    _job_indices,
-    _roster_measure,
-    _windows_rows,
-)
+from manpower.constraints import And, Atom, AtomicConstraint, ConstraintKind, Not, Or
 from manpower.domain import SLOTS_PER_DAY, AttendanceTensor, HeadcountVector, ProblemInstance
 from manpower.errors import ConfigurationError, StructuralError
 from manpower.evolution import EAConfig, Genome, _box
@@ -254,18 +245,23 @@ def _loop_salary(tensor: AttendanceTensor | None, hc: HeadcountVector | None, in
         return inst.horizon_days * sum(
             counts[j] * sum(inst.jobs[j].wage_per_shift) for j in range(inst.n_jobs)
         )
-    bill = 0.0
+    # the terms in employee order, added by one ``.sum()`` as the package's
+    # bill promises: each slot's wage, or each employee's days times the daily wage
+    terms = []
     for employee in range(tensor.n_employees):
         j = int(tensor.job_of_employee[employee])
         job = inst.jobs[j]
+        attended = 0
         for day in range(tensor.days):
             lo = day * SLOTS_PER_DAY
             slots = [int(tensor.entries[employee, lo + s, j]) for s in range(SLOTS_PER_DAY)]
             if inst.multi_shift:
-                bill += sum(b * w for b, w in zip(slots, job.wage_per_shift))
+                terms += [b * w for b, w in zip(slots, job.wage_per_shift)]
             elif any(slots):
-                bill += sum(job.wage_per_shift)
-    return bill
+                attended += 1
+        if not inst.multi_shift:
+            terms.append(attended * sum(job.wage_per_shift))
+    return float(np.array(terms, dtype=float).sum())
 
 
 def slack_atom(c: AtomicConstraint, hc: HeadcountVector, inst: ProblemInstance) -> float:
@@ -456,8 +452,9 @@ def crowding(objectives: Sequence[Sequence[float]]) -> np.ndarray:
                 i = order[pos]
                 if np.isinf(dist[i]):
                     continue
-                gap = (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
-                dist[i] += 0.0 if np.isnan(gap) else gap  # inf / inf, across an infinite span
+                with np.errstate(invalid="ignore"):
+                    gap = (objs[order[pos + 1], m] - objs[order[pos - 1], m]) / spread
+                dist[i] += 0.0 if np.isnan(gap) else gap  # inf - inf or inf / inf, across an infinite span
     return dist
 
 
@@ -737,34 +734,90 @@ def rest_rows(attended: np.ndarray, cap: int):
     return excess, np.maximum(cap - longest, 0.0)
 
 
+def _counted(offending) -> tuple[np.ndarray, np.ndarray]:
+    """(violation, slack) of a counting atom per row: the offending cells
+    or days, and +inf slack when none offend, else 0.0."""
+    offending = np.asarray(offending, dtype=float)
+    return offending, np.where(offending == 0.0, math.inf, 0.0)
+
+
+def _tensors(slots: np.ndarray, staff: np.ndarray, inst: ProblemInstance) -> list[AttendanceTensor]:
+    """Each roster of a (P, E, D, 4) stack of own-channel slot bits as a tensor."""
+    width = slots.shape[2] * SLOTS_PER_DAY
+    return [AttendanceTensor.from_slot_attendance(roster.reshape(len(staff), width), staff, inst.n_jobs)
+            for roster in slots]
+
+
 def roster_measure(c: AtomicConstraint, inst: ProblemInstance, staff: np.ndarray) -> Callable:
     """One atom compiled for a fixed staff, over a (P, E, D, 4) stack of
-    own-channel slot bits: k2 and k3 through one boolean employee mask
-    per job, k6 through :func:`rest_rows`; the other atoms, whose code
-    the day-bit stack did not change, through the package's measure."""
+    own-channel slot bits, to each roster's (violation, slack): k2 and k3
+    through one boolean employee mask per job, k6 through
+    :func:`rest_rows`, k1, k4 and o1 through :func:`violation_atom` and
+    :func:`_loop_salary` on each roster's tensor, and k5, y1, y2 and o2
+    through :func:`violation_atom` and :func:`slack_atom` on the staff's
+    headcounts."""
     kind = c.kind
     if kind is ConstraintKind.EVERY_JOB_OCCUPIED:
-        masks = [staff == j for j in _job_indices(c.jobs, inst)]
+        masks = [staff == j for j in _subset_indices(c, inst)]
 
         def unstaffed(slots: np.ndarray):
             # each job's staffed days per roster: integer counts, exact in any order
             staffed = np.zeros(len(slots))
             for mask in masks:
                 staffed += slots[:, mask].any(axis=(1, 3)).sum(axis=1)
-            return _count_rows(slots.shape[2] * len(masks) - staffed)
+            return _counted(slots.shape[2] * len(masks) - staffed)
 
         return unstaffed
     if kind is ConstraintKind.WORK_TIME_RANGE:
-        subset = _job_indices(c.jobs, inst)
+        subset = _subset_indices(c, inst)
         shifts = [(staff == j, np.array(inst.jobs[j].shift_hours)) for j in subset]
-        lo, hi = np.array([inst.work_time_bounds[j] for j in subset]).reshape(-1, 2).T
+        bounds = [inst.work_time_bounds[j] for j in subset]
 
         def hours(slots: np.ndarray):
-            worked = [(slots[:, mask] * durations).reshape(len(slots), -1).sum(axis=1)
-                      for mask, durations in shifts]
-            return _windows_rows(np.array(worked).reshape(len(shifts), len(slots)).T, lo, hi)
+            worked = np.array([(slots[:, mask] * durations).reshape(len(slots), -1).sum(axis=1)
+                               for mask, durations in shifts]).reshape(len(shifts), len(slots)).T.tolist()
+            return (np.array([sum(_interval_distance(v, lo, hi) for v, (lo, hi) in zip(row, bounds))
+                              for row in worked], dtype=float),
+                    np.array([min((max(min(v - lo, hi - v), 0.0) for v, (lo, hi) in zip(row, bounds)),
+                                  default=math.inf) for row in worked]))
 
         return hours
     if kind is ConstraintKind.REST_CAP:
         return lambda slots: rest_rows(slots.any(axis=3), inst.rest_cap)
-    return _roster_measure(c, inst, staff)
+    if kind is ConstraintKind.SALARY_RANGE:
+        lo, hi = inst.salary_bounds
+
+        def salary(slots: np.ndarray):
+            bills = [_loop_salary(tensor, None, inst) for tensor in _tensors(slots, staff, inst)]
+            return (np.array([_interval_distance(b, lo, hi) for b in bills]),
+                    np.array([max(min(b - lo, hi - b), 0.0) for b in bills]))
+
+        return salary
+    if kind in (ConstraintKind.SINGLE_DUTY, ConstraintKind.MULTI_SHIFT):
+        return lambda slots: _counted([violation_atom(c, tensor, None, inst)
+                                       for tensor in _tensors(slots, staff, inst)])
+    hc = HeadcountVector(tuple(int((staff == j).sum()) for j in range(inst.n_jobs)))
+    violation, slack = violation_atom(c, None, hc, inst), slack_atom(c, hc, inst)
+    return lambda slots: (np.full(len(slots), violation), np.full(len(slots), slack))
+
+
+def _combine(expr, found) -> np.ndarray:
+    """A tree's violation per row from its atoms' violations in order:
+    AND sums, OR takes the easiest branch, NOT is an indicator."""
+    if isinstance(expr, Atom):
+        return next(found)
+    if isinstance(expr, Not):
+        return 1.0 - (_combine(expr.operand, found) > 0.0)
+    left, right = _combine(expr.left, found), _combine(expr.right, found)
+    return left + right if isinstance(expr, And) else np.minimum(left, right)
+
+
+def kernel(expr, measures: list[Callable]) -> Callable:
+    """A function from a block of rows to each row's violation of ``expr``
+    and, per atom in :func:`atoms` order, its slack (``measures``)."""
+
+    def measured(rows: np.ndarray):
+        violations, slacks = zip(*[measure(rows) for measure in measures])
+        return _combine(expr, iter(violations)), list(slacks)
+
+    return measured

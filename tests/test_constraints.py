@@ -27,8 +27,12 @@ from manpower import (
     InfeasibleError,
     Job,
     Not,
+    Objective,
+    ObjectiveBundle,
+    ObjectiveKind,
     Or,
     ProblemInstance,
+    StructuralError,
     apply_emergency,
     atom,
     boundary_distance,
@@ -37,6 +41,8 @@ from manpower import (
     employee_jobs,
     eval_atom,
     eval_expr,
+    evaluate_bundle,
+    f2_total_salary,
     format_expr,
     full_attendance,
     is_conjunction,
@@ -44,7 +50,7 @@ from manpower import (
     violation_atom,
     violation_expr,
 )
-from manpower.constraints import _kernel, roster_kernel
+from manpower.constraints import roster_kernel
 from manpower.domain import SLOTS_PER_DAY
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 import oracle
@@ -276,6 +282,27 @@ class TestDualRoute:
                 )
 
 
+class TestStaffingLength:
+    """A staffing holds one count per job; the one-staffing faces reject
+    any other length with a typed error naming both lengths."""
+
+    FACES = {
+        "violation_expr": lambda hc, inst: violation_expr(conjunction("k1", "k2", "k3", "k4", "k5", "k6"),
+                                                          None, hc, inst),
+        "eval_atom": lambda hc, inst: eval_atom(atom("k3").constraint, None, hc, inst),
+        "boundary_distance": lambda hc, inst: boundary_distance(atom("k5").constraint, None, hc, inst),
+        "evaluate_bundle": lambda hc, inst: evaluate_bundle(
+            ObjectiveBundle((Objective(ObjectiveKind.TOTAL_TIME),)), hc, None, inst),
+        "f2_total_salary": f2_total_salary,
+    }
+
+    @pytest.mark.parametrize("counts", [(1, 2, 3), (1,) * 8], ids=["3 counts", "8 counts"])
+    @pytest.mark.parametrize("face", list(FACES))
+    def test_wrong_length_is_a_structural_error(self, face, counts):
+        with pytest.raises(StructuralError, match=f"{len(counts)} counts for 6 jobs"):
+            self.FACES[face](HeadcountVector(counts), reference_instance())
+
+
 class TestExpressionAlgebra:
     def test_truth_table(self):
         inst = micro_instance()
@@ -455,20 +482,21 @@ class TestPairedOracle:
                 return holds(node.left, route) or holds(node.right, route)
             return not holds(node.operand, route)
 
-        def combined(node) -> float:
+        def combined(node, route) -> float:
             if isinstance(node, Atom):
-                return violation_atom(node.constraint, tensor, counts, inst)
+                return violation_atom(node.constraint, route, counts, inst)
             if isinstance(node, And):
-                return combined(node.left) + combined(node.right)
+                return combined(node.left, route) + combined(node.right, route)
             if isinstance(node, Or):
-                return min(combined(node.left), combined(node.right))
-            return 0.0 if combined(node.operand) > 0.0 else 1.0
+                return min(combined(node.left, route), combined(node.right, route))
+            return 0.0 if combined(node.operand, route) > 0.0 else 1.0
 
         for route in (None, tensor):
-            assert (violation_expr(tree, route, counts, inst) == 0.0) == holds(tree, route), (
-                format_expr(tree), route is None)
-        # one roster_kernel call combines the atoms as they read one by one
-        assert violation_expr(tree, tensor, counts, inst) == combined(tree), format_expr(tree)
+            got = violation_expr(tree, route, counts, inst)
+            assert (got == 0.0) == holds(tree, route), (format_expr(tree), route is None)
+            # one compiled table on a roster, and the atoms one at a time on a
+            # staffing, combine the atoms bit for bit as they read one by one
+            assert float.hex(got) == float.hex(combined(tree, route)), (format_expr(tree), route is None)
 
 
 def _loop_oracle_check(inst, staff, bits, subset=None, kinds=ALL_KINDS):
@@ -481,7 +509,7 @@ def _loop_oracle_check(inst, staff, bits, subset=None, kinds=ALL_KINDS):
              if inst.multi_shift or kind is not ConstraintKind.MULTI_SHIFT]
     expr = functools.reduce(And, map(Atom, atoms))
     slots = np.broadcast_to(bits, bits.shape[:3] + (SLOTS_PER_DAY,))
-    ref_violation, ref_slacks = _kernel(expr, [oracle.roster_measure(c, inst, staff) for c in atoms])(slots)
+    ref_violation, ref_slacks = oracle.kernel(expr, [oracle.roster_measure(c, inst, staff) for c in atoms])(slots)
     expected = [float.hex(v) for v in ref_violation], [[float.hex(v) for v in s] for s in ref_slacks]
     for stack in [np.ascontiguousarray(slots)] + ([bits] if bits.shape[3] == 1 else []):
         violation, slacks = roster_kernel(expr, inst, staff)(stack)

@@ -32,6 +32,7 @@ from manpower import (
     PSOConfig,
     RunTrace,
     SAConfig,
+    StructuralError,
     TracePoint,
     atom,
     conjunction,
@@ -49,7 +50,7 @@ from manpower import (
     violation_expr,
 )
 from manpower import breeding, evolution, moea
-from manpower.constraints import HeadcountTable, headcount_kernel
+from manpower.constraints import ConstraintTable, headcount_kernel
 from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _decode_rows, _random_genes, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 from test_golden import fractional_week
@@ -308,8 +309,8 @@ def interior_cases(draw):
 
 
 class TestHeadcountTable:
-    """The paths of one compiled :class:`HeadcountTable` against the
-    full kernel, the loop scorer and one another."""
+    """The paths of one compiled :class:`ConstraintTable` on staffings
+    against the full kernel, the loop scorer and one another."""
 
     @PROPERTY
     @given(interior_cases())
@@ -337,7 +338,7 @@ class TestHeadcountTable:
         inst, tree, bundle, _, rows = case
         counts = np.array(rows, dtype=float)
         want, _ = headcount_kernel(tree, inst)(counts)
-        assert _bits(HeadcountTable(tree, inst).violation(counts)) == _bits(want)
+        assert _bits(ConstraintTable(tree, inst).violation(counts)) == _bits(want)
         assert _bits(_Scorer.staffings(bundle, tree, inst, PenaltyConfig()).rows(counts)[2]) == _bits(want)
 
 
@@ -855,6 +856,11 @@ class TestAssignment:
         cfg = EAConfig(penalty=PenaltyConfig(method="internal"))
         with pytest.raises(ConfigurationError):
             solve_assignment(HeadcountVector((1, 1)), inst, BASIC, cfg)
+
+    def test_staff_of_the_wrong_length_rejected(self):
+        with pytest.raises(StructuralError, match="2 counts for 6 jobs"):
+            solve_assignment(HeadcountVector((1, 1)), reference_instance(),
+                             parse_constraint_string("k1&k2&k3&k4&k5&k6"), EAConfig(population_size=4, generations=2))
 
 
 class TestConfigValidation:
