@@ -42,7 +42,6 @@ from .constraints import (
     atom,
     boundary_distance,
     collect_atoms,
-    conjunction,
     eval_atom,
     eval_expr,
     format_expr,

@@ -21,11 +21,12 @@ import numpy as np
 
 from .constraints import Expr, collect_atoms, is_conjunction, ConstraintKind
 from .domain import HeadcountVector, ProblemInstance
-from .errors import ConfigurationError, InfeasibleError, SearchSpaceError
+from .errors import ConfigurationError, InfeasibleError, SearchSpaceError, _require_int
 from .evolution import (
     PenaltyConfig,
     SolveResult,
     _box,
+    _check_internal_applicable,
     _mean,
     _result,
     _Scorer,
@@ -131,8 +132,11 @@ class PSOConfig:
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
 
     def __post_init__(self):
-        if not (2 <= self.swarm_size < math.inf and 0 <= self.iterations < math.inf):
-            raise ConfigurationError("finite swarm_size >= 2 and iterations >= 0 required")
+        _require_int("swarm_size", self.swarm_size, 2)
+        _require_int("iterations", self.iterations, 0)
+        _require_int("seed", self.seed, 0)
+        if not (isinstance(self.inertia, tuple) and len(self.inertia) == 2):
+            raise ConfigurationError(f"inertia must be a (start, end) pair, got {self.inertia!r}")
         if not all(0 <= c < math.inf for c in (self.cognitive, self.social)):
             raise ConfigurationError("acceleration coefficients must be finite and nonnegative")
         if not all(0 <= w < math.inf for w in self.inertia):
@@ -177,6 +181,7 @@ def pso_solve(
 ) -> SolveResult:
     """Particle swarm over the headcount box (positions rounded and
     clamped for evaluation only)."""
+    _check_internal_applicable(expr, cfg.penalty)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     box = _box(inst.headcount_bounds())
     lo, hi = box.lo, box.hi
@@ -239,8 +244,8 @@ class SAConfig:
             raise ConfigurationError("cooling factor must be in (0, 1)")
         if self.initial_temperature < self.final_temperature:
             raise ConfigurationError("initial temperature below final temperature")
-        if not 1 <= self.moves_per_temperature < math.inf:
-            raise ConfigurationError("moves_per_temperature must be positive and finite")
+        _require_int("moves_per_temperature", self.moves_per_temperature, 1)
+        _require_int("seed", self.seed, 0)
 
 
 def sa_accept(energy_a: float, energy_b: float, temperature: float, u: float) -> bool:
@@ -272,6 +277,7 @@ def sa_solve(
     (``rng.random(moves)``, up below 0.5) and its acceptance uniform
     (``rng.random(moves)``, drawn whether or not it is used).  A move
     that would leave the box is skipped."""
+    _check_internal_applicable(expr, cfg.penalty)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     box = np.array(inst.headcount_bounds(), dtype=np.int64).reshape(-1, 2)
     lows, highs = box.T.tolist()

@@ -43,6 +43,7 @@ from .errors import (
     MetricError,
     SearchSpaceError,
     TableGenerationError,
+    _require_int,
 )
 from .evolution import EAConfig, SolveResult, run_ea, solve_assignment
 from .instances import reference_instance
@@ -185,8 +186,8 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown experiment {self.id!r}; choose from {', '.join(EXPERIMENT_IDS)}"
             )
-        if self.trials < 1:
-            raise ConfigurationError("trials must be at least 1")
+        _require_int("trials", self.trials, 1)
+        _require_int("seed", self.seed, 0)
         if self.solvers is not None:
             object.__setattr__(self, "solvers", tuple(self.solvers))
             unknown = [s for s in self.solvers if s not in SOLVERS]

@@ -125,13 +125,6 @@ def atom(code: str | ConstraintKind, jobs: Sequence[str] | None = None, count: i
     return Atom(AtomicConstraint(kind, tuple(jobs) if jobs is not None else None, count))
 
 
-def conjunction(*codes: str | ConstraintKind) -> Expr:
-    """Left-folded AND of the named atoms, e.g. ``conjunction("k1", "k5")``."""
-    if not codes:
-        raise ConfigurationError("conjunction needs at least one atom")
-    return functools.reduce(And, map(atom, codes))
-
-
 def collect_atoms(expr: Expr) -> list[AtomicConstraint]:
     """All atomic constraints in the tree, left to right."""
     out: list[AtomicConstraint] = []

@@ -150,10 +150,6 @@ class ProblemInstance:
     def n_jobs(self) -> int:
         return len(self.jobs)
 
-    @property
-    def slots(self) -> int:
-        return SLOTS_PER_DAY * self.horizon_days
-
     def job_index(self, code: str) -> int:
         for i, job in enumerate(self.jobs):
             if job.code == code:
@@ -175,10 +171,6 @@ class HeadcountVector:
         object.__setattr__(self, "counts", counts)
         if counts and min(counts) < 0:
             raise ConfigurationError("headcounts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -271,12 +263,6 @@ class AttendanceTensor:
         return entries
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, counts: HeadcountVector | Sequence[int], days: int, n_jobs: int | None = None) -> "AttendanceTensor":
-        jobs = employee_jobs(counts)
-        k = n_jobs if n_jobs is not None else (len(counts.counts) if isinstance(counts, HeadcountVector) else len(counts))
-        return cls._from_day_slots(np.zeros((len(jobs), days, SLOTS_PER_DAY), dtype=np.uint8), jobs, k)
 
     @classmethod
     def from_day_attendance(cls, day_attendance: np.ndarray, job_of_employee: Sequence[int], n_jobs: int) -> "AttendanceTensor":

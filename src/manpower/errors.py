@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class StructuralError(ValueError):
     """Shapes, dimensions, or identifiers do not fit together."""
@@ -9,6 +11,13 @@ class ConfigurationError(ValueError):
     """A constraint, solver, or instance references data that is absent
     or inconsistent (e.g. an emergency atom on an instance without an
     emergency block)."""
+
+
+def _require_int(what: str, value, least: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an integer
+    no less than ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 class ParseError(ValueError):

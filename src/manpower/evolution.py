@@ -57,7 +57,7 @@ from .domain import (
     ProblemInstance,
     employee_jobs,
 )
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, _require_int
 from .objectives import (
     SCORE_CACHE_SIZE,
     ObjectiveBundle,
@@ -103,18 +103,16 @@ class EAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ConfigurationError("population_size must be at least 2")
-        if self.generations < 0:
-            raise ConfigurationError("generations must be nonnegative")
+        _require_int("population_size", self.population_size, 2)
+        _require_int("generations", self.generations, 0)
+        _require_int("tournament_k", self.tournament_k, 2)
+        _require_int("seed", self.seed, 0)
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ConfigurationError("crossover_rate must be in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigurationError("mutation_rate must be in [0, 1]")
         if self.selection not in ("tournament", "proportional"):
             raise ConfigurationError(f"unknown selection scheme {self.selection!r}")
-        if self.tournament_k < 2:
-            raise ConfigurationError("tournament_k must be at least 2")
         if self.encoding not in ("ri", "bg"):
             raise ConfigurationError(f"unknown encoding {self.encoding!r}")
 

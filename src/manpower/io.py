@@ -11,7 +11,7 @@ import io as _io
 import json
 import os
 import tempfile
-from itertools import chain, product, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -103,24 +103,10 @@ class _Schema:
 
     def __init__(self, fields: dict, defaults: dict):
         self.fields, self.defaults = fields, defaults
-        self._values = itemgetter(*fields)
-        self._size = {len(fields)}
-        # the value types of each well-typed object that holds every key
-        self._signatures = frozenset(product(*fields.values()))
-
-    def rows(self, objs: list, where: str) -> list[tuple]:
-        """The values of each object in ``objs``, in field order, once each
-        is an object of this kind; ``where.format(i)`` names object ``i``."""
-        try:
-            rows = list(map(self._values, objs))
-        except (KeyError, TypeError):  # a key left out, or not an object
-            rows = None
-        if rows is None or not (self._size.issuperset(map(len, objs)) and
-                                self._signatures.issuperset(map(tuple, map(map, repeat(type), rows)))):
-            rows = [self._row(obj, where.format(i)) for i, obj in enumerate(objs)]
-        return rows
 
     def _row(self, obj, where: str) -> tuple:
+        """The values of ``obj`` in field order, once it is an object of
+        this kind; ``where`` names it, and is empty at the top level."""
         if type(obj) is not dict:
             raise StructuralError(f"{where or 'top level'} must be a JSON object")
         missing = self.fields.keys() - self.defaults.keys() - obj.keys()
@@ -159,11 +145,9 @@ _EMERGENCY = _Schema(
 def _numbers(lists: list, n: int, where) -> None:
     """Check that each of ``lists`` is a list of ``n`` JSON numbers;
     ``where(i)`` names list ``i``."""
-    if not ({list}.issuperset(map(type, lists)) and {n}.issuperset(map(len, lists))
-            and _NUMBER.issuperset(map(type, chain.from_iterable(lists)))):
-        for i, values in enumerate(lists):
-            if type(values) is not list or len(values) != n or not _NUMBER.issuperset(map(type, values)):
-                raise StructuralError(f"{where(i)} must be a list of {n} JSON numbers, got {values!r}")
+    for i, values in enumerate(lists):
+        if type(values) is not list or len(values) != n or not _NUMBER.issuperset(map(type, values)):
+            raise StructuralError(f"{where(i)} must be a list of {n} JSON numbers, got {values!r}")
 
 
 def instance_from_dict(d: dict) -> ProblemInstance:
@@ -174,13 +158,13 @@ def instance_from_dict(d: dict) -> ProblemInstance:
     Each of these raises :class:`StructuralError` naming the field."""
     if type(d) is dict and d.get("format_version") != FORMAT_VERSION:
         raise StructuralError(f"unsupported format_version {d.get('format_version')!r}")
-    [(_, jobs, days, staff, work_time, salary, rest, emergency, multi_shift)] = _INSTANCE.rows([d], "")
-    jobs = _JOB.rows(jobs, "jobs[{}]")
+    _, jobs, days, staff, work_time, salary, rest, emergency, multi_shift = _INSTANCE._row(d, "")
+    jobs = [_JOB._row(job, f"jobs[{i}]") for i, job in enumerate(jobs)]
     _numbers([salary] + work_time, 2, lambda i: f"work_time_bounds[{i - 1}]" if i else "salary_bounds")
     _numbers(list(chain.from_iterable(map(_JOB_NUMBERS, jobs))), SLOTS_PER_DAY,
              lambda i: f"jobs[{i // 2}].{('wage_per_shift', 'shift_hours')[i % 2]}")
     if emergency is not None:
-        [(alpha, *costs, codes)] = _EMERGENCY.rows([emergency], "emergency")
+        alpha, *costs, codes = _EMERGENCY._row(emergency, "emergency")
         if codes is not None and not {str}.issuperset(map(type, codes)):
             raise StructuralError(f"emergency.jobs must be a list of JSON strings, got {codes!r}")
         emergency = EmergencySpec(alpha, *map(float, costs), codes)
@@ -293,23 +277,17 @@ def read_tensor_csv(path: str, inst: ProblemInstance) -> AttendanceTensor:
 # traces, counts, archives, tables
 
 
-def trace_to_csv(trace: RunTrace, include_millis: bool = True) -> str:
+def trace_to_csv(trace: RunTrace) -> str:
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    header = ["generation", "best", "mean", "evaluations"]
-    if include_millis:
-        header.append("millis")
-    w.writerow(header)
+    w.writerow(["generation", "best", "mean", "evaluations", "millis"])
     for p in trace.points:
-        row = [p.generation, repr(p.best), repr(p.mean), p.evaluations]
-        if include_millis:
-            row.append(f"{p.millis:.3f}")
-        w.writerow(row)
+        w.writerow([p.generation, repr(p.best), repr(p.mean), p.evaluations, f"{p.millis:.3f}"])
     return buf.getvalue()
 
 
-def write_trace_csv(trace: RunTrace, path: str, include_millis: bool = True) -> None:
-    atomic_write(path, trace_to_csv(trace, include_millis=include_millis))
+def write_trace_csv(trace: RunTrace, path: str) -> None:
+    atomic_write(path, trace_to_csv(trace))
 
 
 def counts_to_csv(hc: HeadcountVector, inst: ProblemInstance) -> str:

@@ -10,17 +10,18 @@ violation vector; :func:`non_dominated_sort` peels the NSGA-II fronts
 An external archive, a counts matrix beside an objective matrix with
 entries built on read, accumulates every feasible non-dominated
 headcount vector ever seen, so its hypervolume can only grow.  It takes
-each generation's feasible rows as one block and admits and evicts them
-with a few matrix comparisons, ending as if they were offered one by
-one.  Two-objective hypervolume is one array sweep over the archive's
-objective array.  The
-pairwise-loop versions are the reference in ``tests/oracle.py``.  The
-population is one gene matrix, decoded into one headcount matrix and
-scored with one call of the scorer of :mod:`~manpower.evolution`, and
-the starting population is drawn with one generator call.  Offspring
-are bred by the single-objective solver's
-:func:`~manpower.breeding.breed`, from four whole-array draws a
-generation, with a rank-and-crowding tournament (:func:`_crowded_pick`,
+each generation's feasible rows as one block, pools them with its
+entries and keeps, from one comparison matrix over the pool, each
+member that no earlier member is ``<=`` and no member strictly
+dominates, ending as if the rows were offered one by one.
+Two-objective hypervolume is one array sweep over the archive's
+objective array.  The pairwise-loop versions are the reference in
+``tests/oracle.py``.  The population is one gene matrix, decoded into
+one headcount matrix and scored with one call of the scorer of
+:mod:`~manpower.evolution`, and the starting population is drawn with
+one generator call.  Offspring are bred by the single-objective
+solver's :func:`~manpower.breeding.breed`, from four whole-array draws
+a generation, with a rank-and-crowding tournament (:func:`_crowded_pick`,
 chosen for all pairs at once) in place of its selection.  The pool of
 parents and offspring is peeled once per generation, up to the cut,
 and the kept members' ranks and crowding are read off that one peel.
@@ -216,15 +217,6 @@ class ArchiveEntry:
     objectives: tuple[float, ...]
 
 
-def _weakly_below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``W[i, j]`` is True when row ``a[i]`` is ``<=`` row ``b[j]`` in
-    every column; built one column at a time."""
-    below = np.ones((len(a), len(b)), dtype=bool)
-    for x, y in zip(a.T, b.T):
-        below &= x[:, None] <= y[None, :]
-    return below
-
-
 class ParetoArchive:
     """Cumulative store of feasible non-dominated headcount vectors.
 
@@ -252,25 +244,24 @@ class ParetoArchive:
         """Offer a block of feasible staffings, one per row of the (P, J)
         integer ``counts`` and the (P, M) ``objectives``, and return how
         many entered.  The archive ends as if the rows were offered one
-        by one in row order:
-
-        - a row whose counts were seen before, in an earlier block or
-          earlier in this one, is skipped, as a repeat offer is;
-        - a row is admitted when no held entry and no earlier row is
-          ``<=`` it everywhere, and no later row strictly dominates it;
-        - a held entry is evicted when some row strictly dominates it.
+        by one in row order.  A row whose counts were seen before, in an
+        earlier block or earlier in this one, is skipped, as a repeat
+        offer is.  The rest join the held entries in one pool, held
+        entries first in insertion order and then the rows in row order,
+        and a member of the pool stays unless some earlier member is
+        ``<=`` it everywhere or some member strictly dominates it.
 
         Why: offered in turn, a row is refused exactly when an entry
-        present at its turn is ``<=`` it.  That entry is a held one or an
-        earlier row; conversely a held entry or earlier row that is
-        ``<=`` it and has left was removed by something ``<=`` it too.
-        A row is removed later exactly when a later admitted row strictly
-        dominates it.  A refused row that strictly dominates some target
-        was refused by an entry that strictly dominates the target as
-        well: an earlier admitted row (held entries do not dominate one
-        another, and a held one would have refused an admitted target),
-        which had already removed it.  So refused rows may count as
-        evictors, and a block that admits nothing evicts nothing.
+        present at its turn is ``<=`` it.  That entry is an earlier member
+        of the pool; conversely an earlier member that is ``<=`` it and
+        has left was removed by something earlier and ``<=`` it too.  No
+        held entry is ``<=`` another, so held entries pass this test.  A
+        member present after its turn is removed later exactly when a
+        later admitted row strictly dominates it.  A refused row that
+        strictly dominates some member was refused by an entry present at
+        its turn, which strictly dominates that member as well: an
+        earlier member, or a later admitted row.  So refused rows may
+        count as evictors, and a block that admits nothing evicts nothing.
         """
         # a row's key is its bytes after the cast, so an int32 row meets its int64 twin
         counts = np.ascontiguousarray(counts, dtype=np.int64)
@@ -285,19 +276,16 @@ class ParetoArchive:
         held = self._objectives if len(self) else np.empty((0, new.shape[1]))
         if held.shape[1] != new.shape[1]:
             raise StructuralError(f"objective arity mismatch: {held.shape[1]} vs {new.shape[1]}")
-        # a row that a held entry is <= is refused, and refuses or evicts
-        # nothing another entry does not: whatever it is <= that entry is too
-        held_below = _weakly_below(held, new)
-        rows = np.flatnonzero(~held_below.any(axis=0))
-        below = _weakly_below(new[rows], new[rows])  # below[i, k]: row i <= row k
-        earlier = np.tri(len(rows), k=-1, dtype=bool).T  # earlier[i, k]: row i comes before row k
-        admitted = rows[~(below & (earlier | ~below.T)).any(axis=0)]
+        pool = np.vstack([held, new])
+        below = _below(pool, pool)  # ~below.T[i, k]: member i is <= member k
+        earlier = np.tri(len(pool), k=-1, dtype=bool).T  # earlier[i, k]: member i comes before member k
+        keep = ~(~below.T & (earlier | below)).any(axis=0)
+        admitted = np.flatnonzero(keep[len(held):])
         if not admitted.size:
             return 0
-        stays = ~(_weakly_below(new[rows], held) & ~held_below[:, rows].T).any(axis=0)
         held_counts = self._counts if len(self) else np.empty((0, counts.shape[1]), dtype=np.int64)
-        self._counts = np.vstack([held_counts[stays], counts[fresh][admitted]])
-        self._objectives = np.vstack([held[stays], new[admitted]])
+        self._counts = np.vstack([held_counts[keep[:len(held)]], counts[fresh][admitted]])
+        self._objectives = pool[keep]
         return len(admitted)
 
     @property

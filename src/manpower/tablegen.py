@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domain import AttendanceTensor, ProblemInstance
-from .errors import ConfigurationError, TableGenerationError
+from .errors import ConfigurationError, TableGenerationError, _require_int
 
 MAX_DRAWS_PER_SLOT = 1000
 
@@ -92,10 +92,6 @@ class ScheduleTable:
     def days(self) -> int:
         return len(self.picks)
 
-    @property
-    def per_day(self) -> int:
-        return len(self.picks[0]) if self.picks else 0
-
     def assignment_counts(self) -> dict:
         counts = {m: 0 for m in self.members}
         for day in self.picks:
@@ -110,7 +106,6 @@ def generate_table(
     per_day: int,
     policy: Optional[SuitablePolicy] = None,
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
     job: Optional[str] = None,
 ) -> ScheduleTable:
     """Fill a duty table by repeated uniform draws.
@@ -130,10 +125,10 @@ def generate_table(
         raise TableGenerationError(
             f"need {per_day} distinct members per day but only {len(members)} exist", day=0
         )
+    _require_int("seed", seed, 0)
     if policy is None:
         policy = SuitablePolicy()
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     state = GeneratorState(members)
     picks: list[tuple[str, ...]] = []
@@ -179,11 +174,13 @@ def default_max_assignments(
     n_members: int,
     per_day: int,
     rest_cap: Optional[int] = None,
-    max_hours: Optional[float] = None,
-    day_hours: Optional[float] = None,
 ) -> int:
     """A workable assignment cap: tight enough to share load, loose
-    enough that ``days * per_day`` slots remain fillable."""
+    enough that ``days * per_day`` slots remain fillable.  The cap is
+    the fair share ``ceil(days * per_day / n_members)``, one more when
+    that share leaves no spare slot, at least ``days - rest_cap`` when
+    ``rest_cap`` is given, and at most ``days``.  A cap that cannot
+    cover every slot raises :class:`ConfigurationError`."""
     if n_members < 1 or days < 1 or per_day < 1:
         raise ConfigurationError("days, members, and per_day must be positive")
     cap = math.ceil(days * per_day / n_members)
@@ -194,8 +191,6 @@ def default_max_assignments(
     if rest_cap is not None:
         cap = max(cap, days - rest_cap)
     cap = min(cap, days)
-    if max_hours is not None and day_hours:
-        cap = min(cap, math.floor(max_hours / day_hours))
     if cap * n_members < days * per_day:
         raise ConfigurationError(
             f"cap {cap} cannot cover {days * per_day} slots with {n_members} members"

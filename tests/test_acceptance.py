@@ -50,6 +50,7 @@ from manpower import (
     violation_expr,
 )
 from manpower.cli import EXIT_OK, main
+from manpower.domain import SLOTS_PER_DAY
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 from oracle import violation_atom as oracle_violation
 
@@ -311,7 +312,7 @@ def test_violation_is_zero_exactly_when_constraint_holds():
         jobs_map = employee_jobs(hc)
         n = len(jobs_map)
         if inst.multi_shift:
-            grid = rng.integers(0, 2, size=(n, inst.slots), dtype=np.uint8)
+            grid = rng.integers(0, 2, size=(n, SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
             tensor = AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
         else:
             grid = rng.integers(0, 2, size=(n, inst.horizon_days), dtype=np.uint8)

@@ -16,13 +16,14 @@ from manpower import (
     Objective,
     ObjectiveBundle,
     ObjectiveKind,
+    PenaltyConfig,
     PSOConfig,
     SAConfig,
     SearchSpaceError,
     atom,
-    conjunction,
     evaluate_bundle,
     ip_solve,
+    parse_constraint_string,
     pso_solve,
     pso_step,
     sa_accept,
@@ -33,7 +34,7 @@ from manpower.domain import Job, ProblemInstance
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
-BASIC = conjunction("k1", "k2", "k3", "k4", "k5", "k6")
+BASIC = parse_constraint_string("k1&k2&k3&k4&k5&k6")
 
 
 def enumerate_optimum(inst, bundle, expr):
@@ -73,7 +74,7 @@ class TestExactSolver:
 
     def test_matches_enumeration_with_composed_constraints(self):
         rng = np.random.Generator(np.random.PCG64(22))
-        expr = conjunction("k2", "k5") & (atom("k4") | Not(atom("y2")))
+        expr = parse_constraint_string("k2&k5") & (atom("k4") | Not(atom("y2")))
         for _ in range(10):
             inst = random_micro_instance(rng)
             want_value, _ = enumerate_optimum(inst, SALARY, expr)
@@ -87,7 +88,7 @@ class TestExactSolver:
     def test_lexicographically_first_optimum(self):
         inst = micro_instance()
         # maximize nothing: pure staffing-window problem has many optima
-        res = ip_solve(inst, SALARY, conjunction("y2"))
+        res = ip_solve(inst, SALARY, parse_constraint_string("y2"))
         assert res.counts.counts == (1, 1)
 
     def test_bounds_collapse_to_single_point(self):
@@ -100,12 +101,12 @@ class TestExactSolver:
             work_time_bounds=((0, 1e9), (0, 1e9)),
             salary_bounds=(0, 1e9), rest_cap=3,
         )
-        res = ip_solve(inst, SALARY, conjunction("k5"))
+        res = ip_solve(inst, SALARY, parse_constraint_string("k5"))
         assert res.counts.counts == (2, 3)
 
     def test_infeasible_raises(self):
         inst = micro_instance()
-        impossible = conjunction("k5") & Not(atom("k5"))
+        impossible = parse_constraint_string("k5") & Not(atom("k5"))
         with pytest.raises(InfeasibleError):
             ip_solve(inst, SALARY, impossible)
 
@@ -119,7 +120,7 @@ class TestExactSolver:
             salary_bounds=(0, 1e9), rest_cap=1,
         )
         with pytest.raises(SearchSpaceError) as err:
-            ip_solve(inst, SALARY, conjunction("k5"))
+            ip_solve(inst, SALARY, parse_constraint_string("k5"))
         assert err.value.estimate == 1000**4
 
     def test_reference_instance_known_optimum(self):
@@ -257,6 +258,30 @@ def test_config_rejects_non_finite_values(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: PSOConfig(seed=-1), id="pso-seed-negative"),
+    pytest.param(lambda: PSOConfig(seed=1.5), id="pso-seed-fractional"),
+    pytest.param(lambda: PSOConfig(swarm_size=3.5), id="pso-swarm-fractional"),
+    pytest.param(lambda: PSOConfig(iterations=2.0), id="pso-iterations-float"),
+    pytest.param(lambda: PSOConfig(inertia=(0.9,)), id="pso-inertia-single"),
+    pytest.param(lambda: PSOConfig(inertia=0.9), id="pso-inertia-scalar"),
+    pytest.param(lambda: SAConfig(seed=-1), id="sa-seed-negative"),
+    pytest.param(lambda: SAConfig(moves_per_temperature=2.5), id="sa-moves-fractional"),
+])
+def test_config_rejects_bad_counts_seeds_and_inertia(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+@pytest.mark.parametrize("solve, cfg", [(pso_solve, PSOConfig), (sa_solve, SAConfig)], ids=["pso", "sa"])
+def test_internal_penalty_rejects_or_and_not(solve, cfg):
+    """As in ``run_ea``: the barrier needs a pure AND-composition."""
+    for text in ("k1&k2&k3&(k4|k5)&k6", "k1&!k5"):
+        with pytest.raises(ConfigurationError, match="AND-composition"):
+            solve(reference_instance(), SALARY, parse_constraint_string(text),
+                  cfg(seed=0, penalty=PenaltyConfig("internal")))
+
+
 class TestAnnealing:
     def test_downhill_and_level_moves_always_accepted(self):
         uniforms = np.random.Generator(np.random.PCG64(0)).random(100).tolist() + [0.0, 1 - 2**-53]
@@ -306,7 +331,7 @@ class TestAnnealing:
             jobs=jobs, horizon_days=3, max_total_staff=30,
             work_time_bounds=((0, 1e9),), salary_bounds=(0, 1e9), rest_cap=3,
         )
-        res = sa_solve(inst, SALARY, conjunction("k5"), SAConfig(seed=0))
+        res = sa_solve(inst, SALARY, parse_constraint_string("k5"), SAConfig(seed=0))
         assert res.counts.counts == (0,)
 
     def test_seed_determinism(self):

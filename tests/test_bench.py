@@ -117,6 +117,11 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(id="exp1", trials=0)
 
+    def test_negative_seed(self):
+        """Rejected here, not recorded as a failed trial per solver."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentSpec(id="exp1", seed=-1)
+
     def test_unknown_solver(self):
         with pytest.raises(ConfigurationError, match="unknown solvers"):
             ExperimentSpec(id="exp1", solvers=("ea_ri", "gurobi"))

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import manpower
 from manpower import save_instance
 from manpower.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from manpower.instances import micro_instance, reference_instance
@@ -133,6 +134,12 @@ class TestSolve:
         assert main(["solve", "--instance", inst_path, "--penalty", "internal",
                      "--constraints", "k1|k2"] + SMALL) == EXIT_USAGE
 
+    @pytest.mark.parametrize("solver", ["pso", "sa"])
+    def test_internal_penalty_rejects_disjunction_in_baselines(self, inst_path, solver, capsys):
+        assert main(["solve", "--instance", inst_path, "--solver", solver, "--penalty", "internal",
+                     "--constraints", "k1|k2", "--seed", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_same_seed_same_counts_file(self, inst_path, tmp_path):
         paths = [str(tmp_path / f"c{i}.csv") for i in range(2)]
         for p in paths:
@@ -239,11 +246,30 @@ class TestBench:
 
 
 class TestInvocation:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["solve", "--instance", "{inst}"], id="solve"),
+        pytest.param(["solve", "--instance", "{inst}", "--solver", "pso"], id="solve-pso"),
+        pytest.param(["solve", "--instance", "{inst}", "--solver", "sa"], id="solve-sa"),
+        pytest.param(["pareto", "--instance", "{inst}", "--objectives", "salary,-total_time"], id="pareto"),
+        pytest.param(["assign", "--instance", "{inst}", "--counts", "1,2"], id="assign"),
+        pytest.param(["table", "--members", "4", "--days", "2", "--per-day", "2"], id="table"),
+        pytest.param(["bench", "--experiment", "tablegen_timing"], id="bench"),
+    ])
+    def test_negative_seed_is_usage(self, argv, inst_path, capsys):
+        assert main([a.format(inst=inst_path) for a in argv] + ["--seed", "-1"]) == EXIT_USAGE
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_unknown_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["optimize"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    def test_every_package_name_resolves(self):
+        """Each name in ``dir(manpower)``, the lazily imported ones too;
+        a name listed for lazy import that its module lost fails here."""
+        for name in dir(manpower):
+            getattr(manpower, name)
 
     def test_module_entry_point_starts_without_warnings(self):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

@@ -37,7 +37,6 @@ from manpower import (
     atom,
     boundary_distance,
     collect_atoms,
-    conjunction,
     employee_jobs,
     eval_atom,
     eval_expr,
@@ -242,7 +241,7 @@ class TestMultiShiftCoverage:
 
     def test_idle_employee_days_counted(self):
         inst = micro_instance(multi_shift=True)
-        slots = np.zeros((2, inst.slots), dtype=np.uint8)
+        slots = np.zeros((2, SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
         slots[0, :] = 1          # employee 0 covers everything
         slots[1, 0] = 1          # employee 1 works one slot of day 0 only
         t = AttendanceTensor.from_slot_attendance(slots, np.array([0, 1]), inst.n_jobs)
@@ -287,7 +286,7 @@ class TestStaffingLength:
     any other length with a typed error naming both lengths."""
 
     FACES = {
-        "violation_expr": lambda hc, inst: violation_expr(conjunction("k1", "k2", "k3", "k4", "k5", "k6"),
+        "violation_expr": lambda hc, inst: violation_expr(parse_constraint_string("k1&k2&k3&k4&k5&k6"),
                                                           None, hc, inst),
         "eval_atom": lambda hc, inst: eval_atom(atom("k3").constraint, None, hc, inst),
         "boundary_distance": lambda hc, inst: boundary_distance(atom("k5").constraint, None, hc, inst),
@@ -335,7 +334,7 @@ class TestExpressionAlgebra:
         rng = np.random.Generator(np.random.PCG64(9))
         inst = micro_instance()
         exprs = [
-            conjunction("k1", "k2", "k3", "k4", "k5", "k6"),
+            parse_constraint_string("k1&k2&k3&k4&k5&k6"),
             Or(atom("k5"), Not(atom("y2"))),
             And(Not(Or(atom("k4"), atom("k5"))), atom("y2")),
             Not(Not(atom("k5"))),
@@ -350,7 +349,7 @@ class TestExpressionAlgebra:
         kinds = [c.kind.value for c in collect_atoms(e)]
         assert kinds == ["k1", "k2", "k3"]
         assert not is_conjunction(e)
-        assert is_conjunction(conjunction("k1", "k2", "k3"))
+        assert is_conjunction(parse_constraint_string("k1&k2&k3"))
 
 
 class TestPairedOracle:
@@ -369,7 +368,7 @@ class TestPairedOracle:
             )
             jobs_map = employee_jobs(counts)
             if multi:
-                grid = rng.integers(0, 2, size=(len(jobs_map), inst.slots), dtype=np.uint8)
+                grid = rng.integers(0, 2, size=(len(jobs_map), SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
                 t = AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
             else:
                 grid = rng.integers(0, 2, size=(len(jobs_map), inst.horizon_days), dtype=np.uint8)
@@ -406,7 +405,7 @@ class TestPairedOracle:
             for job in inst.jobs
         ))
         jobs_map = employee_jobs(counts)
-        width = inst.slots if multi else inst.horizon_days
+        width = SLOTS_PER_DAY * inst.horizon_days if multi else inst.horizon_days
         build_tensor = (AttendanceTensor.from_slot_attendance if multi
                         else AttendanceTensor.from_day_attendance)
         tensors = []
@@ -465,7 +464,7 @@ class TestPairedOracle:
             for job in inst.jobs
         ))
         jobs_map = employee_jobs(counts)
-        width = inst.slots if multi else inst.horizon_days
+        width = SLOTS_PER_DAY * inst.horizon_days if multi else inst.horizon_days
         bits = data.draw(st.lists(st.integers(0, 1), min_size=len(jobs_map) * width,
                                   max_size=len(jobs_map) * width), label="roster")
         grid = np.array(bits, dtype=np.uint8).reshape(len(jobs_map), width)

@@ -41,7 +41,7 @@ def two_job_instance(days=3, multi_shift=False):
 def random_tensor(rng, inst, counts):
     jobs_map = employee_jobs(counts)
     if inst.multi_shift:
-        grid = rng.integers(0, 2, size=(len(jobs_map), inst.slots), dtype=np.uint8)
+        grid = rng.integers(0, 2, size=(len(jobs_map), SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
         return AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
     grid = rng.integers(0, 2, size=(len(jobs_map), inst.horizon_days), dtype=np.uint8)
     return AttendanceTensor.from_day_attendance(grid, jobs_map, inst.n_jobs)
@@ -141,7 +141,7 @@ class TestTensorStructure:
             AttendanceTensor(np.zeros((1, 5, 1), dtype=np.uint8), np.array([0]))
 
     def test_entries_read_only(self):
-        t = AttendanceTensor.zeros(HeadcountVector((1, 1)), days=2, n_jobs=2)
+        t = AttendanceTensor.from_day_attendance(np.zeros((2, 2)), employee_jobs((1, 1)), 2)
         with pytest.raises(ValueError):
             t.entries[0, 0, 0] = 1
 
@@ -183,7 +183,7 @@ class TestWorkTime:
             bits = t.slot_attendance()
             for e in range(t.n_employees):
                 job = inst.jobs[int(t.job_of_employee[e])]
-                for s in range(inst.slots):
+                for s in range(SLOTS_PER_DAY * inst.horizon_days):
                     if bits[e, s]:
                         expected += job.shift_hours[s % SLOTS_PER_DAY]
             assert total_work_time(t, inst) == pytest.approx(expected)

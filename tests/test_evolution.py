@@ -35,7 +35,6 @@ from manpower import (
     StructuralError,
     TracePoint,
     atom,
-    conjunction,
     decode,
     f2_total_salary,
     ip_solve,
@@ -51,6 +50,7 @@ from manpower import (
 )
 from manpower import breeding, evolution, moea
 from manpower.constraints import ConstraintTable, headcount_kernel
+from manpower.domain import SLOTS_PER_DAY
 from manpower.evolution import INITIAL_SAMPLES_PER_MEMBER, _box, _decode_rows, _random_genes, _Scorer
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
 from test_golden import fractional_week
@@ -58,7 +58,7 @@ from test_golden import fractional_week
 SALARY = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),))
 TRADE_OFF = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY, Direction.MINIMIZE),
                              Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE)))
-BASIC = conjunction("k1", "k2", "k3", "k4", "k5", "k6")
+BASIC = parse_constraint_string("k1&k2&k3&k4&k5&k6")
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -658,7 +658,7 @@ class TestPenalties:
         monkeypatch.setattr(evolution, "_initial_population", watched)
         cfg = EAConfig(population_size=10, penalty=PenaltyConfig(method="internal"))
         with pytest.raises(InfeasibleError, match=r"atoms at or past their boundary .*: .*y2 in 10"):
-            run_ea(inst, SALARY, conjunction("k5", "y2"), cfg)
+            run_ea(inst, SALARY, parse_constraint_string("k5&y2"), cfg)
         # the sampling drew exactly the cap of samples, no more and no fewer
         drew = np.random.Generator(np.random.PCG64(cfg.seed))
         for _ in range(INITIAL_SAMPLES_PER_MEMBER * 10):
@@ -684,9 +684,9 @@ class TestPenalties:
             population_size=30, generations=20,
             penalty=PenaltyConfig(method="internal"), seed=5,
         )
-        res = run_ea(inst, SALARY, conjunction("k4", "k5", "y2"), cfg)
+        res = run_ea(inst, SALARY, parse_constraint_string("k4&k5&y2"), cfg)
         assert res.feasible
-        assert violation_expr(conjunction("k4", "k5", "y2"), None, res.counts, inst) == 0.0
+        assert violation_expr(parse_constraint_string("k4&k5&y2"), None, res.counts, inst) == 0.0
 
 
 class TestRunEA:
@@ -770,7 +770,7 @@ class TestRunEA:
 
     def test_infeasible_branch_reports_least_violation(self):
         inst = micro_instance()
-        impossible = conjunction("k5") & Not(atom("k5"))
+        impossible = parse_constraint_string("k5") & Not(atom("k5"))
         res = run_ea(inst, SALARY, impossible, EAConfig(population_size=10, generations=3, seed=1))
         assert not res.feasible
         assert res.violation > 0.0
@@ -810,7 +810,7 @@ class TestAssignment:
         for seed in range(6):
             inst = random_micro_instance(rng, n_jobs=2)
             hc = HeadcountVector(tuple(lo for lo, _ in inst.headcount_bounds()))
-            expr = conjunction("k1", "k2", "k3", "k6")
+            expr = parse_constraint_string("k1&k2&k3&k6")
             jobs_map = employee_jobs(hc)
             n_bits = len(jobs_map) * inst.horizon_days
             if n_bits > 10:
@@ -831,7 +831,7 @@ class TestAssignment:
     def test_tensor_matches_reported_value(self):
         inst = micro_instance()
         hc = HeadcountVector((1, 2))
-        res = solve_assignment(hc, inst, conjunction("k2", "k6"), EAConfig(seed=4, population_size=30, generations=20))
+        res = solve_assignment(hc, inst, parse_constraint_string("k2&k6"), EAConfig(seed=4, population_size=30, generations=20))
         assert res.feasible
         assert tensor_salary(res.tensor, inst) == res.value
         assert res.tensor.headcounts().counts == hc.counts
@@ -839,16 +839,16 @@ class TestAssignment:
     def test_multi_shift_genome_is_per_slot(self):
         inst = micro_instance(multi_shift=True)
         hc = HeadcountVector((1, 1))
-        res = solve_assignment(hc, inst, conjunction("k2"), EAConfig(seed=1, population_size=20, generations=10))
-        assert res.tensor.entries.shape[1] == inst.slots
+        res = solve_assignment(hc, inst, parse_constraint_string("k2"), EAConfig(seed=1, population_size=20, generations=10))
+        assert res.tensor.entries.shape[1] == SLOTS_PER_DAY * inst.horizon_days
 
     @pytest.mark.parametrize("multi", [False, True])
     def test_empty_staff_gets_the_empty_roster(self, multi):
         # the genome has no bits; every roster of no one is the same roster
         inst = micro_instance(multi_shift=multi)
-        res = solve_assignment(HeadcountVector((0, 0)), inst, conjunction("k1", "k2", "k6"),
+        res = solve_assignment(HeadcountVector((0, 0)), inst, parse_constraint_string("k1&k2&k6"),
                                EAConfig(seed=2, population_size=6, generations=3))
-        assert res.tensor.entries.shape == (0, inst.slots, inst.n_jobs)
+        assert res.tensor.entries.shape == (0, SLOTS_PER_DAY * inst.horizon_days, inst.n_jobs)
         assert (res.value, res.feasible, res.violation) == (0.0, False, 2.0 * inst.horizon_days)
 
     def test_internal_penalty_rejected(self):
@@ -877,6 +877,13 @@ class TestConfigValidation:
             EAConfig(encoding="gray")
         with pytest.raises(ConfigurationError):
             PenaltyConfig(method="annealed")
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 0.5), ("population_size", 2.5), ("generations", 1.0), ("tournament_k", 2.5),
+    ])
+    def test_non_integral_or_negative_counts_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EAConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["coefficient", "barrier_coefficient"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

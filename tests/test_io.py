@@ -24,7 +24,7 @@ from manpower import (
     write_tensor_csv,
 )
 from manpower.instances import micro_instance, random_micro_instance, reference_instance
-from manpower.domain import SHIFT_NAMES
+from manpower.domain import SHIFT_NAMES, SLOTS_PER_DAY
 from manpower.io import atomic_write, instance_from_dict, instance_to_dict, tensor_to_csv
 
 
@@ -197,7 +197,7 @@ class TestTensorCSV:
         for i in range(10):
             counts = HeadcountVector((int(rng.integers(1, 3)), int(rng.integers(1, 3))))
             jobs_map = employee_jobs(counts)
-            grid = rng.integers(0, 2, size=(len(jobs_map), inst.slots), dtype=np.uint8)
+            grid = rng.integers(0, 2, size=(len(jobs_map), SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
             t = AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
             path = str(tmp_path / f"t{i}.csv")
             write_tensor_csv(t, inst, path)
@@ -225,7 +225,7 @@ class TestTensorCSV:
         rng = np.random.Generator(np.random.PCG64(5))
         for counts, case in [((2, 3), inst), ((1, 0), inst), ((0, 0), inst), ((5, 10, 6, 9, 6, 4), week)]:
             jobs_map = employee_jobs(HeadcountVector(counts))
-            grid = rng.integers(0, 2, size=(len(jobs_map), case.slots), dtype=np.uint8)
+            grid = rng.integers(0, 2, size=(len(jobs_map), SLOTS_PER_DAY * case.horizon_days), dtype=np.uint8)
             t = AttendanceTensor.from_slot_attendance(grid, jobs_map, case.n_jobs)
             assert tensor_to_csv(t, case) == csv_writer_form(t, case)
             if len(jobs_map):

@@ -20,11 +20,11 @@ from manpower import (
     ObjectiveKind,
     ParetoArchive,
     StructuralError,
-    conjunction,
     crowding,
     evaluate_bundle,
     hypervolume,
     non_dominated_sort,
+    parse_constraint_string,
     run_moea,
     violation_expr,
 )
@@ -386,7 +386,7 @@ class TestRunMOEA:
             Objective(ObjectiveKind.TOTAL_TIME, Direction.MAXIMIZE),
         )
     )
-    BASIC = conjunction("k1", "k2", "k3", "k4", "k5", "k6")
+    BASIC = parse_constraint_string("k1&k2&k3&k4&k5&k6")
 
     def test_archive_entries_are_feasible_and_non_dominated(self):
         inst = micro_instance()

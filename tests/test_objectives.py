@@ -25,7 +25,8 @@ from manpower import (
     total_time_headcount,
     total_work_time,
 )
-from manpower.constraints import conjunction
+from manpower.constraints import parse_constraint_string
+from manpower.domain import SLOTS_PER_DAY
 
 
 class TestSalary:
@@ -50,7 +51,7 @@ class TestSalary:
     def test_slot_accrual_charges_attended_slots_only(self):
         inst = micro_instance(multi_shift=True)
         jobs_map = np.array([0, 1])
-        slots = np.zeros((2, inst.slots), dtype=np.uint8)
+        slots = np.zeros((2, SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
         slots[0, 0] = 1          # operator, day 0, MOR -> 10
         slots[0, 3] = 1          # operator, day 0, MID -> 20
         slots[1, 4 + 2] = 1      # helper, day 1, EVN -> 5
@@ -98,13 +99,13 @@ class TestWorkingTime:
 
     def test_per_job_hours_zero_tensor(self):
         inst = micro_instance()
-        t = AttendanceTensor.zeros(HeadcountVector((2, 1)), inst.horizon_days, inst.n_jobs)
+        t = AttendanceTensor.from_day_attendance(np.zeros((3, inst.horizon_days)), employee_jobs((2, 1)), inst.n_jobs)
         assert job_hours(t, 0, inst) == 0.0
 
     def test_per_job_hours_count_slots(self):
         inst = micro_instance(multi_shift=True)
         jobs_map = np.array([0])
-        slots = np.zeros((1, inst.slots), dtype=np.uint8)
+        slots = np.zeros((1, SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
         slots[0, :4] = [1, 0, 0, 1]  # 4h + 8h
         t = AttendanceTensor.from_slot_attendance(slots, jobs_map, inst.n_jobs)
         assert job_hours(t, 0, inst) == 12
@@ -116,7 +117,7 @@ class TestWorkingTime:
             hc = HeadcountVector((2, 2))
             jobs_map = employee_jobs(hc)
             if multi:
-                grid = rng.integers(0, 2, size=(4, inst.slots), dtype=np.uint8)
+                grid = rng.integers(0, 2, size=(4, SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
                 t = AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
             else:
                 grid = rng.integers(0, 2, size=(4, inst.horizon_days), dtype=np.uint8)
@@ -130,7 +131,7 @@ class TestWorkingTime:
         hc = HeadcountVector((2, 1))
         jobs_map = employee_jobs(hc)
         for _ in range(50):
-            grid = rng.integers(0, 2, size=(3, inst.slots), dtype=np.uint8)
+            grid = rng.integers(0, 2, size=(3, SLOTS_PER_DAY * inst.horizon_days), dtype=np.uint8)
             t = AttendanceTensor.from_slot_attendance(grid, jobs_map, inst.n_jobs)
             for j, job in enumerate(inst.jobs):
                 expected = 0.0
@@ -203,13 +204,13 @@ class TestNonFiniteObjective:
     def test_run_ea(self):
         cfg = EAConfig(population_size=6, generations=2, seed=0)
         with pytest.raises(ConfigurationError, match="'broken'"):
-            run_ea(micro_instance(), ObjectiveBundle((self.broken(float("nan")),)), conjunction("k1"), cfg)
+            run_ea(micro_instance(), ObjectiveBundle((self.broken(float("nan")),)), parse_constraint_string("k1"), cfg)
 
     def test_run_moea(self):
         bundle = ObjectiveBundle((Objective(ObjectiveKind.TOTAL_SALARY), self.broken(float("nan"))))
         cfg = EAConfig(population_size=6, generations=2, seed=0)
         with pytest.raises(ConfigurationError, match="'broken'"):
-            run_moea(micro_instance(), bundle, conjunction("k1"), cfg)
+            run_moea(micro_instance(), bundle, parse_constraint_string("k1"), cfg)
 
 
 class TestObjectiveTokens:

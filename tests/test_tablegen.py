@@ -75,6 +75,10 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             generate_table(("a", "a"), days=1, per_day=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_table(MEMBERS, days=1, per_day=1, seed=-1)
+
 
 class TestDefaultCap:
     def test_covers_demand(self):
@@ -85,9 +89,10 @@ class TestDefaultCap:
     def test_rest_cap_floor(self):
         assert default_max_assignments(7, 10, 1, rest_cap=2) >= 5
 
-    def test_hours_ceiling_conflict_raises(self):
+    def test_uncoverable_demand_raises(self):
+        """Two members at the 7-day ceiling fill 14 of 21 slots."""
         with pytest.raises(ConfigurationError):
-            default_max_assignments(7, 2, 2, max_hours=8.0, day_hours=8.0)
+            default_max_assignments(7, 2, 3)
 
 
 class TestRotation:
